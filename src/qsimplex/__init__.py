@@ -13,27 +13,25 @@ from .costmodel import (CostReport, ThresholdViolation, build_cost_report,
                         qlsa_query_counts, quantum_pricing_cost,
                         quantum_ratio_test_cost)
 from .io import read_instance, read_lp_json, read_mps, write_lp_json
-from .lp import (BasisSingular, BasisState, LpInstance, SymmetrizedSystem,
-                 ZeroColumn, ZeroVector, estimate_sigma_max, normalize,
+from .lp import (BasisSingular, BasisState, LpInstance, ZeroColumn,
+                 ZeroVector, estimate_sigma_max, normalize,
                  slack_identity_basis, sparsity_stats)
 from .primitives import (AllInfinite, QueryStats, amplitude_estimation,
                          min_finding, phase_estimation, qsearch)
-from .qlsa import ColumnSuperpositionOracle, IdealQlsa, SpectrumOutOfRange
+from .qlsa import IdealQlsa
 from .statevector import PreparedUnitary, StateVector, prepare_sparse_state
 from .subroutines import (IterationOutcome, PrecisionParams, ScaledBasis,
                           can_enter, find_column, find_row, is_optimal,
-                          is_unbounded, norm_estimate, sign_est_nfn,
-                          sign_est_nfp, sign_est_plus, simplex_iter,
-                          solve_quantum)
+                          is_unbounded, norm_estimate, sign_est,
+                          simplex_iter, solve_quantum)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllInfinite", "BasisSingular", "BasisState", "ClassicalPivotReport",
-    "ClassicalSolution", "ColumnSuperpositionOracle", "CostReport",
-    "IdealQlsa", "IterationOutcome", "LpInstance", "PrecisionParams",
-    "PreparedUnitary", "QueryStats", "ScaledBasis", "SpectrumOutOfRange",
-    "StateVector", "SymmetrizedSystem", "ThresholdViolation", "ZeroColumn",
+    "ClassicalSolution", "CostReport", "IdealQlsa", "IterationOutcome",
+    "LpInstance", "PrecisionParams", "PreparedUnitary", "QueryStats",
+    "ScaledBasis", "StateVector", "ThresholdViolation", "ZeroColumn",
     "ZeroVector", "amplitude_estimation", "build_cost_report", "can_enter",
     "classical_pricing_cost", "column_split", "estimate_sigma_max",
     "find_column", "find_row", "is_optimal", "is_unbounded", "min_finding",
@@ -41,7 +39,6 @@ __all__ = [
     "prepare_sparse_state", "qlsa_query_counts", "qsearch",
     "quantum_pricing_cost", "quantum_ratio_test_cost", "ratio_test",
     "read_instance", "read_lp_json", "read_mps", "reduced_cost",
-    "reduced_costs", "sign_est_nfn", "sign_est_nfp", "sign_est_plus",
-    "simplex_iter", "slack_identity_basis", "solve_classical",
-    "solve_quantum", "sparsity_stats", "write_lp_json",
+    "reduced_costs", "sign_est", "simplex_iter", "slack_identity_basis",
+    "solve_classical", "solve_quantum", "sparsity_stats", "write_lp_json",
 ]

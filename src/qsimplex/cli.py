@@ -60,7 +60,6 @@ class RunConfig:
     t: float = 100.0
     eps_prime: float = 1e-4
     reps: int = 15
-    alpha: float | None = None
     mode: str = "analytic"
     qlsa_error: str = "zero"
     seed: int = 0
@@ -310,8 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="spectral-norm estimation slack (default 1e-4)")
         p.add_argument("--reps", type=int, default=15,
                        help="majority-vote repetitions (odd, default 15)")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="norm-estimation solver normalization (default kappa)")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: QSIMPLEX_SEED or 0)")
         p.add_argument("--mode", choices=("analytic", "sampling"),
@@ -358,7 +355,7 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         instance=getattr(args, "instance", ""),
         eps=args.epsilon, delta=args.delta, t=args.t,
-        eps_prime=args.eps_prime, reps=args.reps, alpha=args.alpha,
+        eps_prime=args.eps_prime, reps=args.reps,
         mode=args.mode,
         qlsa_error=args.qlsa_error or default_error,
         seed=args.seed if args.seed is not None else _env_seed(),

@@ -92,8 +92,13 @@ class LpInstance:
         return cls(sp.csc_matrix(np.asarray(A, dtype=float)), b, c)
 
     def column(self, k: int) -> np.ndarray:
-        """Dense copy of column k."""
-        return np.asarray(self.A[:, [k]].todense()).reshape(-1)
+        """Dense copy of column k, filled from the CSC arrays."""
+        k = range(self.n)[k]  # negative indices count from the end
+        A = self.A
+        lo, hi = A.indptr[k], A.indptr[k + 1]
+        out = np.zeros(self.m)
+        out[A.indices[lo:hi]] = A.data[lo:hi]
+        return out
 
     def dense(self) -> np.ndarray:
         return np.asarray(self.A.todense())
@@ -125,35 +130,6 @@ class BasisState:
     @property
     def size(self) -> int:
         return len(self.basis)
-
-
-@dataclass(frozen=True)
-class SymmetrizedSystem:
-    """Hermitian embedding ``[[0, M], [M', 0]] (0, x) = (r, 0)`` of ``M x = r``.
-
-    The nonzero singular values of the embedded matrix equal those of M,
-    each with doubled multiplicity, so the conditioning analysis carries
-    over unchanged.
-    """
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-    @classmethod
-    def from_system(cls, M: np.ndarray, r: np.ndarray) -> "SymmetrizedSystem":
-        M = np.asarray(M, dtype=float)
-        r = np.asarray(r, dtype=float).reshape(-1)
-        m = M.shape[0]
-        if M.shape != (m, m) or r.shape != (m,):
-            raise ValueError("need a square system")
-        big = np.zeros((2 * m, 2 * m))
-        big[:m, m:] = M
-        big[m:, :m] = M.T
-        return cls(matrix=big, rhs=np.concatenate([r, np.zeros(m)]))
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
 
 
 def basis_matrix(instance: LpInstance, basis) -> np.ndarray:
@@ -293,10 +269,6 @@ def sparsity_stats(instance: LpInstance, basis) -> tuple[int, int, int, float]:
 
 def scaled_basis_matrix(instance: LpInstance, state: BasisState) -> np.ndarray:
     return state.matrix_scale * basis_matrix(instance, state.basis)
-
-
-def scaled_cost(instance: LpInstance, state: BasisState) -> np.ndarray:
-    return state.cost_scale * instance.c
 
 
 def slack_identity_basis(instance: LpInstance) -> tuple[int, ...] | None:

@@ -1,12 +1,17 @@
 """Ideal quantum linear-system oracle with injectable error.
 
 The solver internals (Chebyshev/LCU decompositions) are cited machinery,
-not simulated: the solution state is computed classically, a deviation of
-norm exactly ``eps_ls`` is injected in a configurable direction, and the
-query counters are charged through the stated cost formulas with unit
-constants.  Every downstream guarantee depends only on the contract
-``| |x~> - |A^-1 b> | <= eps_ls``, which the worst-case mode saturates
-adversarially.
+not simulated.  The exact solution behind an invocation is simulation-side
+truth that costs the algorithm nothing, so it is computed elsewhere:
+``subroutines.ScaledBasis`` solves every right-hand side an iteration
+reads once per basis.  This oracle only turns an exact solution into the
+state the solver returns -- a unit vector at distance exactly ``eps_ls``
+from it -- and charges the query counters through the stated cost
+formulas with unit constants.  Conceptually the solver runs on the
+symmetric embedding ``[[0, A], [A', 0]]`` of the system, which enters only
+the cost accounting (sparsity d and dimension 2m).  Every downstream
+guarantee depends only on the contract ``| |x~> - |A^-1 b> | <= eps_ls``,
+which the worst-case mode saturates adversarially.
 
 Error modes:
 
@@ -23,18 +28,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .costmodel import qlsa_query_counts
-from .lp import LpInstance, ZeroColumn
+from .lp import ZeroVector
 from .primitives import QueryStats
-from .statevector import prepare_sparse_state
 
 ERROR_MODES = ("zero", "worst", "random")
-
-
-class SpectrumOutOfRange(ValueError):
-    """Scaled system matrix has singular values outside [1/kappa, 1]."""
 
 
 def inject_error(state: np.ndarray, eps_ls: float, mode: str,
@@ -91,114 +90,45 @@ def _default_adversary(dim: int) -> np.ndarray:
 class QlsaSolution:
     state: np.ndarray        # normalized approximate solution
     exact: np.ndarray        # normalized exact solution (simulation-side truth)
-    norm: float              # |A^-1 r| before normalization
-    success: bool
 
 
 class IdealQlsa:
-    """Oracle producing ``|x~>`` close to ``|A^-1 r>`` for a fixed scaled
-    system matrix, charging the stated query-count formulas per invocation."""
+    """Oracle producing ``|x~>`` close to ``|A^-1 r>`` for a ``size`` x
+    ``size`` system of condition number ``kappa`` and sparsity
+    ``sparsity``, charging the stated query-count formulas per invocation."""
 
-    def __init__(self, matrix: np.ndarray, kappa: float, sparsity: int,
-                 error_mode: str = "zero", success_prob: float = 1.0,
-                 rng: np.random.Generator | None = None,
-                 check_spectrum: bool = True):
-        matrix = np.asarray(matrix, dtype=float)
+    def __init__(self, size: int, kappa: float, sparsity: int,
+                 error_mode: str = "zero",
+                 rng: np.random.Generator | None = None):
         if error_mode not in ERROR_MODES:
             raise ValueError(f"error mode must be one of {ERROR_MODES}")
         if error_mode == "random" and rng is None:
             raise ValueError("random error mode needs a generator")
-        if check_spectrum:
-            svals = np.linalg.svd(matrix, compute_uv=False)
-            if svals[0] > 1.0 + 1e-9 or svals[-1] < 1.0 / kappa - 1e-9:
-                raise SpectrumOutOfRange(
-                    f"singular values [{svals[-1]:.3g}, {svals[0]:.3g}] escape "
-                    f"[1/kappa, 1] = [{1 / kappa:.3g}, 1]")
-        self.matrix = matrix
+        self.size = int(size)
         self.kappa = float(kappa)
         self.sparsity = int(sparsity)
         self.error_mode = error_mode
-        self.success_prob = float(success_prob)
         self.rng = rng
 
-    def charge(self, eps_ls: float, stats: QueryStats | None,
+    def charge(self, eps_ls: float, stats: QueryStats,
                invocations: float = 1.0) -> None:
-        if stats is None:
-            return
-        m = self.matrix.shape[0]
-        counts = qlsa_query_counts(self.sparsity, self.kappa, eps_ls, 2 * m)
+        counts = qlsa_query_counts(self.sparsity, self.kappa, eps_ls, 2 * self.size)
         stats.qlsa_invocations += invocations
         stats.p_ab_queries += invocations * counts["p_ab_queries"]
         stats.p_b_queries += invocations * counts["p_b_queries"]
         stats.basic_gates += invocations * counts["gates"]
 
-    def solve(self, rhs: np.ndarray, eps_ls: float,
-              adversary: np.ndarray | None = None, threshold: float = 0.0,
-              stats: QueryStats | None = None, charge: bool = True) -> QlsaSolution:
-        """Solve ``A x = rhs`` and return the (error-injected) solution state.
-
-        Conceptually the system is the symmetric embedding
-        ``[[0, A], [A', 0]]``; numerically the square solve is identical,
-        so the embedding only enters the cost accounting (sparsity d and
-        dimension 2m).
-        """
-        rhs = np.asarray(rhs, dtype=float).reshape(-1)
-        if not np.any(rhs):
-            raise ZeroColumn("right-hand side is zero")
-        x = np.linalg.solve(self.matrix, rhs)
+    def solve(self, solution: np.ndarray, eps_ls: float,
+              adversary: np.ndarray | None = None,
+              threshold: float = 0.0) -> QlsaSolution:
+        """The (error-injected) output state of one invocation whose exact
+        solution is ``solution = A^-1 r``.  Charges nothing."""
+        x = np.asarray(solution, dtype=float).reshape(-1)
         norm = float(np.linalg.norm(x))
+        if norm == 0.0:
+            raise ZeroVector("the solution of a zero right-hand side has no state")
         exact = x / norm
         state = inject_error(exact, eps_ls, self.error_mode,
                              adversary=adversary, threshold=threshold,
                              rng=self.rng)
-        if charge:
-            self.charge(eps_ls, stats)
-        success = True
-        if self.success_prob < 1.0 and self.rng is not None:
-            success = bool(self.rng.random() < self.success_prob)
-        return QlsaSolution(state=state, exact=exact, norm=norm, success=success)
-
-
-class ColumnSuperpositionOracle:
-    """The right-hand-side oracle over nonbasic columns (``U_rhs``).
-
-    Provides both forms the subroutines need: the controlled-by-index map
-    ``|k>|0> -> |k>|A_k>`` (pricing) and the Frobenius-weighted
-    superposition ``sum_k (|A_k|/|A_N|_F) |k>|A_k>`` (norm estimation).
-    The declared gate cost follows the per-column sparse-preparation tree,
-    ``O(d_c n)`` up to the log factor.
-    """
-
-    def __init__(self, instance: LpInstance, columns):
-        self.instance = instance
-        self.columns = tuple(int(k) for k in columns)
-        self.zero_columns = tuple(k for k in self.columns
-                                  if instance.A[:, k].count_nonzero() == 0)
-        self.active = tuple(k for k in self.columns if k not in self.zero_columns)
-        if not self.active:
-            raise ZeroColumn("every requested column is zero")
-        self.gate_cost = sum(
-            prepare_sparse_state(instance.column(k)).gate_cost for k in self.active)
-
-    def column_state(self, k: int) -> np.ndarray:
-        """Normalized (padded) amplitude encoding of column k."""
-        if k in self.zero_columns:
-            raise ZeroColumn(f"column {k} is zero")
-        return prepare_sparse_state(self.instance.column(k)).state.real
-
-    def column_norms(self) -> np.ndarray:
-        return np.array([
-            float(sp.linalg.norm(self.instance.A[:, [k]])) for k in self.active])
-
-    def superposition_state(self) -> np.ndarray:
-        """Frobenius-weighted joint state over (column register) x (row
-        register), flattened row-register-fastest."""
-        norms = self.column_norms()
-        fro = float(np.linalg.norm(norms))
-        n_cols = len(self.active)
-        row_dim = self.column_state(self.active[0]).size
-        col_dim = 2 ** max(1, math.ceil(math.log2(max(n_cols, 2))))
-        out = np.zeros(col_dim * row_dim)
-        for slot, (k, nk) in enumerate(zip(self.active, norms)):
-            out[slot * row_dim:(slot + 1) * row_dim] = (nk / fro) * self.column_state(k)
-        return out
+        return QlsaSolution(state=state, exact=exact)

@@ -21,7 +21,11 @@ delivers.
 Cost accounting: oracle evaluations inside Grover/minimum-finding loops
 are charged per activation (iterations plus confirmation checks) using
 the deterministic per-call cost; the simulation-side draws that realize
-bounded-error oracle decisions are bookkeeping, not algorithm cost.
+bounded-error oracle decisions are bookkeeping, not algorithm cost.  One
+estimation run over a solver-prepared state (phase estimation plus
+``2 * 2^bits + 1`` solver invocations) is priced by ``estimation_cost``
+alone; the exact solutions behind those invocations are computed once per
+basis by ``ScaledBasis.build`` and cost nothing.
 
 Each subroutine run owns its generator and counters; inputs are immutable,
 so independent runs are safe to parallelize from the caller's side.
@@ -30,17 +34,18 @@ so independent runs are safe to parallelize from the caller's side.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .costmodel import column_split, split_threshold  # re-exported  # noqa: F401
-from .lp import (BasisState, LpInstance, ZeroColumn, normalize,
-                 scaled_basis_matrix)
-from .primitives import (AEOutcome, QueryStats, _charge_pe, ae_distribution,
-                         amplitude_estimation, grover_count_exists,
-                         min_finding, qsearch, qsearch_analytic,
-                         theta_of_amplitude)
+from .lp import (BasisSingular, BasisState, LpInstance, ZeroColumn,
+                 ZeroVector, normalize, scaled_basis_matrix)
+from .primitives import (AEOutcome, AllInfinite, QueryStats, _charge_pe,
+                         ae_distribution, amplitude_estimation,
+                         grover_count_exists, min_finding, qsearch,
+                         qsearch_analytic, theta_of_amplitude)
 from .qlsa import IdealQlsa
 from .statevector import PreparedUnitary
 
@@ -84,12 +89,13 @@ class SignEstSpec:
     flipped: bool         # estimate |1>|k> (amplitude (1 - alpha)/2)
     rule: str             # comparison of the folded readout with threshold
 
-    def decide(self, fold: float) -> int:
-        if self.rule == "geq":
-            return int(fold >= self.threshold)
-        if self.rule == "gt":
-            return int(fold > self.threshold)
-        return int(fold <= self.threshold)  # "leq"
+    def decide(self, fold):
+        """1 when a folded readout lies on the accepting side of the
+        threshold; an array of readouts gives a boolean mask."""
+        compare = {"geq": np.greater_equal, "gt": np.greater,
+                   "leq": np.less_equal}[self.rule]
+        ones = compare(fold, self.threshold)
+        return ones if isinstance(ones, np.ndarray) else int(ones)
 
     @property
     def alpha_boundary(self) -> float:
@@ -164,12 +170,7 @@ def _gadget_tables(alpha: float, spec: SignEstSpec):
     dist = ae_distribution(a, spec.bits)
     y = np.arange(m_size)
     folds = np.minimum(y, m_size - y) / m_size
-    if spec.rule == "geq":
-        ones = folds >= spec.threshold
-    elif spec.rule == "gt":
-        ones = folds > spec.threshold
-    else:
-        ones = folds <= spec.threshold
+    ones = spec.decide(folds)
     in_tol = np.abs(folds - theta) <= spec.tol + 1e-15
     return theta, dist, ones, in_tol
 
@@ -184,22 +185,19 @@ def sign_est_prob_one(alpha: float, eps: float, kind: str,
 
 def sign_est(prep, k: int | None, eps: float, kind: str,
              mode: str = "analytic", rng: np.random.Generator | None = None,
-             stats: QueryStats | None = None, per_ucall: QueryStats | None = None,
+             stats: QueryStats | None = None,
              threshold_shift: float = 0.0) -> SignEstResult:
     """One run of a sign-estimation routine on the target amplitude.
 
     Analytic mode returns the maximum-likelihood decision together with
     the exact probability of returning 1; sampling mode draws the AE
-    readout.  ``per_ucall`` optionally charges the preparation cost of U
-    once per estimation-loop application (2 M calls for M = 2^bits).
+    readout.  ``stats`` is charged the phase estimation only.
     """
     alpha = _target_alpha(prep, k)
     spec = sign_est_spec(eps, kind, threshold_shift)
     theta, dist, ones, in_tol = _gadget_tables(alpha, spec)
     prob_one = float(dist[ones].sum())
     _charge_pe(stats, spec.bits)
-    if stats is not None and per_ucall is not None:
-        stats.add(per_ucall.scaled(2.0 * 2 ** spec.bits + 1.0))
     if mode == "analytic":
         y = int(np.argmax(dist))
         outcome = AEOutcome(bits=spec.bits, theta_true=theta, y=y, distribution=None)
@@ -211,27 +209,6 @@ def sign_est(prep, k: int | None, eps: float, kind: str,
     outcome = AEOutcome(bits=spec.bits, theta_true=theta, y=y, distribution=None)
     return SignEstResult(value=int(ones[y]), in_tol=bool(in_tol[y]),
                          prob_one=prob_one, theta_true=theta, outcome=outcome)
-
-
-def sign_est_nfn(prep, k, eps, **kw) -> SignEstResult:
-    """No-false-negative test: 1 whenever alpha_k >= -eps."""
-    return sign_est(prep, k, eps, "nfn", **kw)
-
-
-def sign_est_nfp(prep, k, eps, **kw) -> SignEstResult:
-    """No-false-positive test: 0 whenever alpha_k <= -eps."""
-    return sign_est(prep, k, eps, "nfp", **kw)
-
-
-def sign_est_plus(prep, k, eps, variant: str = "nfn", **kw) -> SignEstResult:
-    """Positive-sign tests on the mirrored gadget (amplitude of |1>|k>).
-
-    variant "nfn": returning 0 certifies alpha_k < eps (used by the
-    unboundedness check); variant "nfp": returning 1 certifies
-    alpha_k > eps (used by the ratio-test denominator gate).
-    """
-    kind = {"nfn": "nfn_plus", "nfp": "nfp_plus"}[variant]
-    return sign_est(prep, k, eps, kind, **kw)
 
 
 @dataclass(frozen=True)
@@ -246,24 +223,17 @@ class BoostedResult:
 def boosted_sign_est(alpha: float, eps: float, kind: str, reps: int,
                      mode: str = "analytic",
                      rng: np.random.Generator | None = None,
-                     stats: QueryStats | None = None,
-                     per_ucall: QueryStats | None = None,
                      threshold_shift: float = 0.0) -> BoostedResult:
     """reps-fold majority vote over independent sign-estimation runs.
 
     When at least ``(reps + 1)/2`` runs landed within the phase tolerance
     and the majority decision is v, some in-tolerance run also voted v, so
     the single-run certificate for v transfers to the boosted output.
+    Uncharged: the caller prices the runs with ``estimation_cost``.
     """
     spec = sign_est_spec(eps, kind, threshold_shift)
     theta, dist, ones_mask, in_tol_mask = _gadget_tables(alpha, spec)
     p1 = float(dist[ones_mask].sum())
-    if stats is not None:
-        per = QueryStats()
-        _charge_pe(per, spec.bits)
-        if per_ucall is not None:
-            per.add(per_ucall.scaled(2.0 * 2 ** spec.bits + 1.0))
-        stats.add(per.scaled(reps))
     if mode == "analytic":
         value = int(p1 >= 0.5)
         return BoostedResult(value=value, ok=True, ones=value * reps,
@@ -284,12 +254,22 @@ def boosted_sign_est(alpha: float, eps: float, kind: str, reps: int,
 class ScaledBasis:
     """Scaled data bundle one iteration works with: ``|A_B| <= 1`` with
     spectrum in [1/kappa, 1], ``|c_B| = 1`` (the column scales in
-    ``A_B^-1 A_k`` cancel, so directions are scale-free)."""
+    ``A_B^-1 A_k`` cancel, so directions are scale-free).
+
+    ``solutions`` holds every exact solution the iteration can read, from
+    one multi-right-hand-side dense solve: column k is ``A_B^-1 (s A_k)``
+    and the last column is ``A_B^-1 (s b)``, for the matrix scale s.  The
+    oracles only perturb these and charge: ``qlsa`` for the m x m system,
+    ``qlsa_ext`` for the reduced-cost system extended by the cost row.
+    ``domain`` lists the nonbasic columns with a nonzero entry.
+    """
 
     instance: LpInstance
     state: BasisState
     AB: np.ndarray
     c: np.ndarray
+    solutions: np.ndarray
+    domain: tuple[int, ...]
     error_mode: str
     rng: np.random.Generator | None
     qlsa: IdealQlsa
@@ -302,29 +282,52 @@ class ScaledBasis:
         state = basis if isinstance(basis, BasisState) else \
             normalize(instance, basis, eps_prime, seed=norm_seed)
         AB = scaled_basis_matrix(instance, state)
+        rhs = state.matrix_scale * np.column_stack([instance.dense(), instance.b])
+        nonempty = np.diff(instance.A.indptr) > 0
         m = instance.m
-        ext = np.zeros((m + 1, m + 1))
-        ext[:m, :m] = AB
-        ext[m, m] = 1.0
-        qlsa = IdealQlsa(AB, state.kappa, state.sparsity, error_mode, rng=rng,
-                         check_spectrum=False)
-        qlsa_ext = IdealQlsa(ext, state.kappa, state.sparsity, error_mode,
-                             rng=rng, check_spectrum=False)
         return cls(instance=instance, state=state, AB=AB,
-                   c=state.cost_scale * instance.c, error_mode=error_mode,
-                   rng=rng, qlsa=qlsa, qlsa_ext=qlsa_ext)
+                   c=state.cost_scale * instance.c,
+                   solutions=np.linalg.solve(AB, rhs),
+                   domain=tuple(k for k in state.nonbasic if nonempty[k]),
+                   error_mode=error_mode, rng=rng,
+                   qlsa=IdealQlsa(m, state.kappa, state.sparsity, error_mode, rng),
+                   qlsa_ext=IdealQlsa(m + 1, state.kappa, state.sparsity,
+                                      error_mode, rng))
 
-    def scaled_column(self, k: int) -> np.ndarray:
-        col = self.state.matrix_scale * self.instance.column(k)
-        if not np.any(col):
+    def direction(self, k: int) -> np.ndarray:
+        """Exact ``A_B^-1 (s A_k)``."""
+        u = self.solutions[:, k]
+        if not np.any(u):
             raise ZeroColumn(f"column {k} is zero")
-        return col
+        return u
+
+    @property
+    def basic_solution(self) -> np.ndarray:
+        """Exact ``A_B^-1 (s b)``."""
+        return self.solutions[:, -1]
 
     @property
     def cost_vector_gadget(self) -> np.ndarray:
         """|(-c_B, 1)> -- the functional whose overlap encodes the reduced cost."""
         w = np.concatenate([-self.c[list(self.state.basis)], [1.0]])
         return w / np.linalg.norm(w)
+
+
+def estimation_cost(qlsa: IdealQlsa, eps_ls: float, bits: int) -> QueryStats:
+    """Cost of one estimation run over a solver-prepared state: phase
+    estimation on ``bits`` bits plus ``2 * 2^bits + 1`` solver invocations
+    at precision ``eps_ls`` (the preparation and its inverse inside each
+    of the ``2^bits`` iterates, and the initial preparation)."""
+    per = QueryStats()
+    _charge_pe(per, bits)
+    qlsa.charge(eps_ls, per, invocations=2.0 * 2 ** bits + 1.0)
+    return per
+
+
+def _unit(m: int, h: int) -> np.ndarray:
+    e = np.zeros(m)
+    e[h] = 1.0
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -335,26 +338,22 @@ class ScaledBasis:
 class RedCostSample:
     alpha: float            # target amplitude after error injection
     alpha_exact: float      # without injection (simulation-side truth)
-    success: bool
 
 
 def red_cost_sample(scaled: ScaledBasis, k: int, eps: float,
-                    stats: QueryStats | None = None,
-                    decision_alpha: float = 0.0,
-                    ucalls: float = 1.0) -> RedCostSample:
+                    decision_alpha: float = 0.0) -> RedCostSample:
     """Solve the extended system ``diag(A_B, 1)(x, y) = (A_k, c_k)`` at
     precision ``eps/(10 sqrt(2))`` and read off the all-zeros amplitude
     after un-preparing ``|(-c_B, 1)>``; that amplitude equals
-    ``c_bar_k / (sqrt(2) |(A_B^-1 A_k, c_k)|)`` up to the solver error."""
-    rhs = np.concatenate([scaled.scaled_column(k), [scaled.c[k]]])
+    ``c_bar_k / (sqrt(2) |(A_B^-1 A_k, c_k)|)`` up to the solver error.
+    The exact extended solution is ``(A_B^-1 A_k, c_k)``.  Uncharged: the
+    caller prices the oracle with ``can_enter_cost``."""
     w = scaled.cost_vector_gadget
-    eps_ls = eps / (10.0 * math.sqrt(2.0))
-    sol = scaled.qlsa_ext.solve(rhs, eps_ls, adversary=w,
-                                threshold=decision_alpha, stats=stats,
-                                charge=False)
-    scaled.qlsa_ext.charge(eps_ls, stats, invocations=ucalls)
+    exact = np.append(scaled.direction(k), scaled.c[k])
+    sol = scaled.qlsa_ext.solve(exact, eps / (10.0 * math.sqrt(2.0)),
+                                adversary=w, threshold=decision_alpha)
     return RedCostSample(alpha=float(w @ sol.state),
-                         alpha_exact=float(w @ sol.exact), success=sol.success)
+                         alpha_exact=float(w @ sol.exact))
 
 
 @dataclass(frozen=True)
@@ -369,11 +368,11 @@ class CanEnterResult:
 def can_enter(scaled: ScaledBasis, k: int, eps: float, reps: int = 15,
               variant: str = "nfn", mode: str = "analytic",
               rng: np.random.Generator | None = None,
-              stats: QueryStats | None = None,
               threshold_shift: float = 0.0) -> CanEnterResult:
     """1 when the (rescaled) reduced cost of column k is certified
     ``< -eps |(A_B^-1 A_k, c_k)|``: the sign estimation at precision
-    ``11 eps / (10 sqrt(2))`` must return 0 and the solver flag must be up.
+    ``11 eps / (10 sqrt(2))`` must return 0.  Uncharged: the caller
+    prices each application with ``can_enter_cost``.
 
     variant "nfn" is the pricing default; "nfp" is the optimality-check
     variant (fires on everything at most ``-eps``, may fire inside the
@@ -382,42 +381,27 @@ def can_enter(scaled: ScaledBasis, k: int, eps: float, reps: int = 15,
     eps_se = 11.0 * eps / (10.0 * math.sqrt(2.0))
     kind = {"nfn": "nfn", "nfp": "nfp"}[variant]
     spec = sign_est_spec(eps_se, kind, threshold_shift)
-    m_calls = 2.0 * 2 ** spec.bits + 1.0
-    shots = 1 if mode == "analytic" else reps
     if scaled.error_mode == "random" and mode == "sampling":
         # each repetition rebuilds the circuit, so the deviation is fresh
         ones = in_tol = 0
-        success = True
-        alpha_exact = 0.0
-        for _ in range(shots):
-            sample = red_cost_sample(scaled, k, eps, stats,
-                                     decision_alpha=spec.alpha_boundary,
-                                     ucalls=m_calls)
-            success = success and sample.success
-            alpha_exact = sample.alpha_exact
-            res = sign_est(sample.alpha, None, eps_se, kind, mode=mode, rng=rng,
-                           stats=None, threshold_shift=threshold_shift)
+        for _ in range(reps):
+            sample = red_cost_sample(scaled, k, eps,
+                                     decision_alpha=spec.alpha_boundary)
+            res = sign_est(sample.alpha, None, eps_se, kind, mode=mode,
+                           rng=rng, threshold_shift=threshold_shift)
             ones += res.value
             in_tol += int(res.in_tol)
         majority = (reps + 1) // 2
         boost = BoostedResult(value=int(ones >= majority), ok=in_tol >= majority,
                               ones=ones, in_tol_count=in_tol, prob_one=float("nan"))
     else:
-        sample = red_cost_sample(scaled, k, eps, stats,
-                                 decision_alpha=spec.alpha_boundary,
-                                 ucalls=m_calls * shots)
-        success = sample.success
-        alpha_exact = sample.alpha_exact
+        sample = red_cost_sample(scaled, k, eps, decision_alpha=spec.alpha_boundary)
         boost = boosted_sign_est(sample.alpha, eps_se, kind, reps, mode, rng,
-                                 stats=None, threshold_shift=threshold_shift)
-    if stats is not None:
-        per = QueryStats()
-        _charge_pe(per, spec.bits)
-        stats.add(per.scaled(shots))
-    value = int(boost.value == 0 and success)
-    return CanEnterResult(value=value, ok=boost.ok, alpha_exact=alpha_exact,
+                                 threshold_shift=threshold_shift)
+    return CanEnterResult(value=int(boost.value == 0), ok=boost.ok,
+                          alpha_exact=sample.alpha_exact,
                           sign_bits_one=boost.ones,
-                          reduced_cost_scaled=alpha_exact * math.sqrt(2.0))
+                          reduced_cost_scaled=sample.alpha_exact * math.sqrt(2.0))
 
 
 def can_enter_cost(scaled: ScaledBasis, eps: float, reps: int,
@@ -425,11 +409,8 @@ def can_enter_cost(scaled: ScaledBasis, eps: float, reps: int,
     """Deterministic cost of one boosted CanEnter oracle application."""
     eps_se = 11.0 * eps / (10.0 * math.sqrt(2.0))
     spec = sign_est_spec(eps_se, {"nfn": "nfn", "nfp": "nfp"}[variant])
-    per = QueryStats()
-    _charge_pe(per, spec.bits)
-    scaled.qlsa_ext.charge(eps / (10.0 * math.sqrt(2.0)), per,
-                           invocations=2.0 * 2 ** spec.bits + 1.0)
-    return per.scaled(reps)
+    return estimation_cost(scaled.qlsa_ext, eps / (10.0 * math.sqrt(2.0)),
+                           spec.bits).scaled(reps)
 
 
 @dataclass
@@ -461,17 +442,13 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
     inside the indecision window.
     """
     stats = stats if stats is not None else QueryStats()
-    domain, skipped = [], []
-    for k in scaled.state.nonbasic:
-        if scaled.instance.A[:, k].count_nonzero() == 0:
-            skipped.append(k)
-        else:
-            domain.append(k)
+    domain = list(scaled.domain)
+    skipped = tuple(sorted(set(scaled.state.nonbasic).difference(domain)))
 
     decisions = {}
     all_ok = True
     for k in domain:
-        res = can_enter(scaled, k, eps, reps, variant, mode, rng, stats=None,
+        res = can_enter(scaled, k, eps, reps, variant, mode, rng,
                         threshold_shift=threshold_shift)
         decisions[k] = res
         all_ok = all_ok and res.ok
@@ -490,7 +467,7 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
             nonlocal confirm_ok, confirms
             confirms += 1
             res = can_enter(scaled, idx, eps, reps, variant, mode, rng,
-                            stats=None, threshold_shift=threshold_shift)
+                            threshold_shift=threshold_shift)
             confirm_ok = res.ok
             return res.value == 1
 
@@ -504,7 +481,7 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
         return retry
     return FindColumnResult(column=found, ok=confirm_ok and found is not None,
                             variant=variant, marked=marked, decisions_ok=all_ok,
-                            stats=stats, skipped_zero=tuple(skipped),
+                            stats=stats, skipped_zero=skipped,
                             reduced_cost_scaled=(
                                 decisions[found].reduced_cost_scaled
                                 if found is not None else None))
@@ -529,12 +506,11 @@ def is_optimal(scaled: ScaledBasis, eps: float, reps: int = 15,
     the fixed ``3 ceil(pi/4 sqrt(n))`` schedule.
     """
     stats = stats if stats is not None else QueryStats()
-    domain = [k for k in scaled.state.nonbasic
-              if scaled.instance.A[:, k].count_nonzero() > 0]
+    domain = list(scaled.domain)
     if not domain:
         return IsOptimalResult(value=1, ok=True, marked=())
     decisions = {k: can_enter(scaled, k, eps, reps, "nfp", mode, rng,
-                              stats=None, threshold_shift=threshold_shift)
+                              threshold_shift=threshold_shift)
                  for k in domain}
     marked = tuple(k for k in domain if decisions[k].value == 1)
     ok = all(decisions[k].ok for k in domain)
@@ -567,24 +543,20 @@ def is_unbounded(scaled: ScaledBasis, k: int, delta: float, reps: int = 15,
     component is below the tolerance), and Grover-count for any firing row.
     """
     stats = stats if stats is not None else QueryStats()
-    rhs = scaled.scaled_column(k)
+    u = scaled.direction(k)
     eps_ls = delta / 10.0
     eps_se = 9.0 * delta / 10.0
     spec = sign_est_spec(eps_se, "nfn_plus", threshold_shift)
     m = scaled.instance.m
-    exact = None
-    bits_votes: dict[int, BoostedResult] = {}
+    votes = []
     for h in range(m):
-        adversary = np.zeros(m)
-        adversary[h] = 1.0
-        sol = scaled.qlsa.solve(rhs, eps_ls, adversary=adversary,
-                                threshold=spec.alpha_boundary, charge=False)
-        exact = sol.exact
-        bits_votes[h] = boosted_sign_est(float(sol.state[h]), eps_se, "nfn_plus",
-                                         reps, mode, rng, stats=None,
-                                         threshold_shift=threshold_shift)
-    marked = tuple(h for h in range(m) if bits_votes[h].value == 1)
-    ok = all(bits_votes[h].ok for h in range(m))
+        sol = scaled.qlsa.solve(u, eps_ls, adversary=_unit(m, h),
+                                threshold=spec.alpha_boundary)
+        votes.append(boosted_sign_est(float(sol.state[h]), eps_se, "nfn_plus",
+                                      reps, mode, rng,
+                                      threshold_shift=threshold_shift))
+    marked = tuple(h for h in range(m) if votes[h].value == 1)
+    ok = all(vote.ok for vote in votes)
     iters_before = stats.grover_iterations
     # a missed marked row turns into a terminal (false) unbounded verdict,
     # so the counting schedule is repeated; each repetition keeps the fixed
@@ -592,12 +564,10 @@ def is_unbounded(scaled: ScaledBasis, k: int, delta: float, reps: int = 15,
     exists = grover_count_exists(list(range(m)), marked, rng, stats, mode,
                                  schedules=3)
     activations = stats.grover_iterations - iters_before
-    per_call = QueryStats()
-    _charge_pe(per_call, spec.bits)
-    scaled.qlsa.charge(eps_ls, per_call, invocations=2.0 * 2 ** spec.bits + 1.0)
-    stats.add(per_call.scaled(reps * max(activations, 1)))
+    stats.add(estimation_cost(scaled.qlsa, eps_ls, spec.bits)
+              .scaled(reps * max(activations, 1)))
     return IsUnboundedResult(value=int(not exists), ok=ok, marked_rows=marked,
-                             direction_state=exact)
+                             direction_state=u / np.linalg.norm(u))
 
 
 @dataclass
@@ -631,71 +601,62 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
     """
     stats = stats if stats is not None else QueryStats()
     m = scaled.instance.m
-    rhs_u = scaled.scaled_column(k)
-    rhs_b = scaled.state.matrix_scale * scaled.instance.b
-    if not np.any(rhs_b):
+    u = scaled.direction(k)
+    if not np.any(scaled.instance.b):
         raise ZeroColumn("right-hand side b is zero")
+    x = scaled.basic_solution
     eps_ls = delta / (16.0 * t)
     nu = delta / (16.0 * math.pi * t)
     ae_bits = math.ceil(math.log2(1.0 / nu)) + 2
     gate_eps = delta / 2.0
     gate_spec = sign_est_spec(gate_eps, "nfp_plus", threshold_shift)
+    gate_cost = estimation_cost(scaled.qlsa, gate_eps, gate_spec.bits).scaled(reps)
+    ae_cost = estimation_cost(scaled.qlsa, eps_ls, ae_bits).scaled(2)
 
     ratios = np.full(m, np.inf)
     gated = []
     all_ok = True
     num_est = np.zeros(m)
     den_est = np.zeros(m)
-    exact_u = None
-    exact_x = None
     for h in range(m):
-        adversary = np.zeros(m)
-        adversary[h] = 1.0
-        gate_sol = scaled.qlsa.solve(rhs_u, gate_eps, adversary=adversary,
-                                     threshold=gate_spec.alpha_boundary,
-                                     charge=False)
-        exact_u = gate_sol.exact
-        scaled.qlsa.charge(gate_eps, stats,
-                           invocations=reps * (2.0 * 2 ** gate_spec.bits + 1.0))
+        adversary = _unit(m, h)
+        gate_sol = scaled.qlsa.solve(u, gate_eps, adversary=adversary,
+                                     threshold=gate_spec.alpha_boundary)
+        stats.add(gate_cost)
         gate = boosted_sign_est(float(gate_sol.state[h]), gate_eps, "nfp_plus",
-                                reps, mode, rng, stats=stats,
-                                threshold_shift=threshold_shift)
+                                reps, mode, rng, threshold_shift=threshold_shift)
         all_ok = all_ok and gate.ok
         if gate.value != 1:
             continue
         gated.append(h)
-        xi = scaled.qlsa.solve(rhs_b, eps_ls, adversary=adversary,
-                               threshold=0.0, charge=False)
-        psi = scaled.qlsa.solve(rhs_u, eps_ls, adversary=adversary,
-                                threshold=0.0, charge=False)
-        exact_x = xi.exact
-        scaled.qlsa.charge(eps_ls, stats,
-                           invocations=2.0 * (2.0 * 2 ** ae_bits + 1.0))
-        num = amplitude_estimation(xi.state, h, ae_bits, mode=mode, rng=rng,
-                                   stats=stats)
-        den = amplitude_estimation(psi.state, h, ae_bits, mode=mode, rng=rng,
-                                   stats=stats)
+        xi = scaled.qlsa.solve(x, eps_ls, adversary=adversary, threshold=0.0)
+        psi = scaled.qlsa.solve(u, eps_ls, adversary=adversary, threshold=0.0)
+        stats.add(ae_cost)
+        num = amplitude_estimation(xi.state, h, ae_bits, mode=mode, rng=rng)
+        den = amplitude_estimation(psi.state, h, ae_bits, mode=mode, rng=rng)
         all_ok = all_ok and num.within(nu) and den.within(nu)
         num_est[h] = num.amp_est
         den_est[h] = den.amp_est
         ratios[h] = num.amp_est / den.amp_est if den.amp_est > 0 else np.inf
 
+    u_norm = float(np.linalg.norm(u))
+    direction = u / u_norm
     if not gated or not np.any(np.isfinite(ratios)):
         return FindRowResult(
             row=None, ok=all_ok, failure="no_positive_denominator",
             gated=tuple(gated), ratio_estimates=ratios,
             recovery_options=("relax the sign-check tolerance slightly",
                               "flag the instance as numerically unstable"),
-            diagnostics={"direction": exact_u})
+            diagnostics={"direction": direction})
     row = min_finding(ratios, rng=rng, stats=stats, mode=mode)
     all_ok = all_ok and ratios[row] == ratios[np.argmin(ratios)]
     # the AE quotient estimates the normalized ratio (x_h/|x|)/(u_h/|u|);
     # report the unscaled ratio-test value alongside it
-    norm_factor = (np.linalg.norm(np.linalg.solve(scaled.AB, rhs_b))
-                   / np.linalg.norm(np.linalg.solve(scaled.AB, rhs_u)))
+    x_norm = float(np.linalg.norm(x))
+    norm_factor = x_norm / u_norm
     return FindRowResult(row=int(row), ok=all_ok, failure=None,
                          gated=tuple(gated), ratio_estimates=ratios,
-                         diagnostics={"direction": exact_u, "solution": exact_x,
+                         diagnostics={"direction": direction, "solution": x / x_norm,
                                       "numerators": num_est, "denominators": den_est,
                                       "ratio_unscaled": float(ratios[row]) * norm_factor})
 
@@ -736,16 +697,15 @@ def norm_estimate(scaled: ScaledBasis, eps: float, alpha: float | None = None,
         cols = [column]
         eps_ls = eps / 2.0
     else:
-        cols = [j for j in scaled.state.nonbasic
-                if scaled.instance.A[:, j].count_nonzero() > 0]
+        cols = list(scaled.domain)
         eps_ls = eps / (2.0 * scaled.instance.n)
     if not cols:
         raise ZeroColumn("no nonzero column to estimate over")
 
     col_norms = np.array([np.linalg.norm(scaled.instance.column(j)) for j in cols])
-    sol_norms = np.array([
-        np.linalg.norm(np.linalg.solve(scaled.AB, scaled.instance.column(j)))
-        for j in cols])
+    # solutions hold A_B^-1 (s A_j); the estimated norm is of A_B^-1 A_j
+    sol_norms = (np.linalg.norm(scaled.solutions[:, cols], axis=0)
+                 / scaled.state.matrix_scale)
     exact = float((sol_norms ** 2).sum())
     if scaled.error_mode == "worst":
         tilde = sol_norms + eps_ls * col_norms
@@ -761,8 +721,8 @@ def norm_estimate(scaled: ScaledBasis, eps: float, alpha: float | None = None,
     nu = eps / (4.0 * math.pi * alpha ** 2)
     bits = math.ceil(math.log2(1.0 / nu)) + 2
     outcome = amplitude_estimation(np.array([math.sqrt(p), math.sqrt(1 - p)]),
-                                   0, bits, mode=mode, rng=rng, stats=stats)
-    scaled.qlsa.charge(eps_ls, stats, invocations=2.0 * 2 ** bits + 1.0)
+                                   0, bits, mode=mode, rng=rng)
+    stats.add(estimation_cost(scaled.qlsa, eps_ls, bits))
     rho = outcome.amp_est ** 2 * alpha ** 2 * fro2
     return NormEstimateResult(rho=float(rho), exact=exact,
                               ok=outcome.within(nu), amplitude=p,
@@ -776,7 +736,8 @@ def norm_estimate(scaled: ScaledBasis, eps: float, alpha: float | None = None,
 @dataclass
 class IterationOutcome:
     """Result of one SimplexIter: Optimal | Unbounded | Pivot(k, row) |
-    Failure(kind), plus query counters and cross-check diagnostics."""
+    Failure(kind), plus query counters and cross-check diagnostics; a
+    failure names its reason in ``diagnostics["failure"]``."""
 
     status: str
     entering: int | None = None
@@ -835,6 +796,7 @@ def simplex_iter(instance: LpInstance, basis, params: PrecisionParams,
     fr = find_row(scaled, k, params.delta, params.t, params.reps, mode, rng,
                   stats, threshold_shift)
     if fr.row is None:
+        diag["failure"] = fr.failure
         diag["recovery_options"] = fr.recovery_options
         return IterationOutcome("failure", entering=k,
                                 ok=fc.ok and ub.ok and fr.ok,
@@ -858,6 +820,12 @@ class QuantumSolveResult:
     outcomes: list[IterationOutcome] = field(default_factory=list)
 
 
+# the numerical dead ends a solve reports as a failure; anything else is a
+# programming error and propagates
+NUMERICAL_DEAD_ENDS = (BasisSingular, ZeroColumn, ZeroVector, AllInfinite,
+                       np.linalg.LinAlgError)
+
+
 def solve_quantum(instance: LpInstance, start_basis, params: PrecisionParams,
                   mode: str = "analytic", error_mode: str = "zero",
                   seed: int = 0, max_iters: int | None = None,
@@ -870,15 +838,14 @@ def solve_quantum(instance: LpInstance, start_basis, params: PrecisionParams,
     total = QueryStats()
     outcomes: list[IterationOutcome] = []
     status = "cap"
-    import time
     for _ in range(cap):
         tick = time.perf_counter()
         try:
             out = simplex_iter(instance, basis, params, mode, error_mode, rng,
                                eps_prime, threshold_shift)
-        except Exception as exc:  # singular pivot and similar numerical dead ends
+        except NUMERICAL_DEAD_ENDS as exc:
             out = IterationOutcome("failure", ok=False,
-                                   diagnostics={"error": repr(exc)})
+                                   diagnostics={"failure": repr(exc)})
         out.diagnostics["elapsed_ms"] = (time.perf_counter() - tick) * 1e3
         total.add(out.stats)
         if keep_outcomes:

@@ -1,0 +1,148 @@
+"""simplex_iter and solve_quantum on fixed bases of Dantzig paths.
+
+Verdict, entering column, leaving row, ``ok`` flag and all eight
+``QueryStats`` counters are pinned per case, so a refactor of the linear
+algebra or of the cost charging shows up here.  Integer-valued counters
+must match exactly; the formula-charged float counters may move by at
+most 1e-12 relative, where a regrouped float sum rounds differently.  The
+remaining tests check that an iteration solves densely once and that
+failures carry a named reason.
+"""
+
+import numpy as np
+import pytest
+
+from qsimplex.classical import pivot_report
+from qsimplex.instances import random_bounded_lp, random_lp
+from qsimplex.lp import LpInstance, slack_identity_basis
+from qsimplex.primitives import QueryStats
+from qsimplex.subroutines import PrecisionParams, simplex_iter, solve_quantum
+
+GENERATORS = {"random_lp": random_lp, "random_bounded_lp": random_bounded_lp}
+FLOAT_COUNTERS = ("p_ab_queries", "p_b_queries", "basic_gates")
+
+# (generator, m, seed, Dantzig step, mode, error mode,
+#  (status, entering, leaving row, ok), QueryStats counters in field order)
+CASES = [
+    ("random_lp", 8, 3, 0, "analytic", "zero",
+     ("pivot", 1, 2, True),
+     (7058432.0, 3529216.0, 7059186.0, 16950827582.326115,
+      20712964.78472883, 195.0, 3529216.0, 9555480763653.348)),
+    ("random_lp", 8, 3, 5, "analytic", "zero",
+     ("pivot", 1, 0, True),
+     (7058432.0, 3529216.0, 7059186.0, 2269814501106.7656,
+      203399154.58900166, 195.0, 3529216.0, 1970904530585904.5)),
+    ("random_lp", 8, 3, 9, "analytic", "zero",
+     ("unbounded", 5, None, True),
+     (4838400.0, 2419200.0, 4839030.0, 6.552265911209431e+16,
+      23755612233.5201, 41.0, 2419200.0, 7.86656054123444e+19)),
+    ("random_lp", 12, 5, 0, "analytic", "worst",
+     ("pivot", 0, 1, True),
+     (9217024.0, 4608512.0, 9217842.0, 40152071234.84595,
+      28678902.48143784, 233.0, 4608512.0, 25489670421859.71)),
+    ("random_lp", 12, 5, 3, "analytic", "worst",
+     ("pivot", 7, 5, True),
+     (9217024.0, 4608512.0, 9217842.0, 5390883071522.053,
+      285402402.0499288, 233.0, 4608512.0, 5398327642279424.0)),
+    ("random_lp", 16, 7, 0, "sampling", "worst",
+     ("pivot", 2, 12, False),
+     (7954432.0, 3977216.0, 7954836.0, 86534436387.1052,
+      28918822.014506873, 235.0, 3977216.0, 62947419813030.85)),
+    ("random_lp", 16, 7, 6, "sampling", "worst",
+     ("pivot", 13, 2, True),
+     (5085184.0, 2542592.0, 5085537.0, 332820245901062.9,
+      1130792080.3185847, 234.0, 2542592.0, 5.4992246043896416e+17)),
+    ("random_lp", 16, 7, 12, "sampling", "worst",
+     ("unbounded", 42, None, True),
+     (5560320.0, 2780160.0, 5561130.0, 1720031597431494.5,
+      3376180378.676744, 49.0, 2780160.0, 1.272989083270852e+18)),
+    ("random_lp", 10, 11, 0, "sampling", "random",
+     ("pivot", 2, 4, True),
+     (3698688.0, 1849344.0, 3698919.0, 21159973871.96414,
+      13132797.971313108, 184.0, 1849344.0, 15199517135106.68)),
+    ("random_lp", 10, 11, 1, "sampling", "random",
+     ("pivot", 13, 5, True),
+     (2527232.0, 1263616.0, 2527446.0, 178786363274.89502,
+      29209666.439807322, 181.0, 1263616.0, 167620967994190.0)),
+    ("random_bounded_lp", 12, 0, 18, "analytic", "worst",
+     ("optimal", None, None, True),
+     (1966080.0, 983040.0, 1966320.0, 45351066642100.16,
+      399075911.2679328, 16.0, 983040.0, 2.763963822932068e+16)),
+    ("random_bounded_lp", 8, 2, 9, "sampling", "random",
+     ("optimal", None, None, True),
+     (9461760.0, 4730880.0, 9462915.0, 18396174590099.86,
+      786113168.0928284, 56.0, 4730880.0, 8770344049116210.0)),
+]
+
+
+def dantzig_basis(instance, steps: int) -> tuple[int, ...]:
+    """Basis after ``steps`` Dantzig pivots from the slack basis."""
+    basis = list(slack_identity_basis(instance))
+    for _ in range(steps):
+        rep = pivot_report(instance, basis, rule="dantzig")
+        basis[rep.leaving_row] = rep.entering
+    return tuple(basis)
+
+
+@pytest.mark.parametrize("gen,m,seed,step,mode,error_mode,verdict,counters", CASES)
+def test_simplex_iter_pinned(gen, m, seed, step, mode, error_mode, verdict, counters):
+    inst = GENERATORS[gen](m, 3 * m, seed=seed)
+    out = simplex_iter(inst, dantzig_basis(inst, step), PrecisionParams(), mode,
+                       error_mode, np.random.default_rng(step))
+    assert (out.status, out.entering, out.leaving_row, bool(out.ok)) == verdict
+    expected = QueryStats(*counters).as_dict()
+    for name, value in out.stats.as_dict().items():
+        if name in FLOAT_COUNTERS:
+            assert value == pytest.approx(expected[name], rel=1e-12, abs=0), name
+        else:
+            assert value == expected[name], name
+
+
+@pytest.mark.parametrize("mode,error_mode", [("analytic", "worst"),
+                                             ("sampling", "random")])
+def test_simplex_iter_solves_once(monkeypatch, mode, error_mode):
+    # every exact solution an iteration reads comes from one dense solve
+    inst = random_lp(8, 24, seed=3)
+    basis = dantzig_basis(inst, 5)
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    out = simplex_iter(inst, basis, PrecisionParams(), mode, error_mode,
+                       np.random.default_rng(0))
+    assert out.status == "pivot"
+    assert len(calls) == 1
+
+
+def test_find_row_failure_is_named():
+    # the entering column's largest direction component sits between the
+    # IsUnbounded and FindRow thresholds, so no row passes the FindRow gate
+    inst = random_lp(64, 192, seed=0)
+    out = simplex_iter(inst, dantzig_basis(inst, 52), PrecisionParams(),
+                       "analytic", "zero", np.random.default_rng(0))
+    assert out.status == "failure"
+    assert out.diagnostics["failure"] == "no_positive_denominator"
+
+
+def test_singular_start_basis_fails_with_reason():
+    A = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]])  # columns 0 and 1 dependent
+    inst = LpInstance.from_dense(A, [1.0, 1.0], [1.0, 1.0, 1.0])
+    res = solve_quantum(inst, (0, 1), PrecisionParams())
+    assert res.status == "failure"
+    assert res.outcomes[0].diagnostics["failure"].startswith("BasisSingular(")
+
+
+def test_programming_errors_propagate(monkeypatch):
+    import qsimplex.subroutines as subroutines
+
+    def broken(*args, **kwargs):
+        raise TypeError("not a numerical dead end")
+
+    monkeypatch.setattr(subroutines, "simplex_iter", broken)
+    inst = random_bounded_lp(3, 6, seed=3)
+    with pytest.raises(TypeError):
+        solve_quantum(inst, slack_identity_basis(inst), PrecisionParams())

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsimplex.lp import (BasisSingular, LpInstance, SymmetrizedSystem,
-                         basis_matrix, estimate_sigma_max, normalize,
-                         slack_identity_basis, sparsity_stats)
+from qsimplex.lp import (BasisSingular, LpInstance, basis_matrix,
+                         estimate_sigma_max, normalize, slack_identity_basis,
+                         sparsity_stats)
 
 
 def small_instance():
@@ -187,26 +187,17 @@ def test_sparsity_stats_triangular():
 
 
 def test_dense_column_count():
-    A = np.zeros((5, 3))
-    A[:, 0] = 1.0
+    A = np.zeros((5, 4))
+    A[:, 0] = np.arange(1.0, 6.0)
     A[0, 1] = 1.0
-    A[1, 2] = 1.0
-    inst = LpInstance.from_dense(A, np.ones(5), np.zeros(3))
+    A[3, 2] = -2.5  # column 3 stays empty
+    inst = LpInstance.from_dense(A, np.ones(5), np.zeros(4))
     assert inst.col_nnz_max == 5
-
-
-@given(st.integers(0, 10 ** 6))
-@settings(max_examples=25, deadline=None)
-def test_symmetrized_system_singular_values(seed):
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, 8))
-    M = rng.standard_normal((m, m))
-    sym = SymmetrizedSystem.from_system(M, rng.standard_normal(m))
-    eig = np.sort(np.abs(np.linalg.eigvalsh(sym.matrix)))
-    svals = np.sort(np.concatenate([np.linalg.svd(M, compute_uv=False)] * 2))
-    assert np.allclose(eig, svals, atol=1e-9)
-    assert sym.dimension == 2 * m
-    assert np.allclose(sym.rhs[m:], 0.0)
+    for k in range(4):
+        assert np.array_equal(inst.column(k), A[:, k]), k
+    assert np.array_equal(inst.column(-4), A[:, 0])
+    with pytest.raises(IndexError):
+        inst.column(4)
 
 
 def test_slack_identity_basis_detection():

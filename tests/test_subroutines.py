@@ -18,7 +18,6 @@ from qsimplex.subroutines import (PrecisionParams, ScaledBasis,
                                   boosted_sign_est, can_enter, find_column,
                                   find_row, is_optimal, is_unbounded,
                                   norm_estimate, red_cost_sample, sign_est,
-                                  sign_est_nfn, sign_est_plus,
                                   sign_est_prob_one, sign_est_spec,
                                   simplex_iter, solve_quantum)
 
@@ -68,7 +67,7 @@ def test_sign_est_gadget_interference_coefficient():
 
 
 def test_sign_est_nfn_maximal_amplitude():
-    res = sign_est_nfn(prepare_sparse_state(np.array([1.0, 0.0])), 0, 0.1)
+    res = sign_est(prepare_sparse_state(np.array([1.0, 0.0])), 0, 0.1, "nfn")
     assert res.value == 1
     assert res.prob_one >= 0.75
 
@@ -114,11 +113,11 @@ def test_sign_est_nfp_guarantees_on_sweep(eps):
 def test_sign_est_plus_trivial_points():
     eps = 0.1
     # alpha = 1: the |1>|k> coefficient vanishes, both variants return 1
-    for variant in ("nfn", "nfp"):
-        res = sign_est_plus(1.0, None, eps, variant=variant)
-        assert res.value == 1, variant
-        res = sign_est_plus(-1.0, None, eps, variant=variant)
-        assert res.value == 0, variant
+    for kind in ("nfn_plus", "nfp_plus"):
+        res = sign_est(1.0, None, eps, kind)
+        assert res.value == 1, kind
+        res = sign_est(-1.0, None, eps, kind)
+        assert res.value == 0, kind
 
 
 def test_sign_est_plus_mirror_identities():
