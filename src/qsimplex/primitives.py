@@ -5,7 +5,10 @@ Two execution modes run through everything:
 
 * analytic -- outcome distributions are evaluated in closed form from the
   simulated state (the standard phase-estimation kernel), so tests are
-  deterministic;
+  deterministic; an amplitude-estimation readout is the most likely grid
+  point, read from the kernel at the two grid points bracketing the true
+  phase (``ae_readout``), with the full 2^bits table built only when those
+  two tie;
 * sampling -- outcomes are drawn from those same distributions with a
   seeded generator, which is statistically identical to measuring the
   full statevector circuit (``pe_circuit_distribution`` below builds the
@@ -75,12 +78,10 @@ def extra_qubits(eps_fail: float) -> int:
     return math.ceil(math.log2(2.0 + 1.0 / (2.0 * eps_fail)))
 
 
-def pe_outcome_distribution(phi: float, t: int) -> np.ndarray:
-    """Exact distribution of the t-bit phase-estimation outcome for
-    eigenphase phi: ``P(y) = sin^2(pi M d) / (M^2 sin^2(pi d))`` with
-    ``d = phi - y/M`` (and a point mass when phi lies on the grid)."""
-    M = 2 ** t
-    y = np.arange(M)
+def _fejer(phi: float, y: np.ndarray, M: int) -> np.ndarray:
+    """Phase-estimation kernel ``sin^2(pi M d) / (M^2 sin^2(pi d))`` with
+    ``d = phi - y/M`` at the grid points y of an M-point register (1 where
+    phi lies on the grid), before normalization."""
     delta = phi - y / M
     delta -= np.round(delta)  # wrap to [-1/2, 1/2]; the kernel is 1-periodic
     small = np.abs(delta) < 1e-15
@@ -88,6 +89,14 @@ def pe_outcome_distribution(phi: float, t: int) -> np.ndarray:
         p = (np.sin(np.pi * M * delta) / (M * np.sin(np.pi * delta))) ** 2
     p[small] = 1.0
     p[~np.isfinite(p)] = 0.0
+    return p
+
+
+def pe_outcome_distribution(phi: float, t: int) -> np.ndarray:
+    """Exact distribution of the t-bit phase-estimation outcome for
+    eigenphase phi: ``P(y) = sin^2(pi M d) / (M^2 sin^2(pi d))`` with
+    ``d = phi - y/M`` (and a point mass when phi lies on the grid)."""
+    p = _fejer(phi, np.arange(2 ** t), 2 ** t)
     return p / p.sum()
 
 
@@ -194,6 +203,40 @@ def ae_distribution(a: float, bits: int) -> np.ndarray:
                   + pe_outcome_distribution(-theta, bits))
 
 
+def bracketing_grid_points(theta: float, bits: int) -> tuple[int, int]:
+    """The grid points ``floor(theta M)`` and ``ceil(theta M)`` (M = 2^bits)
+    of a phase theta in [0, 1/2]; both lie in [0, M/2].
+
+    Together they carry at least 8/pi^2 > 1/2 of the phase-estimation
+    kernel at theta (Brassard-Hoyer-Mosca-Tapp), and the nearer one alone
+    at least 4/pi^2.
+    """
+    M = 2 ** bits
+    return math.floor(theta * M), math.ceil(theta * M)
+
+
+def ae_readout(a: float, bits: int) -> int:
+    """Most likely readout of ``ae_distribution(a, bits)``, folded to
+    [0, M/2] (M = 2^bits), from the two grid points bracketing ``theta M``.
+
+    The nearer of them carries at least 4/pi^2 of the kernel at theta
+    (``bracketing_grid_points``); every other point of [0, M/2] lies at
+    least one step from both kernel peaks (theta and -theta), where each
+    kernel is below 1/8, so the maximum is one of the two.  When their values agree to 1e-9 relative
+    (``theta M`` a half-integer, say), rounding decides the argmax, which
+    is then read off the full table.
+    """
+    M = 2 ** bits
+    theta = theta_of_amplitude(a)
+    lo, hi = bracketing_grid_points(theta, bits)
+    y = np.arange(lo, hi + 1)
+    p = _fejer(theta, y, M) + _fejer(-theta, y, M)
+    if y.size > 1 and p.min() >= p.max() * (1.0 - 1e-9):
+        exact = int(np.argmax(ae_distribution(a, bits)))
+        return min(exact, M - exact)
+    return int(y[np.argmax(p)])
+
+
 def grover_operator(prep: PreparedUnitary, target: int) -> np.ndarray:
     """Grover iterate ``Q = (2|psi><psi| - I) S_target`` whose eigenphases
     are ``+-theta`` with ``sin(pi theta) = |<target|psi>|`` (circuit-mode
@@ -238,7 +281,10 @@ def amplitude_estimation(prep, target: int, bits: int, mode: str = "analytic",
     qubits of phase accuracy.
 
     Analytic mode reads out the most likely grid point of the exact
-    outcome distribution; sampling mode draws from it.
+    outcome distribution with ``ae_readout``, so ``y`` is folded to
+    [0, M/2] (the fold, and with it ``theta_est``, is the table's argmax);
+    sampling mode draws from the table.  ``keep_distribution`` only
+    attaches the table to the outcome.
     """
     if isinstance(prep, PreparedUnitary):
         state = prep.state
@@ -247,10 +293,11 @@ def amplitude_estimation(prep, target: int, bits: int, mode: str = "analytic",
         state = np.asarray(prep)
     a = float(abs(state[target]) ** 2)
     theta = theta_of_amplitude(a)
-    dist = ae_distribution(a, bits)
     _charge_pe(stats, bits, prep_gate_cost)
+    dist = (ae_distribution(a, bits)
+            if mode == "sampling" or keep_distribution else None)
     if mode == "analytic":
-        y = int(np.argmax(dist))
+        y = ae_readout(a, bits)
     elif mode == "sampling":
         y = int(rng.choice(dist.size, p=dist))
     else:
@@ -289,9 +336,10 @@ def qsearch(domain, marked, rng: np.random.Generator,
     n = len(domain)
     if n == 0:
         return None
-    marked = [i for i in domain if i in set(marked)]
+    marked_set = set(marked)
+    marked = [i for i in domain if i in marked_set]
     k = len(marked)
-    unmarked = [i for i in domain if i not in set(marked)]
+    unmarked = [i for i in domain if i not in marked_set]
     theta = math.asin(math.sqrt(k / n)) if k else 0.0
     budget = max_iterations if max_iterations is not None else qsearch_budget(n)
     mmax = math.sqrt(n)
@@ -308,7 +356,7 @@ def qsearch(domain, marked, rng: np.random.Generator,
         else:
             pool = unmarked if unmarked else marked
             idx = int(pool[rng.integers(len(pool))])
-        ok = confirm(idx) if confirm is not None else (idx in set(marked))
+        ok = confirm(idx) if confirm is not None else (idx in marked_set)
         if ok:
             return idx
         m_cur = min(_QSEARCH_GROWTH * m_cur, mmax)
@@ -386,7 +434,7 @@ def min_finding(values, rng: np.random.Generator | None = None,
         start = stats.grover_iterations if stats is not None else 0
         local = QueryStats() if stats is None else stats
         while local.grover_iterations - start < budget:
-            below = frozenset(i for i in domain if values[i] < values[pivot])
+            below = np.flatnonzero(values < values[pivot]).tolist()
             remaining = int(budget - (local.grover_iterations - start))
             found = qsearch(domain, below, rng, local, max_iterations=remaining)
             if found is None:

@@ -33,6 +33,7 @@ so independent runs are safe to parallelize from the caller's side.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -44,8 +45,9 @@ from .lp import (BasisSingular, BasisState, LpInstance, ZeroColumn,
                  ZeroVector, normalize, scaled_basis_matrix)
 from .primitives import (AEOutcome, AllInfinite, QueryStats, _charge_pe,
                          ae_distribution, amplitude_estimation,
-                         grover_count_exists, min_finding, qsearch,
-                         qsearch_analytic, theta_of_amplitude)
+                         bracketing_grid_points, grover_count_exists,
+                         min_finding, qsearch, qsearch_analytic,
+                         theta_of_amplitude)
 from .qlsa import IdealQlsa
 from .statevector import PreparedUnitary
 
@@ -78,6 +80,7 @@ class PrecisionParams:
 # sign estimation (the four gadget variants)
 
 SIGN_EST_KINDS = ("nfn", "nfp", "nfn_plus", "nfp_plus")
+_RULES = {"geq": np.greater_equal, "gt": np.greater, "leq": np.less_equal}
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,7 @@ class SignEstSpec:
     def decide(self, fold):
         """1 when a folded readout lies on the accepting side of the
         threshold; an array of readouts gives a boolean mask."""
-        compare = {"geq": np.greater_equal, "gt": np.greater,
-                   "leq": np.less_equal}[self.rule]
-        ones = compare(fold, self.threshold)
+        ones = _RULES[self.rule](fold, self.threshold)
         return ones if isinstance(ones, np.ndarray) else int(ones)
 
     @property
@@ -104,6 +105,7 @@ class SignEstSpec:
         return s - 1.0 if not self.flipped else 1.0 - s
 
 
+@functools.lru_cache(maxsize=64)
 def sign_est_spec(eps: float, kind: str, threshold_shift: float = 0.0) -> SignEstSpec:
     """Bits/threshold table for the four routines.
 
@@ -130,9 +132,12 @@ def sign_est_spec(eps: float, kind: str, threshold_shift: float = 0.0) -> SignEs
                        tol=tol, flipped=kind.endswith("_plus"), rule=rule)
 
 
-def _gadget_amplitude(alpha: float, flipped: bool) -> float:
-    amp = (1.0 - alpha) / 2.0 if flipped else (1.0 + alpha) / 2.0
-    return min(max(amp, 0.0), 1.0)
+def _gadget_phase(alpha: float, spec: SignEstSpec) -> tuple[float, float]:
+    """Probability ``a`` the gadget hands to amplitude estimation, and its
+    phase theta in [0, 1/2]."""
+    amp = (1.0 - alpha) / 2.0 if spec.flipped else (1.0 + alpha) / 2.0
+    a = min(max(amp, 0.0), 1.0) ** 2
+    return a, theta_of_amplitude(a)
 
 
 def _target_alpha(prep, k: int | None) -> float:
@@ -164,8 +169,7 @@ class SignEstResult:
 
 def _gadget_tables(alpha: float, spec: SignEstSpec):
     """Distribution plus decision/tolerance masks over the AE readout grid."""
-    a = _gadget_amplitude(alpha, spec.flipped) ** 2
-    theta = theta_of_amplitude(a)
+    a, theta = _gadget_phase(alpha, spec)
     m_size = 2 ** spec.bits
     dist = ae_distribution(a, spec.bits)
     y = np.arange(m_size)
@@ -217,7 +221,6 @@ class BoostedResult:
     ok: bool                # majority of the votes were within tolerance
     ones: int
     in_tol_count: int
-    prob_one: float
 
 
 def boosted_sign_est(alpha: float, eps: float, kind: str, reps: int,
@@ -230,20 +233,32 @@ def boosted_sign_est(alpha: float, eps: float, kind: str, reps: int,
     and the majority decision is v, some in-tolerance run also voted v, so
     the single-run certificate for v transfers to the boosted output.
     Uncharged: the caller prices the runs with ``estimation_cost``.
+
+    Analytic mode returns the maximum-likelihood decision
+    ``Pr[one run returns 1] >= 1/2``.  The two grid points bracketing
+    ``theta M`` (M = 2^bits, ``bracketing_grid_points``) carry more than
+    half the readout mass, so when their folds fall on the same side of the
+    threshold, that side is the decision; only when they straddle it is
+    the mass summed over the full table.
     """
     spec = sign_est_spec(eps, kind, threshold_shift)
-    theta, dist, ones_mask, in_tol_mask = _gadget_tables(alpha, spec)
-    p1 = float(dist[ones_mask].sum())
     if mode == "analytic":
-        value = int(p1 >= 0.5)
+        _, theta = _gadget_phase(alpha, spec)
+        m_size = 2 ** spec.bits
+        lo, hi = bracketing_grid_points(theta, spec.bits)
+        value = spec.decide(lo / m_size)
+        if value != spec.decide(hi / m_size):
+            _, dist, ones_mask, _ = _gadget_tables(alpha, spec)
+            value = int(dist[ones_mask].sum() >= 0.5)
         return BoostedResult(value=value, ok=True, ones=value * reps,
-                             in_tol_count=reps, prob_one=p1)
+                             in_tol_count=reps)
+    _, dist, ones_mask, in_tol_mask = _gadget_tables(alpha, spec)
     ys = rng.choice(dist.size, size=reps, p=dist)
     ones = int(ones_mask[ys].sum())
     in_tol = int(in_tol_mask[ys].sum())
     majority = (reps + 1) // 2
     return BoostedResult(value=int(ones >= majority), ok=in_tol >= majority,
-                         ones=ones, in_tol_count=in_tol, prob_one=p1)
+                         ones=ones, in_tol_count=in_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +321,7 @@ class ScaledBasis:
         """Exact ``A_B^-1 (s b)``."""
         return self.solutions[:, -1]
 
-    @property
+    @functools.cached_property
     def cost_vector_gadget(self) -> np.ndarray:
         """|(-c_B, 1)> -- the functional whose overlap encodes the reduced cost."""
         w = np.concatenate([-self.c[list(self.state.basis)], [1.0]])
@@ -393,7 +408,7 @@ def can_enter(scaled: ScaledBasis, k: int, eps: float, reps: int = 15,
             in_tol += int(res.in_tol)
         majority = (reps + 1) // 2
         boost = BoostedResult(value=int(ones >= majority), ok=in_tol >= majority,
-                              ones=ones, in_tol_count=in_tol, prob_one=float("nan"))
+                              ones=ones, in_tol_count=in_tol)
     else:
         sample = red_cost_sample(scaled, k, eps, decision_alpha=spec.alpha_boundary)
         boost = boosted_sign_est(sample.alpha, eps_se, kind, reps, mode, rng,

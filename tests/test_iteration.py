@@ -72,6 +72,10 @@ CASES = [
      ("optimal", None, None, True),
      (9461760.0, 4730880.0, 9462915.0, 18396174590099.86,
       786113168.0928284, 56.0, 4730880.0, 8770344049116210.0)),
+    ("random_lp", 64, 0, 24, "analytic", "zero",
+     ("pivot", 1, 53, True),
+     (23034880.0, 11517440.0, 23037390.0, 7102335409311443.0,
+      6545797792.602453, 563.0, 11517440.0, 1.0530947639657554e+19)),
 ]
 
 
@@ -116,6 +120,27 @@ def test_simplex_iter_solves_once(monkeypatch, mode, error_mode):
                        np.random.default_rng(0))
     assert out.status == "pivot"
     assert len(calls) == 1
+
+
+def test_analytic_pivot_builds_only_small_tables(monkeypatch):
+    # the m=64 pivot pinned above: its 18-bit ratio-test readouts come from
+    # the grid points next to the true phase, so the only kernel tables
+    # built are sign-estimation fallbacks of at most 12 bits
+    import qsimplex.primitives as primitives
+
+    bits = []
+    kernel = primitives.pe_outcome_distribution
+
+    def recording(phi, t):
+        bits.append(t)
+        return kernel(phi, t)
+
+    monkeypatch.setattr(primitives, "pe_outcome_distribution", recording)
+    inst = random_lp(64, 192, seed=0)
+    out = simplex_iter(inst, dantzig_basis(inst, 24), PrecisionParams(),
+                       "analytic", "zero", np.random.default_rng(24))
+    assert (out.status, out.entering, out.leaving_row) == ("pivot", 1, 53)
+    assert max(bits, default=0) <= 12
 
 
 def test_find_row_failure_is_named():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import empirical_distribution, tv_distance
 from qsimplex.primitives import (AllInfinite, QueryStats, ae_distribution,
-                                 amplitude_estimation, extra_qubits,
+                                 ae_readout, amplitude_estimation, extra_qubits,
                                  fold_phase, grover_count_exists,
                                  grover_operator, min_finding,
                                  pe_circuit_distribution,
@@ -161,6 +161,38 @@ def test_ae_analytic_vs_sampled_tv():
                                   0, bits, mode="sampling", rng=rng).y
              for _ in range(10_000)]
     assert tv_distance(dist, empirical_distribution(draws, 2 ** bits)) <= 0.05
+
+
+@pytest.mark.parametrize("bits", range(1, 19))
+def test_ae_readout_matches_table_argmax(bits):
+    # the nearest-point readout folds like the argmax of the full table, on
+    # random a, at a = 0 and 1, with theta M on the grid and with theta M at
+    # a half-integer, where the two nearest points tie up to rounding
+    M = 2 ** bits
+    rng = np.random.default_rng(bits)
+    halves = (0, M // 3, M // 2 - 1, *rng.integers(0, M // 2, 8))
+    phases = [k / M for k in (1, M // 4, M // 2 - 1)] + [(k + 0.5) / M for k in halves]
+    amps = [0.0, 1.0, *rng.uniform(0.0, 1.0, 8),
+            *(math.sin(math.pi * theta) ** 2 for theta in phases)]
+    for a in amps:
+        y = int(np.argmax(ae_distribution(a, bits)))
+        assert ae_readout(a, bits) == min(y, M - y), a
+
+
+def test_analytic_ae_builds_no_table(monkeypatch):
+    # an 18-bit analytic readout never evaluates the kernel table unless it
+    # is asked to keep it, and reads out the fold of the table's argmax
+    import qsimplex.primitives as primitives
+
+    state = np.array([0.6, 0.8])
+    table = ae_distribution(float(abs(state[0]) ** 2), 18)
+    y = int(np.argmax(table))
+    kept = amplitude_estimation(state, 0, 18, keep_distribution=True)
+    monkeypatch.setattr(primitives, "pe_outcome_distribution", None)
+    fast = amplitude_estimation(state, 0, 18)
+    assert fast.distribution is None
+    assert fast.y == kept.y == min(y, 2 ** 18 - y)
+    assert np.array_equal(kept.distribution, table)
 
 
 def test_ae_charges_repetitions():

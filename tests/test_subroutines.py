@@ -14,7 +14,7 @@ from qsimplex.instances import (embed_basis_instance, random_bounded_lp,
                                 ratio_test_triple)
 from qsimplex.lp import LpInstance, slack_identity_basis
 from qsimplex.statevector import prepare_sparse_state
-from qsimplex.subroutines import (PrecisionParams, ScaledBasis,
+from qsimplex.subroutines import (SIGN_EST_KINDS, PrecisionParams, ScaledBasis,
                                   boosted_sign_est, can_enter, find_column,
                                   find_row, is_optimal, is_unbounded,
                                   norm_estimate, red_cost_sample, sign_est,
@@ -165,6 +165,20 @@ def test_boosted_sign_est_majority():
     assert res.ok
     res = boosted_sign_est(-0.9, 0.1, "nfn", reps=15, mode="sampling", rng=rng)
     assert res.value == 0
+
+
+@pytest.mark.parametrize("kind", SIGN_EST_KINDS)
+@pytest.mark.parametrize("eps", [0.05, 11 * 0.1 / (10 * math.sqrt(2)), 0.09, 0.1])
+def test_boosted_analytic_decision_matches_table(kind, eps):
+    # the bracketing-point decision equals Pr[1] >= 1/2 summed over the full
+    # table, on random alpha and within 3e-3 of the decision boundary
+    rng = np.random.default_rng(0)
+    boundary = sign_est_spec(eps, kind).alpha_boundary
+    alphas = np.concatenate([rng.uniform(-1.0, 1.0, 100),
+                             boundary + rng.uniform(-3e-3, 3e-3, 100)])
+    for alpha in alphas:
+        expected = int(sign_est_prob_one(float(alpha), eps, kind) >= 0.5)
+        assert boosted_sign_est(float(alpha), eps, kind, 15).value == expected, alpha
 
 
 def test_sign_est_threshold_shift_hook():
