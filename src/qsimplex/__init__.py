@@ -17,9 +17,9 @@ from .lp import (BasisSingular, BasisState, LpInstance, ZeroColumn,
                  ZeroVector, estimate_sigma_max, normalize,
                  slack_identity_basis, sparsity_stats)
 from .primitives import (AllInfinite, QueryStats, amplitude_estimation,
-                         min_finding, phase_estimation, qsearch)
+                         min_finding, qsearch)
 from .qlsa import IdealQlsa
-from .statevector import PreparedUnitary, StateVector, prepare_sparse_state
+from .statevector import PreparedUnitary, prepare_sparse_state
 from .subroutines import (IterationOutcome, PrecisionParams, ScaledBasis,
                           can_enter, find_column, find_row, is_optimal,
                           is_unbounded, norm_estimate, sign_est,
@@ -31,11 +31,11 @@ __all__ = [
     "AllInfinite", "BasisSingular", "BasisState", "ClassicalPivotReport",
     "ClassicalSolution", "CostReport", "IdealQlsa", "IterationOutcome",
     "LpInstance", "PrecisionParams", "PreparedUnitary", "QueryStats",
-    "ScaledBasis", "StateVector", "ThresholdViolation", "ZeroColumn",
+    "ScaledBasis", "ThresholdViolation", "ZeroColumn",
     "ZeroVector", "amplitude_estimation", "build_cost_report", "can_enter",
     "classical_pricing_cost", "column_split", "estimate_sigma_max",
     "find_column", "find_row", "is_optimal", "is_unbounded", "min_finding",
-    "mu", "mu_opt", "norm_estimate", "normalize", "phase_estimation",
+    "mu", "mu_opt", "norm_estimate", "normalize",
     "prepare_sparse_state", "qlsa_query_counts", "qsearch",
     "quantum_pricing_cost", "quantum_ratio_test_cost", "ratio_test",
     "read_instance", "read_lp_json", "read_mps", "reduced_cost",

@@ -164,6 +164,7 @@ def cmd_solve(config: RunConfig) -> int:
         "mode": config.mode, "qlsa_error": config.qlsa_error,
         "seed": config.seed,
         "status": result.status,
+        "failure": result.failure,
         "iterations": result.iterations,
         "objective": result.objective,
         "basis": list(result.basis),
@@ -175,7 +176,8 @@ def cmd_solve(config: RunConfig) -> int:
             fh.write("\n")
     print(f"status: {result.status}  iterations: {result.iterations}"
           + (f"  objective: {result.objective:.12g}"
-             if result.objective is not None else ""))
+             if result.objective is not None else "")
+          + (f"  failure: {result.failure}" if result.failure is not None else ""))
     return 0 if result.status in ("optimal", "unbounded") else 1
 
 

@@ -12,7 +12,12 @@ Two execution modes run through everything:
 * sampling -- outcomes are drawn from those same distributions with a
   seeded generator, which is statistically identical to measuring the
   full statevector circuit (``pe_circuit_distribution`` below builds the
-  honest circuit distribution for cross-checks).
+  honest circuit distribution for cross-checks); an amplitude-estimation
+  draw (``ae_sample``) inverts the same uniform through the same
+  cumulative distribution as ``rng.choice`` on the table, but reads it from
+  the kernel near its two peaks plus closed-form sums of the tails between
+  them, building the table only when a uniform lies too close to an
+  interval end to decide.
 
 Query accounting conventions (one call of phase estimation on ``t`` bits,
 ``M = 2^t``): ``M`` controlled powers of the walk/Grover operator are
@@ -78,10 +83,11 @@ def extra_qubits(eps_fail: float) -> int:
     return math.ceil(math.log2(2.0 + 1.0 / (2.0 * eps_fail)))
 
 
-def _fejer(phi: float, y: np.ndarray, M: int) -> np.ndarray:
+def _fejer(phi, y: np.ndarray, M: int) -> np.ndarray:
     """Phase-estimation kernel ``sin^2(pi M d) / (M^2 sin^2(pi d))`` with
     ``d = phi - y/M`` at the grid points y of an M-point register (1 where
-    phi lies on the grid), before normalization."""
+    phi lies on the grid), before normalization; a column of phases gives
+    one row per phase."""
     delta = phi - y / M
     delta -= np.round(delta)  # wrap to [-1/2, 1/2]; the kernel is 1-periodic
     small = np.abs(delta) < 1e-15
@@ -105,8 +111,8 @@ def pe_circuit_distribution(unitary, psi: np.ndarray, t: int) -> np.ndarray:
 
     Applies the controlled powers ``U^x`` for x = 0 .. 2^t - 1 followed by
     the inverse QFT on the estimation register and returns the marginal
-    outcome distribution.  Used as the non-eigenstate fallback of
-    ``phase_estimation`` and for analytic-vs-circuit agreement checks.
+    outcome distribution: the ground truth the analytic kernel is checked
+    against, on eigenstates and their mixtures.
     """
     mat = unitary.matrix if isinstance(unitary, PreparedUnitary) else np.asarray(unitary)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
@@ -129,53 +135,6 @@ def _charge_pe(stats: QueryStats | None, t: int, prep_gate_cost: float = 0.0) ->
     stats.u_calls += 2 * M
     stats.ae_repetitions += M
     stats.basic_gates += t * t + M * prep_gate_cost
-
-
-@dataclass(frozen=True)
-class PhaseEstimate:
-    """One phase-estimation readout (or its exact distribution)."""
-
-    bits: int
-    y: int | None
-    distribution: np.ndarray | None
-
-    @property
-    def value(self) -> float:
-        if self.y is None:
-            raise ValueError("no sampled outcome in analytic mode")
-        return self.y / 2 ** self.bits
-
-
-def phase_estimation(unitary, eigenstate: np.ndarray, q_precision: int,
-                     eps_fail: float, mode: str = "analytic",
-                     rng: np.random.Generator | None = None,
-                     stats: QueryStats | None = None) -> PhaseEstimate:
-    """Phase estimation with ``q_precision + ceil(log2(2 + 1/(2 eps_fail)))``
-    total qubits, so the first ``q_precision`` bits are accurate with
-    probability at least ``1 - eps_fail``.
-
-    On an eigenstate the exact outcome kernel is used; any other input
-    falls back to the full statevector circuit simulation.
-    """
-    mat = unitary.matrix if isinstance(unitary, PreparedUnitary) else np.asarray(unitary)
-    psi = np.asarray(eigenstate, dtype=complex).reshape(-1)
-    psi = psi / np.linalg.norm(psi)
-    t = q_precision + extra_qubits(eps_fail)
-
-    w = mat @ psi
-    lam = np.vdot(psi, w)
-    if np.linalg.norm(w - lam * psi) <= 1e-10:
-        phi = float(np.angle(lam) / (2 * np.pi)) % 1.0
-        dist = pe_outcome_distribution(phi, t)
-    else:
-        dist = pe_circuit_distribution(mat, psi, t)
-    _charge_pe(stats, t)
-    if mode == "analytic":
-        return PhaseEstimate(bits=t, y=None, distribution=dist)
-    if mode == "sampling":
-        y = int(rng.choice(dist.size, p=dist))
-        return PhaseEstimate(bits=t, y=y, distribution=dist)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +196,134 @@ def ae_readout(a: float, bits: int) -> int:
     return int(y[np.argmax(p)])
 
 
+# Sampled readouts (``ae_quantile``).  The kernel is evaluated on
+# +-_AE_WINDOW grid points around each of its two peaks; the tails between
+# them hold about 2/(pi^2 _AE_WINDOW) ~ 0.16% of the mass, and a uniform that
+# lands there is inverted through the table.  _AE_MARGIN bounds the distance
+# between the windowed and the table's cumulative sums (see ``ae_quantile``).
+_AE_WINDOW = 128
+_AE_MARGIN = 1e-9
+
+# Euler-Maclaurin weights B_2j/(2j)! for j = 1, 2, 3, and the derivatives
+# of orders 1, 3, 5 of csc^2 x as polynomials in C = cot x (coefficients of
+# C, C^3, C^5, C^7), from P_0 = 1 + C^2, P_(n+1) = -(1 + C^2) dP_n/dC
+_EM_TERMS = ((1, 1.0 / 12.0, (-2.0, -2.0, 0.0, 0.0)),
+             (3, -1.0 / 720.0, (-16.0, -40.0, -24.0, 0.0)),
+             (5, 1.0 / 30240.0, (-272.0, -1232.0, -1680.0, -720.0)))
+
+
+def _kernel_gap_sums(peaks, starts: np.ndarray, ends: np.ndarray, M: int,
+                     s2: float) -> np.ndarray:
+    """Sums of the phase-estimation kernels peaked at grid positions
+    ``peaks``, ``s2 / (M^2 sin^2(pi (y - peak)/M))`` with
+    ``s2 = sin^2(pi M theta)``, over the grid points ``starts[i] .. ends[i]``
+    of each gap (inclusive, nonempty), none of which holds a peak; one row
+    per peak.
+
+    Euler-Maclaurin with the integral ``-(M/pi) cot``, the end-point
+    average and three derivative terms.  The sixth derivative is positive
+    on a gap, so the remainder is at most ``2 zeta(6)/(2 pi)^6 = 3.31e-5``
+    times the change of the fifth; at distance at least d from both peaks
+    that is below ``3.31e-5 * 2 * (720/pi^2) * 2 zeta(7) / d^7``, 1.7e-17
+    for ``d = _AE_WINDOW + 1/2``.
+    """
+    h = math.pi / M
+    # odd part of the end-point terms, C/h - sum_j w_j h^n P_n(C), as
+    # coefficients of C, C^3, C^5, C^7
+    odd = [1.0 / h, 0.0, 0.0, 0.0]
+    for order, weight, coef in _EM_TERMS:
+        for i, c in enumerate(coef):
+            odd[i] -= weight * h ** order * c
+    # shift a peak by a period where needed, so each gap lies in (peak, peak + M)
+    peaks = np.asarray(peaks, dtype=float)[:, None] % M
+    peaks = np.where(peaks > ends, peaks - M, peaks)
+    cot = 1.0 / np.tan(h * (np.stack([starts, ends])[:, None] - peaks))
+    c2 = cot * cot
+    odd_part = cot * (odd[0] + c2 * (odd[1] + c2 * (odd[2] + c2 * odd[3])))
+    # (1 + C^2)/2 at both ends; the odd part enters with + at a gap's start, - at its end
+    return s2 / M ** 2 * ((1.0 + c2).sum(axis=0) / 2.0 + odd_part[0] - odd_part[1])
+
+
+def _table_quantile(a: float, bits: int, u):
+    """``rng.choice``'s inverse-CDF map on the full table."""
+    cdf = ae_distribution(a, bits).cumsum()
+    cdf /= cdf[-1]
+    y = cdf.searchsorted(u, side="right")
+    return int(y) if np.ndim(u) == 0 else y
+
+
+def ae_quantile(a: float, bits: int, u):
+    """Readout(s) of ``ae_distribution(a, bits)`` for uniform(s) ``u`` in
+    [0, 1) under the map ``rng.choice`` applies to a table ``p``:
+    ``cdf = p.cumsum(); cdf /= cdf[-1]; cdf.searchsorted(u, side="right")``.
+
+    The kernel is evaluated (bit-identically to the table) on the windows
+    of +-``_AE_WINDOW`` grid points around theta M and M - theta M
+    (M = 2^bits), merged where they overlap or wrap past 0 or M, and summed
+    in closed form over the gaps between them (``_kernel_gap_sums``).  The
+    resulting cumulative sums differ from the table's by at most:
+
+    * ``M 2^-52`` for the rounding of the table's running sum and of its
+      division by the total;
+    * ``(3 pi / 2) M 2^-53 / _AE_WINDOW``, twice (in the values and in the
+      kernels' normalization by their float sums), for the rounding noise
+      of the table's off-peak values: their phase offsets are rounded at
+      magnitude up to 1, which moves ``sin(pi M d)`` by up to
+      ``1.5 pi M 2^-53``.  The noise scales with ``|sin(pi M theta)|``
+      (up to a second-order term below 1e-20), so no phase makes it
+      larger;
+    * 1e-14 for the Euler-Maclaurin remainders and the window sums.
+
+    For M <= 2^21 the total is below ``_AE_MARGIN / 2``, so a uniform at
+    least ``_AE_MARGIN`` from both ends of the window interval holding it
+    gets that interval's grid point.  The table decides instead when a
+    uniform lies within the margin of an interval end or in a gap, when the
+    windows cover the whole grid, and when ``M 2^-51`` exceeds the margin.
+    """
+    M = 2 ** bits
+    theta = theta_of_amplitude(a)
+    c = round(theta * M)  # the peaks' nearest grid points are c and M - c
+    W = _AE_WINDOW
+    if c <= W:  # both windows wrap past 0 and M, where they merge
+        windows = [(0, c + W), (M - c - W, M - 1)]
+    elif M - c - W <= c + W + 1:  # they merge at M/2
+        windows = [(c - W, M - c + W)]
+    else:
+        windows = [(c - W, c + W), (M - c - W, M - c + W)]
+    sizes = [hi - lo + 1 for lo, hi in windows]
+    if sum(sizes) >= M or M * 2.0 ** -51 > _AE_MARGIN:
+        return _table_quantile(a, bits, u)
+    # a gap before, between and after the windows, possibly empty
+    bounds = [-1, *(end for window in windows for end in window), M]
+    starts = np.array(bounds[0::2]) + 1
+    ends = np.array(bounds[1::2]) - 1
+    full = starts <= ends
+    gaps = np.zeros(starts.size)
+    gaps[full] = 0.5 * _kernel_gap_sums(
+        (theta * M, M - theta * M), starts[full], ends[full], M,
+        math.sin(math.pi * (theta * M - c)) ** 2).sum(axis=0)
+    pts = np.concatenate([np.arange(lo, hi + 1) for lo, hi in windows])
+    mass = 0.5 * _fejer(np.array([[theta], [-theta]]), pts, M).sum(axis=0)
+    # cumulative mass at the end of each window point, gaps included
+    cum = np.cumsum(mass) + np.repeat(np.cumsum(gaps[:-1]), sizes)
+    k = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+    # undecided: u beyond the last window point, in a gap, or near an end
+    decided = (u - (cum[k] - mass[k]) >= _AE_MARGIN) & (cum[k] - u >= _AE_MARGIN)
+    if not np.all(decided):
+        return _table_quantile(a, bits, u)
+    y = pts[k]
+    return int(y) if np.ndim(u) == 0 else y
+
+
+def ae_sample(a: float, bits: int, rng: np.random.Generator, size=None):
+    """Sampled readout(s) of ``ae_distribution(a, bits)``: the index, and
+    the generator state after it, that ``rng.choice(2**bits, size=size,
+    p=ae_distribution(a, bits))`` gives, without building the table unless
+    ``ae_quantile`` cannot decide.  Draws the uniforms ``rng.random(size)``,
+    as ``choice`` does."""
+    return ae_quantile(a, bits, rng.random(size))
+
+
 def grover_operator(prep: PreparedUnitary, target: int) -> np.ndarray:
     """Grover iterate ``Q = (2|psi><psi| - I) S_target`` whose eigenphases
     are ``+-theta`` with ``sin(pi theta) = |<target|psi>|`` (circuit-mode
@@ -253,7 +340,6 @@ class AEOutcome:
     bits: int
     theta_true: float
     y: int
-    distribution: np.ndarray | None
 
     @property
     def theta_est(self) -> float:
@@ -274,8 +360,7 @@ class AEOutcome:
 def amplitude_estimation(prep, target: int, bits: int, mode: str = "analytic",
                          rng: np.random.Generator | None = None,
                          stats: QueryStats | None = None,
-                         prep_gate_cost: float = 0.0,
-                         keep_distribution: bool = False) -> AEOutcome:
+                         prep_gate_cost: float = 0.0) -> AEOutcome:
     """Estimate the magnitude of the target basis-state amplitude of
     ``prep`` (a PreparedUnitary or a bare state vector) with ``bits``
     qubits of phase accuracy.
@@ -283,8 +368,9 @@ def amplitude_estimation(prep, target: int, bits: int, mode: str = "analytic",
     Analytic mode reads out the most likely grid point of the exact
     outcome distribution with ``ae_readout``, so ``y`` is folded to
     [0, M/2] (the fold, and with it ``theta_est``, is the table's argmax);
-    sampling mode draws from the table.  ``keep_distribution`` only
-    attaches the table to the outcome.
+    sampling mode draws ``y`` with ``ae_sample``, which returns what
+    ``rng.choice`` on the table returns while building the table only for
+    the rare undecided draw.
     """
     if isinstance(prep, PreparedUnitary):
         state = prep.state
@@ -294,16 +380,13 @@ def amplitude_estimation(prep, target: int, bits: int, mode: str = "analytic",
     a = float(abs(state[target]) ** 2)
     theta = theta_of_amplitude(a)
     _charge_pe(stats, bits, prep_gate_cost)
-    dist = (ae_distribution(a, bits)
-            if mode == "sampling" or keep_distribution else None)
     if mode == "analytic":
         y = ae_readout(a, bits)
     elif mode == "sampling":
-        y = int(rng.choice(dist.size, p=dist))
+        y = ae_sample(a, bits, rng)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return AEOutcome(bits=bits, theta_true=theta, y=y,
-                     distribution=dist if keep_distribution else None)
+    return AEOutcome(bits=bits, theta_true=theta, y=y)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Statevector primitives: normalized amplitude vectors and prepared unitaries.
+"""Statevector primitives: prepared unitaries and the sparse preparation tree.
 
 The simulator keeps registers as dense complex vectors of length ``2^q``.
 A ``PreparedUnitary`` bundles the full matrix (so controlled and inverse
@@ -10,14 +10,12 @@ the sign-estimation gadgets require.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .lp import ZeroVector
 
 NORM_TOL = 1e-10
-EXACT_TOL = 1e-12
 
 
 def num_qubits_for(dim: int) -> int:
@@ -34,47 +32,6 @@ def pad_to_register(v: np.ndarray) -> np.ndarray:
     out = np.zeros(size)
     out[: v.size] = v
     return out
-
-
-@dataclass
-class StateVector:
-    """Complex amplitudes over ``2^q`` basis states, unit norm."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size < 2 or amps.size & (amps.size - 1):
-            raise ValueError("amplitude vector length must be a power of two >= 2")
-        n = np.linalg.norm(amps)
-        if abs(n - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {n} drifted beyond {NORM_TOL}")
-        self.amplitudes = amps
-
-    @classmethod
-    def from_vector(cls, v) -> "StateVector":
-        v = pad_to_register(np.asarray(v, dtype=float))
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ZeroVector("cannot encode the zero vector")
-        return cls(v / n)
-
-    @property
-    def num_qubits(self) -> int:
-        return int(math.log2(self.amplitudes.size))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def renormalized(self) -> "StateVector":
-        amps = self.amplitudes / np.linalg.norm(self.amplitudes)
-        out = object.__new__(StateVector)
-        out.amplitudes = amps
-        return out
-
-    def sample(self, rng: np.random.Generator, shots: int = 1) -> np.ndarray:
-        p = self.probabilities()
-        return rng.choice(self.amplitudes.size, size=shots, p=p / p.sum())
 
 
 class PreparedUnitary:

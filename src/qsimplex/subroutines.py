@@ -44,7 +44,7 @@ from .costmodel import column_split, split_threshold  # re-exported  # noqa: F40
 from .lp import (BasisSingular, BasisState, LpInstance, ZeroColumn,
                  ZeroVector, normalize, scaled_basis_matrix)
 from .primitives import (AEOutcome, AllInfinite, QueryStats, _charge_pe,
-                         ae_distribution, amplitude_estimation,
+                         ae_distribution, ae_sample, amplitude_estimation,
                          bracketing_grid_points, grover_count_exists,
                          min_finding, qsearch, qsearch_analytic,
                          theta_of_amplitude)
@@ -167,15 +167,19 @@ class SignEstResult:
     outcome: AEOutcome | None = None
 
 
+def _readout_flags(y, theta: float, spec: SignEstSpec):
+    """Decision and in-tolerance flags of AE readout(s) ``y``, from their
+    folds to [0, 1/2]."""
+    m_size = 2 ** spec.bits
+    folds = np.minimum(y, m_size - y) / m_size
+    return spec.decide(folds), np.abs(folds - theta) <= spec.tol + 1e-15
+
+
 def _gadget_tables(alpha: float, spec: SignEstSpec):
     """Distribution plus decision/tolerance masks over the AE readout grid."""
     a, theta = _gadget_phase(alpha, spec)
-    m_size = 2 ** spec.bits
     dist = ae_distribution(a, spec.bits)
-    y = np.arange(m_size)
-    folds = np.minimum(y, m_size - y) / m_size
-    ones = spec.decide(folds)
-    in_tol = np.abs(folds - theta) <= spec.tol + 1e-15
+    ones, in_tol = _readout_flags(np.arange(2 ** spec.bits), theta, spec)
     return theta, dist, ones, in_tol
 
 
@@ -195,23 +199,26 @@ def sign_est(prep, k: int | None, eps: float, kind: str,
 
     Analytic mode returns the maximum-likelihood decision together with
     the exact probability of returning 1; sampling mode draws the AE
-    readout.  ``stats`` is charged the phase estimation only.
+    readout with ``ae_sample``.  ``stats`` is charged the phase estimation
+    only.
     """
     alpha = _target_alpha(prep, k)
     spec = sign_est_spec(eps, kind, threshold_shift)
-    theta, dist, ones, in_tol = _gadget_tables(alpha, spec)
+    a, theta = _gadget_phase(alpha, spec)
+    _, dist, ones, _ = _gadget_tables(alpha, spec)
     prob_one = float(dist[ones].sum())
     _charge_pe(stats, spec.bits)
     if mode == "analytic":
         y = int(np.argmax(dist))
-        outcome = AEOutcome(bits=spec.bits, theta_true=theta, y=y, distribution=None)
+        outcome = AEOutcome(bits=spec.bits, theta_true=theta, y=y)
         return SignEstResult(value=int(prob_one >= 0.5), in_tol=True,
                              prob_one=prob_one, theta_true=theta, outcome=outcome)
     if mode != "sampling":
         raise ValueError(f"unknown mode {mode!r}")
-    y = int(rng.choice(dist.size, p=dist))
-    outcome = AEOutcome(bits=spec.bits, theta_true=theta, y=y, distribution=None)
-    return SignEstResult(value=int(ones[y]), in_tol=bool(in_tol[y]),
+    y = ae_sample(a, spec.bits, rng)
+    value, in_tol = _readout_flags(y, theta, spec)
+    outcome = AEOutcome(bits=spec.bits, theta_true=theta, y=y)
+    return SignEstResult(value=int(value), in_tol=bool(in_tol),
                          prob_one=prob_one, theta_true=theta, outcome=outcome)
 
 
@@ -239,11 +246,14 @@ def boosted_sign_est(alpha: float, eps: float, kind: str, reps: int,
     ``theta M`` (M = 2^bits, ``bracketing_grid_points``) carry more than
     half the readout mass, so when their folds fall on the same side of the
     threshold, that side is the decision; only when they straddle it is
-    the mass summed over the full table.
+    the mass summed over the full table.  Sampling mode draws the ``reps``
+    readouts in one ``ae_sample`` call (the draws ``rng.choice`` on the
+    table would make) and counts the votes and in-tolerance runs from
+    their folds.
     """
     spec = sign_est_spec(eps, kind, threshold_shift)
+    a, theta = _gadget_phase(alpha, spec)
     if mode == "analytic":
-        _, theta = _gadget_phase(alpha, spec)
         m_size = 2 ** spec.bits
         lo, hi = bracketing_grid_points(theta, spec.bits)
         value = spec.decide(lo / m_size)
@@ -252,10 +262,10 @@ def boosted_sign_est(alpha: float, eps: float, kind: str, reps: int,
             value = int(dist[ones_mask].sum() >= 0.5)
         return BoostedResult(value=value, ok=True, ones=value * reps,
                              in_tol_count=reps)
-    _, dist, ones_mask, in_tol_mask = _gadget_tables(alpha, spec)
-    ys = rng.choice(dist.size, size=reps, p=dist)
-    ones = int(ones_mask[ys].sum())
-    in_tol = int(in_tol_mask[ys].sum())
+    votes, in_tol_flags = _readout_flags(ae_sample(a, spec.bits, rng, size=reps),
+                                         theta, spec)
+    ones = int(votes.sum())
+    in_tol = int(in_tol_flags.sum())
     majority = (reps + 1) // 2
     return BoostedResult(value=int(ones >= majority), ok=in_tol >= majority,
                          ones=ones, in_tol_count=in_tol)
@@ -402,10 +412,10 @@ def can_enter(scaled: ScaledBasis, k: int, eps: float, reps: int = 15,
         for _ in range(reps):
             sample = red_cost_sample(scaled, k, eps,
                                      decision_alpha=spec.alpha_boundary)
-            res = sign_est(sample.alpha, None, eps_se, kind, mode=mode,
-                           rng=rng, threshold_shift=threshold_shift)
-            ones += res.value
-            in_tol += int(res.in_tol)
+            vote = boosted_sign_est(sample.alpha, eps_se, kind, 1, mode, rng,
+                                    threshold_shift=threshold_shift)
+            ones += vote.ones
+            in_tol += vote.in_tol_count
         majority = (reps + 1) // 2
         boost = BoostedResult(value=int(ones >= majority), ok=in_tol >= majority,
                               ones=ones, in_tol_count=in_tol)
@@ -833,6 +843,7 @@ class QuantumSolveResult:
     objective: float | None
     stats: QueryStats
     outcomes: list[IterationOutcome] = field(default_factory=list)
+    failure: str | None = None  # the last iteration's reason, on "failure"
 
 
 # the numerical dead ends a solve reports as a failure; anything else is a
@@ -853,6 +864,7 @@ def solve_quantum(instance: LpInstance, start_basis, params: PrecisionParams,
     total = QueryStats()
     outcomes: list[IterationOutcome] = []
     status = "cap"
+    failure = None
     for _ in range(cap):
         tick = time.perf_counter()
         try:
@@ -869,6 +881,7 @@ def solve_quantum(instance: LpInstance, start_basis, params: PrecisionParams,
             basis[out.leaving_row] = out.entering
             continue
         status = out.status
+        failure = out.diagnostics.get("failure")
         break
     objective = None
     if status == "optimal":
@@ -877,4 +890,4 @@ def solve_quantum(instance: LpInstance, start_basis, params: PrecisionParams,
         objective = float(instance.c[list(basis)] @ x)
     return QuantumSolveResult(status=status, basis=tuple(basis),
                               iterations=len(outcomes), objective=objective,
-                              stats=total, outcomes=outcomes)
+                              stats=total, outcomes=outcomes, failure=failure)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from qsimplex.cli import main
-from qsimplex.instances import random_bounded_lp
+from qsimplex.instances import random_bounded_lp, random_lp
 from qsimplex.io import write_lp_json
 from qsimplex.lp import LpInstance
+from test_iteration import dantzig_basis
 
 
 @pytest.fixture()
@@ -41,6 +42,25 @@ def test_solve_optimal_exit_zero(demo, tmp_path, capsys):
     assert doc["schema_version"] == 1
     header = trace.read_text().splitlines()[0]
     assert header.startswith("iteration,status,entering")
+
+
+def test_solve_failure_reason_reported(demo, tmp_path, capsys):
+    # from this basis the entering column's largest direction component lies
+    # between the IsUnbounded and FindRow thresholds, so the first
+    # iteration fails; the reason reaches the summary and the status line
+    inst = random_lp(64, 192, seed=0)
+    path = tmp_path / "gap.json"
+    write_lp_json(inst, path)
+    basis = ",".join(str(k) for k in dantzig_basis(inst, 52))
+    summary = tmp_path / "s.json"
+    code = main(["solve", "--instance", str(path), "--start-basis", basis,
+                 "--out-summary", str(summary)])
+    assert code == 1
+    assert "failure: no_positive_denominator" in capsys.readouterr().out
+    doc = json.loads(summary.read_text())
+    assert (doc["status"], doc["failure"]) == ("failure", "no_positive_denominator")
+    assert main(["solve", "--instance", demo, "--out-summary", str(summary)]) == 0
+    assert json.loads(summary.read_text())["failure"] is None
 
 
 def test_solve_trace_byte_identical(demo, tmp_path):

@@ -143,6 +143,28 @@ def test_analytic_pivot_builds_only_small_tables(monkeypatch):
     assert max(bits, default=0) <= 12
 
 
+def test_sampling_pivot_builds_no_ratio_test_table(monkeypatch):
+    # the pinned sampling/worst pivot of m=16: its 18-bit ratio-test draws
+    # are decided near the kernel peaks, so no 2^18 table is built; the only
+    # tables allowed are sign-estimation fallbacks of at most 12 bits
+    import qsimplex.primitives as primitives
+
+    bits = []
+    kernel = primitives.pe_outcome_distribution
+
+    def recording(phi, t):
+        bits.append(t)
+        return kernel(phi, t)
+
+    monkeypatch.setattr(primitives, "pe_outcome_distribution", recording)
+    inst = random_lp(16, 48, seed=7)
+    out = simplex_iter(inst, dantzig_basis(inst, 6), PrecisionParams(),
+                       "sampling", "worst", np.random.default_rng(6))
+    verdict = (out.status, out.entering, out.leaving_row, bool(out.ok))
+    assert verdict == ("pivot", 13, 2, True)
+    assert max(bits, default=0) <= 12
+
+
 def test_find_row_failure_is_named():
     # the entering column's largest direction component sits between the
     # IsUnbounded and FindRow thresholds, so no row passes the FindRow gate

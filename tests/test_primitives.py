@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import empirical_distribution, tv_distance
-from qsimplex.primitives import (AllInfinite, QueryStats, ae_distribution,
-                                 ae_readout, amplitude_estimation, extra_qubits,
-                                 fold_phase, grover_count_exists,
+from qsimplex.primitives import (_AE_WINDOW, AllInfinite, QueryStats, _fejer,
+                                 _kernel_gap_sums, ae_distribution, ae_quantile,
+                                 ae_readout, ae_sample, amplitude_estimation,
+                                 extra_qubits, fold_phase, grover_count_exists,
                                  grover_operator, min_finding,
                                  pe_circuit_distribution,
-                                 pe_outcome_distribution, phase_estimation,
-                                 qsearch, qsearch_analytic, theta_of_amplitude)
+                                 pe_outcome_distribution, qsearch,
+                                 qsearch_analytic, theta_of_amplitude)
 from qsimplex.statevector import prepare_sparse_state
 from qsimplex.verify import pe_success_probability
 
@@ -46,8 +47,8 @@ def test_pe_distribution_sums_to_one():
 
 
 def test_pe_zero_phase():
-    res = phase_estimation(np.eye(2), np.array([1.0, 0.0]), 3, 0.25)
-    assert res.distribution[0] == pytest.approx(1.0)
+    dist = pe_outcome_distribution(0.0, 3 + extra_qubits(0.25))
+    assert dist[0] == pytest.approx(1.0)
 
 
 def test_pe_prop_bound_for_one_third():
@@ -77,23 +78,15 @@ def test_pe_circuit_matches_kernel_on_eigenstate():
 
 
 def test_pe_non_eigenstate_falls_back_to_circuit():
+    # on a superposition of eigenstates the circuit gives the mixture of
+    # their kernels, weighted by the squared overlaps
     phi1, phi2 = 0.2, 0.45
     U = np.diag([np.exp(2j * np.pi * phi1), np.exp(2j * np.pi * phi2)])
     psi = np.array([0.6, 0.8])
-    res = phase_estimation(U, psi, 3, 0.25)
-    expected = 0.36 * pe_outcome_distribution(phi1, res.bits) \
-        + 0.64 * pe_outcome_distribution(phi2, res.bits)
-    assert tv_distance(res.distribution, expected) < 1e-12
-
-
-def test_pe_sampling_reproducible():
-    rng1 = np.random.default_rng(9)
-    rng2 = np.random.default_rng(9)
-    U = np.diag([np.exp(2j * np.pi * 0.37), 1.0])
-    psi = np.array([1.0, 0.0])
-    a = phase_estimation(U, psi, 4, 0.25, mode="sampling", rng=rng1)
-    b = phase_estimation(U, psi, 4, 0.25, mode="sampling", rng=rng2)
-    assert a.y == b.y
+    t = 3 + extra_qubits(0.25)
+    expected = 0.36 * pe_outcome_distribution(phi1, t) \
+        + 0.64 * pe_outcome_distribution(phi2, t)
+    assert tv_distance(pe_circuit_distribution(U, psi, t), expected) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +173,125 @@ def test_ae_readout_matches_table_argmax(bits):
 
 
 def test_analytic_ae_builds_no_table(monkeypatch):
-    # an 18-bit analytic readout never evaluates the kernel table unless it
-    # is asked to keep it, and reads out the fold of the table's argmax
+    # an 18-bit analytic readout never evaluates the kernel table and reads
+    # out the fold of the table's argmax
     import qsimplex.primitives as primitives
 
     state = np.array([0.6, 0.8])
-    table = ae_distribution(float(abs(state[0]) ** 2), 18)
-    y = int(np.argmax(table))
-    kept = amplitude_estimation(state, 0, 18, keep_distribution=True)
+    y = int(np.argmax(ae_distribution(float(abs(state[0]) ** 2), 18)))
     monkeypatch.setattr(primitives, "pe_outcome_distribution", None)
-    fast = amplitude_estimation(state, 0, 18)
-    assert fast.distribution is None
-    assert fast.y == kept.y == min(y, 2 ** 18 - y)
-    assert np.array_equal(kept.distribution, table)
+    assert amplitude_estimation(state, 0, 18).y == min(y, 2 ** 18 - y)
+
+
+def sampling_amplitudes(bits: int, rng) -> list[float]:
+    """Random a, a = 0 and 1, theta M on the grid and at half-integers, and
+    theta within a few steps of 0 and of 1/2, where the windows around the
+    two kernel peaks wrap past 0 and M or merge at M/2."""
+    M = 2 ** bits
+    steps = (1, 2.5, M // 3, M // 4 + 0.5, M // 2 - 1, M // 2 - 2.5,
+             *rng.uniform(0, M // 2, 3))
+    phases = [k / M for k in steps] + [1e-9, 0.5 - 1e-9]
+    return [0.0, 1.0, *rng.uniform(0.0, 1.0, 4),
+            *(math.sin(math.pi * theta) ** 2 for theta in phases)]
+
+
+@pytest.mark.parametrize("bits", range(1, 21))
+def test_ae_sample_matches_choice(bits):
+    # the same index as rng.choice on the full table, and the same
+    # generator state after it, one draw or fifteen at a time
+    rng = np.random.default_rng(100 + bits)
+    for a in sampling_amplitudes(bits, rng):
+        dist = ae_distribution(a, bits)
+        for size in (None, 15):
+            seed = int(rng.integers(2 ** 32))
+            drawn, expected = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = ae_sample(a, bits, drawn, size=size)
+            want = expected.choice(2 ** bits, size=size, p=dist)
+            assert type(got) is type(want), (a, size)
+            assert np.array_equal(got, want), (a, size)
+            assert drawn.random() == expected.random(), (a, size)
+
+
+def assert_quantile_matches(a: float, bits: int, probes) -> None:
+    """``ae_quantile`` against the table's inverse-CDF map, one uniform at a
+    time, so that each probe is decided on its own."""
+    cdf = ae_distribution(a, bits).cumsum()
+    cdf /= cdf[-1]
+    for u in probes:
+        assert ae_quantile(a, bits, u) == int(cdf.searchsorted(u, side="right")), (a, u)
+
+
+@pytest.mark.parametrize("bits", (10, 12, 14, 16))
+def test_ae_quantile_on_cdf_boundaries(bits):
+    # uniforms on the table's CDF values and one ulp either side, at grid
+    # points next to both peaks, at the window ends next to the gaps and
+    # inside the gaps
+    M = 2 ** bits
+    W = _AE_WINDOW
+    rng = np.random.default_rng(bits)
+    for theta in (rng.uniform(0.1, 0.4), 3.3 / M, 0.5 - 2.7 / M):
+        a = math.sin(math.pi * theta) ** 2
+        cdf = ae_distribution(a, bits).cumsum()
+        cdf /= cdf[-1]
+        c = round(theta * M)
+        ks = {c + d for d in (-2, -1, 0, 1)} | {M - c + d for d in (-2, -1, 0, 1)}
+        ks |= {c + d for d in (-W - 1, -W, W - 1, W, W + 1)}
+        ks |= {M - c + d for d in (-W - 1, -W, W - 1, W, W + 1)}
+        ks |= {M // 4, M // 2 - W // 2 - c // 2, 3 * M // 4}
+        probes = []
+        for k in sorted(k % M for k in ks):
+            probes += [np.nextafter(cdf[k], 0.0), cdf[k], np.nextafter(cdf[k], 1.0)]
+        assert_quantile_matches(a, bits, [u for u in probes if u < 1.0])
+
+
+def test_ae_gap_sums_match_table():
+    # closed-form sums over the runs of grid points outside the windows
+    # around both peaks, against direct sums of the kernel evaluated from
+    # the exact grid offset, and against the table's own sums, whose values
+    # carry the rounding of the table's phase offsets (at magnitude up to 1)
+    rng = np.random.default_rng(5)
+    for bits in (10, 14, 18):
+        M = 2 ** bits
+        y = np.arange(M)
+        for theta in (*rng.uniform(0.0, 0.5, 4), 0.25, 2.5 / M, 0.5 - 1.5 / M):
+            c = round(theta * M)
+            near = np.zeros(M, dtype=bool)
+            for center in (c, M - c):
+                near[(center + np.arange(-_AE_WINDOW, _AE_WINDOW + 1)) % M] = True
+            far = np.flatnonzero(~near)
+            runs = np.split(far, np.flatnonzero(np.diff(far) > 1) + 1)
+            starts = np.array([run[0] for run in runs])
+            ends = np.array([run[-1] for run in runs])
+            s2 = math.sin(math.pi * (theta * M - c)) ** 2
+            sums = _kernel_gap_sums((theta * M, M - theta * M), starts, ends, M, s2)
+            for row, phi in enumerate((theta, -theta)):
+                offset = phi * M - y
+                offset -= M * np.round(offset / M)
+                with np.errstate(divide="ignore", invalid="ignore"):  # at the peaks
+                    exact = s2 / (M * np.sin(np.pi * offset / M)) ** 2
+                table = _fejer(phi, y, M)
+                noise = M * 2.0 ** -52 / _AE_WINDOW
+                for i, run in enumerate(runs):
+                    assert abs(sums[row, i] - math.fsum(exact[run])) < 1e-15
+                    assert abs(sums[row, i] - math.fsum(table[run])) < noise
+
+
+def test_sampled_ae_far_from_boundaries_builds_no_table(monkeypatch):
+    # an 18-bit sampled readout whose uniform lies inside a window, away
+    # from every interval end, never evaluates the kernel table
+    import qsimplex.primitives as primitives
+
+    state = np.array([0.6, 0.8])
+    dist = ae_distribution(0.36, 18)
+    cdf = dist.cumsum() / dist.sum()
+    u = np.random.default_rng(3).random()
+    y = int(cdf.searchsorted(u, side="right"))
+    assert min(u - cdf[y - 1], cdf[y] - u) > 1e-6
+    assert dist[y] > 1e-3  # next to a peak, so inside its window
+    monkeypatch.setattr(primitives, "pe_outcome_distribution", None)
+    out = amplitude_estimation(state, 0, 18, mode="sampling",
+                               rng=np.random.default_rng(3))
+    assert out.y == y
 
 
 def test_ae_charges_repetitions():
@@ -312,17 +411,3 @@ def test_query_stats_monotone_add():
     assert a.u_calls == 3
     assert a.grover_iterations == 3
     assert a.scaled(2.0).u_calls == 6
-
-
-def test_pe_analytic_vs_sampled_tv():
-    # phase estimation, both modes: empirical distribution of 10^4 draws
-    # within 0.05 TV of the exact kernel
-    rng = np.random.default_rng(23)
-    phi = 0.2731
-    U = np.diag([np.exp(2j * np.pi * phi), 1.0])
-    psi = np.array([1.0, 0.0])
-    res = phase_estimation(U, psi, 4, 0.25)
-    draws = [phase_estimation(U, psi, 4, 0.25, mode="sampling", rng=rng).y
-             for _ in range(10_000)]
-    assert tv_distance(res.distribution,
-                       empirical_distribution(draws, res.distribution.size)) <= 0.05

@@ -6,23 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsimplex.lp import ZeroVector
-from qsimplex.statevector import StateVector, prepare_sparse_state
+from qsimplex.statevector import prepare_sparse_state
 
 TREE_COST_CONSTANT = 4  # frozen: gate_cost <= C d log2(m) for the tree prep
 
 
-def test_state_vector_norm_enforced():
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0]))
-    sv = StateVector(np.array([1.0, 0.0]))
-    assert sv.num_qubits == 1
-
-
 def test_from_vector_pads_and_normalizes():
-    sv = StateVector.from_vector([3.0, 0.0, 4.0])
-    assert sv.amplitudes.size == 4
-    assert sv.probabilities()[0] == pytest.approx(0.36)
-    assert sv.probabilities()[2] == pytest.approx(0.64)
+    state = prepare_sparse_state([3.0, 0.0, 4.0]).state
+    assert state.size == 4
+    assert np.abs(state) ** 2 == pytest.approx([0.36, 0.0, 0.64, 0.0])
 
 
 def test_prepare_single_nonzero_is_basis_state():
@@ -105,10 +97,3 @@ def test_gate_cost_counts_tree_nodes():
     prep = prepare_sparse_state(np.array([1.0, -1.0, 0.0, 0.0]))
     assert prep.gate_cost == 2
 
-
-def test_sampling_matches_probabilities():
-    rng = np.random.default_rng(11)
-    sv = StateVector.from_vector([1.0, 2.0, 2.0, 0.0])
-    samples = sv.sample(rng, shots=20000)
-    freq = np.bincount(samples, minlength=4) / 20000
-    assert np.allclose(freq, sv.probabilities(), atol=0.02)
