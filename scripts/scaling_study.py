@@ -21,7 +21,7 @@ def ae_repetitions_vs_eps(eps_values):
     rows = []
     for eps in eps_values:
         stats = QueryStats()
-        sign_est(0.0, None, float(eps), "nfn", mode="analytic", stats=stats)
+        sign_est(0.0, None, float(eps), "nfn", stats=stats)
         rows.append({"eps": float(eps), "ae_repetitions": stats.ae_repetitions})
     slope = np.polyfit(np.log([r["eps"] for r in rows]),
                        np.log([r["ae_repetitions"] for r in rows]), 1)[0]

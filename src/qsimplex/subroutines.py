@@ -43,7 +43,7 @@ import numpy as np
 from .costmodel import column_split, split_threshold  # re-exported  # noqa: F401
 from .lp import (BasisSingular, BasisState, LpInstance, ZeroColumn,
                  ZeroVector, normalize, scaled_basis_matrix)
-from .primitives import (AEOutcome, AllInfinite, QueryStats, _charge_pe,
+from .primitives import (AllInfinite, QueryStats, _charge_pe,
                          ae_distribution, ae_sample, amplitude_estimation,
                          bracketing_grid_points, grover_count_exists,
                          min_finding, qsearch, qsearch_analytic,
@@ -164,7 +164,6 @@ class SignEstResult:
     in_tol: bool            # folded readout within the phase tolerance
     prob_one: float
     theta_true: float
-    outcome: AEOutcome | None = None
 
 
 def _readout_flags(y, theta: float, spec: SignEstSpec):
@@ -192,34 +191,21 @@ def sign_est_prob_one(alpha: float, eps: float, kind: str,
 
 
 def sign_est(prep, k: int | None, eps: float, kind: str,
-             mode: str = "analytic", rng: np.random.Generator | None = None,
              stats: QueryStats | None = None,
              threshold_shift: float = 0.0) -> SignEstResult:
     """One run of a sign-estimation routine on the target amplitude.
 
-    Analytic mode returns the maximum-likelihood decision together with
-    the exact probability of returning 1; sampling mode draws the AE
-    readout with ``ae_sample``.  ``stats`` is charged the phase estimation
-    only.
+    Returns the maximum-likelihood decision together with the exact
+    probability of returning 1.  Sampled votes are drawn by
+    ``boosted_sign_est``.  ``stats`` is charged the phase estimation only.
     """
     alpha = _target_alpha(prep, k)
     spec = sign_est_spec(eps, kind, threshold_shift)
-    a, theta = _gadget_phase(alpha, spec)
-    _, dist, ones, _ = _gadget_tables(alpha, spec)
+    theta, dist, ones, _ = _gadget_tables(alpha, spec)
     prob_one = float(dist[ones].sum())
     _charge_pe(stats, spec.bits)
-    if mode == "analytic":
-        y = int(np.argmax(dist))
-        outcome = AEOutcome(bits=spec.bits, theta_true=theta, y=y)
-        return SignEstResult(value=int(prob_one >= 0.5), in_tol=True,
-                             prob_one=prob_one, theta_true=theta, outcome=outcome)
-    if mode != "sampling":
-        raise ValueError(f"unknown mode {mode!r}")
-    y = ae_sample(a, spec.bits, rng)
-    value, in_tol = _readout_flags(y, theta, spec)
-    outcome = AEOutcome(bits=spec.bits, theta_true=theta, y=y)
-    return SignEstResult(value=int(value), in_tol=bool(in_tol),
-                         prob_one=prob_one, theta_true=theta, outcome=outcome)
+    return SignEstResult(value=int(prob_one >= 0.5), in_tol=True,
+                         prob_one=prob_one, theta_true=theta)
 
 
 @dataclass(frozen=True)

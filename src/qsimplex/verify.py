@@ -395,7 +395,7 @@ def scaling_suite(seed: int = 20_260_505, grover_runs: int = 200) -> SuiteResult
     for eps in eps_values:
         stats = QueryStats()
         from .subroutines import sign_est
-        sign_est(0.0, None, float(eps), "nfn", mode="analytic", stats=stats)
+        sign_est(0.0, None, float(eps), "nfn", stats=stats)
         reps_counts.append(stats.ae_repetitions)
     slope = np.polyfit(np.log(eps_values), np.log(reps_counts), 1)[0]
     out.line(abs(slope + 1.0) <= 0.1,
