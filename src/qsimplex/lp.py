@@ -233,8 +233,9 @@ def normalize(instance: LpInstance, basis, eps_prime: float = 1e-4,
     cost_scale = 1.0 if degenerate else 1.0 / c_B_norm
 
     kappa = 1.0 / (matrix_scale * float(svals[-1]))
-    d_r = int(max((np.count_nonzero(row) for row in B), default=0))
-    nonbasic = tuple(j for j in range(instance.n) if j not in set(cols))
+    d_r = int(np.count_nonzero(B, axis=1).max())
+    basic = set(cols)
+    nonbasic = tuple(j for j in range(instance.n) if j not in basic)
     return BasisState(
         basis=cols,
         nonbasic=nonbasic,

@@ -59,17 +59,20 @@ class QueryStats:
     basic_gates: float = 0.0
 
     def add(self, other: "QueryStats") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _STATS_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def scaled(self, factor: float) -> "QueryStats":
         out = QueryStats()
-        for f in fields(self):
-            setattr(out, f.name, getattr(self, f.name) * factor)
+        for name in _STATS_FIELDS:
+            setattr(out, name, getattr(self, name) * factor)
         return out
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _STATS_FIELDS}
+
+
+_STATS_FIELDS = tuple(f.name for f in fields(QueryStats))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,19 @@ estimation run over a solver-prepared state (phase estimation plus
 alone; the exact solutions behind those invocations are computed once per
 basis by ``ScaledBasis.build`` and cost nothing.
 
+Sweeps: IsOptimal and FindColumn apply CanEnter to every nonbasic column,
+IsUnbounded and the FindRow gate a sign estimation to every row.  In
+analytic mode under zero or worst solver error nothing is drawn, so a
+sweep is decided in one array pass (``_sweep_sign_values``) over
+amplitudes read off ``ScaledBasis.solutions``, with worst error in closed
+form.  They differ from the per-column path's by rounding alone, below a
+stated bound eta; an entry whose decision could change within eta (its
+bracketing grid points straddle the threshold, or under worst error it
+lies within eta of the boundary or next to +-1) runs through the
+per-column path, so every decision is the one it would make.  Sampling and
+random-error modes draw per column, in the order that fixes their
+generator streams, and keep the per-column loop.
+
 Each subroutine run owns its generator and counters; inputs are immutable,
 so independent runs are safe to parallelize from the caller's side.
 """
@@ -323,6 +336,16 @@ class ScaledBasis:
         w = np.concatenate([-self.c[list(self.state.basis)], [1.0]])
         return w / np.linalg.norm(w)
 
+    @functools.cached_property
+    def reduced_cost_amplitudes(self) -> np.ndarray:
+        """``<w|(u_k, c_k)> / |(u_k, c_k)|`` for every column k of ``domain``
+        in order, with ``w = |(-c_B, 1)>``: the amplitudes a pricing sweep
+        reads before error injection, from one matrix-vector product (within
+        a few ulps of ``red_cost_sample``'s ``alpha_exact``)."""
+        cols = list(self.domain)
+        ext = np.vstack([self.solutions[:, cols], self.c[cols]])
+        return (self.cost_vector_gadget @ ext) / np.linalg.norm(ext, axis=0)
+
 
 def estimation_cost(qlsa: IdealQlsa, eps_ls: float, bits: int) -> QueryStats:
     """Cost of one estimation run over a solver-prepared state: phase
@@ -339,6 +362,109 @@ def _unit(m: int, h: int) -> np.ndarray:
     e = np.zeros(m)
     e[h] = 1.0
     return e
+
+
+# ---------------------------------------------------------------------------
+# batched analytic sweeps
+
+# The batched and per-entry amplitudes of an entry differ only in how their
+# dot products and norms round, by a few ``dim`` ulps; eta0 = _SWEEP_ULPS *
+# dim * 2^-53 bounds that with a wide margin.
+_SWEEP_ULPS = 64
+# Under worst error the injection divides by sqrt(1 - alpha0^2), which
+# amplifies that rounding; entries with 1 - alpha0^2 below this go per entry
+# (``inject_error``'s degenerate branch needs it below about 1e-24).
+_SWEEP_MIN_PERP2 = 1e-6
+
+
+def _batched(mode: str, error_mode: str) -> bool:
+    """Whether a sweep is decided in one array pass: analytic mode under
+    zero or worst solver error draws nothing, so no generator stream fixes
+    the order of its entries."""
+    return mode == "analytic" and error_mode != "random"
+
+
+def _sweep_eta(dim: int) -> float:
+    """Bound on the batched-vs-per-entry amplitude difference, before error
+    injection, of a solution state in ``dim`` dimensions."""
+    return _SWEEP_ULPS * dim * 2.0 ** -53
+
+
+def _bracket_decisions(alpha: np.ndarray, spec: SignEstSpec):
+    """``spec.decide`` at the two grid points bracketing ``theta M`` of
+    each target amplitude, as analytic ``boosted_sign_est`` reads them."""
+    m_size = 2 ** spec.bits
+    amp = (1.0 - alpha) / 2.0 if spec.flipped else (1.0 + alpha) / 2.0
+    theta_m = np.arcsin(np.sqrt(np.clip(amp, 0.0, 1.0) ** 2)) / math.pi * m_size
+    return spec.decide(np.floor(theta_m) / m_size), spec.decide(np.ceil(theta_m) / m_size)
+
+
+def _sweep_sign_values(alpha0: np.ndarray, eps_ls: float, spec: SignEstSpec,
+                       error_mode: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic ``boosted_sign_est`` values of a whole sweep, and the indices
+    of the entries left to the per-entry path.
+
+    ``alpha0`` holds each entry's overlap ``<w|x>`` of its exact solution
+    state x with the unit functional w read off it.  Worst error uses
+    ``inject_error``'s closed form: x turns by ``phi = 2 asin(eps_ls/2)`` in
+    the plane of x and w, toward ``spec.alpha_boundary``, so the amplitude
+    becomes ``cos(phi) alpha0 + sin(phi) sqrt(1 - alpha0^2)`` below the
+    boundary and ``cos(phi) alpha0 - sin(phi) sqrt(1 - alpha0^2)`` above it.
+
+    An entry is decided here only when the two bracketing grid points agree
+    at both ``alpha - eta`` and ``alpha + eta``, where eta bounds the
+    difference between its amplitude here and the per-entry path's
+    (``_sweep_eta``, times ``1 + sin(phi)/sqrt(1 - alpha0^2)`` under worst
+    error).  Every step from the amplitude to the decision is monotone, so
+    the per-entry path then decides the same.  Entries whose two points
+    straddle the threshold are left undecided (the per-entry path sums the
+    table), and under worst error so are entries within eta of the
+    boundary, where the injection's direction is a toss-up, and entries
+    with ``1 - alpha0^2 < _SWEEP_MIN_PERP2``.
+    """
+    eta = _sweep_eta(dim)
+    undecided = np.zeros(alpha0.shape, dtype=bool)
+    alpha = alpha0
+    if error_mode == "worst":
+        phi = 2.0 * math.asin(eps_ls / 2.0)
+        perp2 = 1.0 - alpha0 * alpha0
+        undecided = (perp2 < _SWEEP_MIN_PERP2) | (np.abs(alpha0 - spec.alpha_boundary) <= eta)
+        perp = np.sqrt(np.maximum(perp2, _SWEEP_MIN_PERP2))
+        sign = np.where(alpha0 < spec.alpha_boundary, 1.0, -1.0)
+        alpha = math.cos(phi) * alpha0 + sign * math.sin(phi) * perp
+        eta = eta * (1.0 + math.sin(phi) / perp)
+    lo_minus, hi_minus = _bracket_decisions(alpha - eta, spec)
+    lo_plus, hi_plus = _bracket_decisions(alpha + eta, spec)
+    undecided |= (lo_minus != hi_minus) | (lo_plus != hi_plus) | (lo_minus != lo_plus)
+    return lo_minus.astype(int), np.flatnonzero(undecided)
+
+
+def _row_votes(scaled: ScaledBasis, u: np.ndarray, eps_ls: float, eps_se: float,
+               kind: str, reps: int, mode: str, rng: np.random.Generator | None,
+               threshold_shift: float):
+    """Boosted sign-estimation votes on every component ``u_h/|u|`` of a
+    direction, read from solver states at precision ``eps_ls`` with the
+    adversary ``e_h``, as an iterator in row order.  Unless the sweep is
+    batched, each row is run when the iterator reaches it, so a caller's
+    own draws per row stay interleaved with the votes' draws."""
+    m = u.size
+    spec = sign_est_spec(eps_se, kind, threshold_shift)
+
+    def vote(h: int) -> BoostedResult:
+        sol = scaled.qlsa.solve(u, eps_ls, adversary=_unit(m, h),
+                                threshold=spec.alpha_boundary)
+        return boosted_sign_est(float(sol.state[h]), eps_se, kind, reps, mode,
+                                rng, threshold_shift=threshold_shift)
+
+    if not _batched(mode, scaled.error_mode):
+        return map(vote, range(m))
+    values, undecided = _sweep_sign_values(u / np.linalg.norm(u), eps_ls, spec,
+                                           scaled.error_mode, m)
+    votes = [BoostedResult(value=int(v), ok=True, ones=int(v) * reps,
+                           in_tol_count=reps) for v in values]
+    for h in undecided:
+        votes[h] = vote(int(h))
+    return iter(votes)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +541,38 @@ def can_enter(scaled: ScaledBasis, k: int, eps: float, reps: int = 15,
                           reduced_cost_scaled=sample.alpha_exact * math.sqrt(2.0))
 
 
+def _can_enter_sweep(scaled: ScaledBasis, eps: float, reps: int, variant: str,
+                     mode: str, rng: np.random.Generator | None,
+                     threshold_shift: float):
+    """CanEnter on every column of ``scaled.domain``: the columns it fires
+    on, whether every decision's tolerance flags held, and the
+    ``CanEnterResult`` of each column run through ``can_enter``.  A batched
+    sweep decides from ``scaled.reduced_cost_amplitudes`` and runs only the
+    columns ``_sweep_sign_values`` leaves undecided."""
+    domain = scaled.domain
+
+    def run(k: int) -> CanEnterResult:
+        return can_enter(scaled, k, eps, reps, variant, mode, rng,
+                         threshold_shift=threshold_shift)
+
+    if not _batched(mode, scaled.error_mode):
+        results = {k: run(k) for k in domain}
+        fires = [results[k].value for k in domain]
+    else:
+        spec = sign_est_spec(11.0 * eps / (10.0 * math.sqrt(2.0)), variant,
+                             threshold_shift)
+        signs, undecided = _sweep_sign_values(
+            scaled.reduced_cost_amplitudes, eps / (10.0 * math.sqrt(2.0)), spec,
+            scaled.error_mode, scaled.instance.m + 1)
+        fires = 1 - signs
+        results = {}
+        for i in undecided:
+            results[domain[i]] = run(domain[i])
+            fires[i] = results[domain[i]].value
+    marked = tuple(k for k, fire in zip(domain, fires) if fire == 1)
+    return marked, all(res.ok for res in results.values()), results
+
+
 def can_enter_cost(scaled: ScaledBasis, eps: float, reps: int,
                    variant: str = "nfn") -> QueryStats:
     """Deterministic cost of one boosted CanEnter oracle application."""
@@ -456,14 +614,8 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
     domain = list(scaled.domain)
     skipped = tuple(sorted(set(scaled.state.nonbasic).difference(domain)))
 
-    decisions = {}
-    all_ok = True
-    for k in domain:
-        res = can_enter(scaled, k, eps, reps, variant, mode, rng,
-                        threshold_shift=threshold_shift)
-        decisions[k] = res
-        all_ok = all_ok and res.ok
-    marked = tuple(k for k in domain if decisions[k].value == 1)
+    marked, all_ok, decisions = _can_enter_sweep(scaled, eps, reps, variant, mode,
+                                                 rng, threshold_shift)
 
     per_call = can_enter_cost(scaled, eps, reps, variant)
     confirm_ok = True
@@ -490,6 +642,9 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
         retry = find_column(scaled, eps, reps, mode, rng, stats, variant="nfp",
                             recover_with_nfp=False, threshold_shift=threshold_shift)
         return retry
+    if found is not None and found not in decisions:  # batched sweep, no draws
+        decisions[found] = can_enter(scaled, found, eps, reps, variant, mode, rng,
+                                     threshold_shift=threshold_shift)
     return FindColumnResult(column=found, ok=confirm_ok and found is not None,
                             variant=variant, marked=marked, decisions_ok=all_ok,
                             stats=stats, skipped_zero=skipped,
@@ -520,11 +675,8 @@ def is_optimal(scaled: ScaledBasis, eps: float, reps: int = 15,
     domain = list(scaled.domain)
     if not domain:
         return IsOptimalResult(value=1, ok=True, marked=())
-    decisions = {k: can_enter(scaled, k, eps, reps, "nfp", mode, rng,
-                              threshold_shift=threshold_shift)
-                 for k in domain}
-    marked = tuple(k for k in domain if decisions[k].value == 1)
-    ok = all(decisions[k].ok for k in domain)
+    marked, ok, _ = _can_enter_sweep(scaled, eps, reps, "nfp", mode, rng,
+                                     threshold_shift)
     iters_before = stats.grover_iterations
     exists = grover_count_exists(domain, marked, rng, stats, mode)
     activations = stats.grover_iterations - iters_before
@@ -559,13 +711,8 @@ def is_unbounded(scaled: ScaledBasis, k: int, delta: float, reps: int = 15,
     eps_se = 9.0 * delta / 10.0
     spec = sign_est_spec(eps_se, "nfn_plus", threshold_shift)
     m = scaled.instance.m
-    votes = []
-    for h in range(m):
-        sol = scaled.qlsa.solve(u, eps_ls, adversary=_unit(m, h),
-                                threshold=spec.alpha_boundary)
-        votes.append(boosted_sign_est(float(sol.state[h]), eps_se, "nfn_plus",
-                                      reps, mode, rng,
-                                      threshold_shift=threshold_shift))
+    votes = list(_row_votes(scaled, u, eps_ls, eps_se, "nfn_plus", reps, mode, rng,
+                            threshold_shift))
     marked = tuple(h for h in range(m) if votes[h].value == 1)
     ok = all(vote.ok for vote in votes)
     iters_before = stats.grover_iterations
@@ -629,17 +776,15 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
     all_ok = True
     num_est = np.zeros(m)
     den_est = np.zeros(m)
-    for h in range(m):
-        adversary = _unit(m, h)
-        gate_sol = scaled.qlsa.solve(u, gate_eps, adversary=adversary,
-                                     threshold=gate_spec.alpha_boundary)
+    gates = _row_votes(scaled, u, gate_eps, gate_eps, "nfp_plus", reps, mode, rng,
+                       threshold_shift)
+    for h, gate in enumerate(gates):
         stats.add(gate_cost)
-        gate = boosted_sign_est(float(gate_sol.state[h]), gate_eps, "nfp_plus",
-                                reps, mode, rng, threshold_shift=threshold_shift)
         all_ok = all_ok and gate.ok
         if gate.value != 1:
             continue
         gated.append(h)
+        adversary = _unit(m, h)
         xi = scaled.qlsa.solve(x, eps_ls, adversary=adversary, threshold=0.0)
         psi = scaled.qlsa.solve(u, eps_ls, adversary=adversary, threshold=0.0)
         stats.add(ae_cost)

@@ -16,7 +16,8 @@ from qsimplex.classical import pivot_report
 from qsimplex.instances import random_bounded_lp, random_lp
 from qsimplex.lp import LpInstance, slack_identity_basis
 from qsimplex.primitives import QueryStats
-from qsimplex.subroutines import PrecisionParams, simplex_iter, solve_quantum
+from qsimplex.subroutines import (PrecisionParams, ScaledBasis, find_column,
+                                  is_optimal, simplex_iter, solve_quantum)
 
 GENERATORS = {"random_lp": random_lp, "random_bounded_lp": random_bounded_lp}
 FLOAT_COUNTERS = ("p_ab_queries", "p_b_queries", "basic_gates")
@@ -76,7 +77,23 @@ CASES = [
      ("pivot", 1, 53, True),
      (23034880.0, 11517440.0, 23037390.0, 7102335409311443.0,
       6545797792.602453, 563.0, 11517440.0, 1.0530947639657554e+19)),
+    ("random_lp", 64, 0, 24, "analytic", "worst",
+     ("pivot", 1, 53, True),
+     (24083456.0, 12041728.0, 24085968.0, 7614695616974303.0,
+      6880931986.954368, 563.0, 12041728.0, 1.1464956284075305e+19)),
 ]
+
+# pricing step (IsOptimal, then FindColumn) on Dantzig basis #5 of
+# random_lp(128, 384, seed=0): error mode -> ((IsOptimal value, ok, number
+# and sum of marked columns), (column, variant, ok, number and sum of marked
+# columns), reduced_cost_scaled at the pick); the counters are the same in
+# both error modes
+PRICING_CASES = {
+    "zero": ((0, True, 82, 11114), (4, "nfp", True, 82, 11114), -0.09375880074742036),
+    "worst": ((0, True, 83, 11120), (2, "nfp", True, 83, 11120), -0.06867627114269194),
+}
+PRICING_COUNTERS = (5360640.0, 2680320.0, 5361465.0, 1632612141277243.0,
+                    1299714411.698587, 54.0, 2680320.0, 1.0473346561704454e+18)
 
 
 def dantzig_basis(instance, steps: int) -> tuple[int, ...]:
@@ -100,6 +117,45 @@ def test_simplex_iter_pinned(gen, m, seed, step, mode, error_mode, verdict, coun
             assert value == pytest.approx(expected[name], rel=1e-12, abs=0), name
         else:
             assert value == expected[name], name
+
+
+@pytest.mark.parametrize("error_mode", sorted(PRICING_CASES))
+def test_pricing_step_pinned(error_mode):
+    # the pricing step iterbench's price-large workload runs, at its size
+    inst = random_lp(128, 384, seed=0)
+    scaled = ScaledBasis.build(inst, dantzig_basis(inst, 5), error_mode=error_mode)
+    stats = QueryStats()
+    opt = is_optimal(scaled, 0.1, 15, "analytic", None, stats)
+    variant = "nfp" if opt.value == 1 else "nfn"
+    fc = find_column(scaled, 0.1, 15, "analytic", None, stats, variant=variant,
+                     recover_with_nfp=opt.value == 0)
+    got = ((opt.value, opt.ok, len(opt.marked), sum(opt.marked)),
+           (fc.column, fc.variant, fc.ok, len(fc.marked), sum(fc.marked)),
+           fc.reduced_cost_scaled)
+    assert got == PRICING_CASES[error_mode]
+    assert tuple(stats.as_dict().values()) == PRICING_COUNTERS
+
+
+@pytest.mark.parametrize("error_mode", ["zero", "worst"])
+def test_analytic_pricing_runs_few_columns_alone(monkeypatch, error_mode):
+    # the m=64 pivot pinned above decides its 2 x 128 CanEnter calls in
+    # batched sweeps; only the entries those leave undecided and the pick's
+    # reduced cost go through red_cost_sample (384 calls column by column)
+    import qsimplex.subroutines as subroutines
+
+    calls = []
+    sample = subroutines.red_cost_sample
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(subroutines, "red_cost_sample", counting)
+    inst = random_lp(64, 192, seed=0)
+    out = simplex_iter(inst, dantzig_basis(inst, 24), PrecisionParams(),
+                       "analytic", error_mode, np.random.default_rng(24))
+    assert (out.status, out.entering, out.leaving_row) == ("pivot", 1, 53)
+    assert 1 <= len(calls) <= 8
 
 
 @pytest.mark.parametrize("mode,error_mode", [("analytic", "worst"),

@@ -13,13 +13,17 @@ from qsimplex.instances import (embed_basis_instance, random_bounded_lp,
                                 random_lp, random_unbounded_lp,
                                 ratio_test_triple)
 from qsimplex.lp import LpInstance, slack_identity_basis
+from qsimplex.qlsa import IdealQlsa
 from qsimplex.statevector import prepare_sparse_state
 from qsimplex.subroutines import (SIGN_EST_KINDS, PrecisionParams, ScaledBasis,
-                                  boosted_sign_est, can_enter, find_column,
-                                  find_row, is_optimal, is_unbounded,
-                                  norm_estimate, red_cost_sample, sign_est,
-                                  sign_est_prob_one, sign_est_spec,
+                                  _can_enter_sweep, _row_votes, _sweep_eta,
+                                  _sweep_sign_values, boosted_sign_est,
+                                  can_enter, find_column, find_row, is_optimal,
+                                  is_unbounded, norm_estimate, red_cost_sample,
+                                  sign_est, sign_est_prob_one, sign_est_spec,
                                   simplex_iter, solve_quantum)
+from test_iteration import CASES, dantzig_basis
+from test_iteration import GENERATORS as ITERATION_GENERATORS
 
 SQRT3PI = math.sqrt(3.0) * math.pi
 
@@ -413,6 +417,114 @@ def test_find_row_t100_close_to_classical():
         if fr.row is not None and fr.ok and u[fr.row] > 0:
             good += x[fr.row] / u[fr.row] <= bound + 1e-9
     assert good >= 22
+
+
+# ---------------------------------------------------------------------------
+# batched analytic sweeps: every decision equals the per-entry path's
+
+PINNED_BASES = sorted({case[:4] for case in CASES if case[4] == "analytic"})
+PRICING_EPS = (0.1 / (10 * math.sqrt(2)), 11 * 0.1 / (10 * math.sqrt(2)))
+# sign-estimation kind -> (solver precision, sign-estimation precision) of the
+# sweep that uses it, at eps = delta = 0.1
+SWEEPS = {"nfp": PRICING_EPS, "nfn": PRICING_EPS, "nfn_plus": (0.01, 0.09),
+          "nfp_plus": (0.05, 0.05)}
+
+
+def _row_vote_reference(scaled, u, kind):
+    """The per-row loop: one solver state and boosted vote per row."""
+    eps_ls, eps_se = SWEEPS[kind]
+    threshold = sign_est_spec(eps_se, kind).alpha_boundary
+    m = u.size
+    values = []
+    for h in range(m):
+        state = scaled.qlsa.solve(u, eps_ls, adversary=np.eye(m)[h],
+                                  threshold=threshold).state
+        values.append(boosted_sign_est(float(state[h]), eps_se, kind, 15).value)
+    return values
+
+
+@pytest.mark.parametrize("error_mode", ["zero", "worst"])
+@pytest.mark.parametrize("gen,m,seed,step", PINNED_BASES)
+def test_batched_sweeps_match_per_entry_path(gen, m, seed, step, error_mode):
+    # IsOptimal's and FindColumn's pricing sweeps against can_enter on every
+    # column; IsUnbounded's rows and FindRow's gate against the per-row loop
+    # on the directions of up to 8 columns
+    inst = ITERATION_GENERATORS[gen](m, 3 * m, seed=seed)
+    scaled = ScaledBasis.build(inst, dantzig_basis(inst, step), error_mode=error_mode)
+    for variant in ("nfp", "nfn"):
+        marked, ok, _ = _can_enter_sweep(scaled, 0.1, 15, variant, "analytic",
+                                         None, 0.0)
+        expected = tuple(k for k in scaled.domain
+                         if can_enter(scaled, k, 0.1, 15, variant).value == 1)
+        assert (marked, ok) == (expected, True), variant
+    for k in scaled.domain[::max(1, len(scaled.domain) // 8)]:
+        u = scaled.direction(k)
+        for kind in ("nfn_plus", "nfp_plus"):
+            eps_ls, eps_se = SWEEPS[kind]
+            votes = list(_row_votes(scaled, u, eps_ls, eps_se, kind, 15,
+                                    "analytic", None, 0.0))
+            assert [vote.value for vote in votes] == _row_vote_reference(
+                scaled, u, kind), (k, kind)
+
+
+def _planted_overlaps(spec, eps_ls, error_mode, eta):
+    """Overlaps alpha0 placed where a batched decision is hardest: the gadget
+    phase theta M within 1e-13 of the grid points around the threshold, a
+    pair inside the interval whose two grid points straddle it (one nearer
+    each end), and under worst error alpha0 within eta of the boundary and
+    next to +-1, where the injection divides by sqrt(1 - alpha0^2)."""
+    M = 2 ** spec.bits
+    j = math.floor(spec.threshold * M)
+    theta_ms = [g + d for g in range(j - 2, j + 4) for d in (-1e-13, 0.0, 1e-13)]
+    theta_ms += [j + 0.1, j + 0.9]
+    targets = []
+    for theta_m in theta_ms:
+        amp = math.sin(math.pi * theta_m / M)
+        targets.append(1.0 - 2.0 * amp if spec.flipped else 2.0 * amp - 1.0)
+    if error_mode == "zero":
+        return targets
+    # overlaps the injection moves onto each target: alpha0 = cos(beta) goes
+    # to cos(beta - phi) below the boundary and to cos(beta + phi) above it
+    phi = 2.0 * math.asin(eps_ls / 2.0)
+    boundary = spec.alpha_boundary
+    overlaps = []
+    for target in targets:
+        beta = math.acos(target)
+        if beta + phi <= math.pi and math.cos(beta + phi) < boundary:
+            overlaps.append(math.cos(beta + phi))
+        if beta - phi >= 0.0 and math.cos(beta - phi) >= boundary:
+            overlaps.append(math.cos(beta - phi))
+    overlaps += [boundary + f * eta for f in (-1.0, -0.25, 0.0, 0.25, 1.0)]
+    overlaps += [-1.0, -1.0 + 1e-9, 1.0 - 1e-9, 1.0]
+    return overlaps
+
+
+@pytest.mark.parametrize("error_mode", ["zero", "worst"])
+@pytest.mark.parametrize("kind", sorted(SWEEPS))
+def test_batched_decisions_on_planted_boundary_entries(kind, error_mode):
+    # a decided entry must match the per-entry path at every overlap within
+    # half the stated bound eta of its own, both sides of the grid points,
+    # the straddling pair and the worst-error boundary included
+    eps_ls, eps_se = SWEEPS[kind]
+    spec = sign_est_spec(eps_se, kind)
+    dim = 129
+    eta = _sweep_eta(dim)
+    rng = np.random.default_rng(7)
+    alpha0 = np.array(_planted_overlaps(spec, eps_ls, error_mode, eta)
+                      + list(rng.uniform(-1.0, 1.0, 50)))
+    values, undecided = _sweep_sign_values(alpha0, eps_ls, spec, error_mode, dim)
+    qlsa = IdealQlsa(2, 1.0, 1, error_mode)
+    for i in sorted(set(range(alpha0.size)) - set(undecided)):
+        for overlap in alpha0[i] + np.array([-0.5, 0.0, 0.5]) * eta:
+            overlap = min(max(overlap, -1.0), 1.0)
+            state = qlsa.solve(np.array([overlap, math.sqrt(1.0 - overlap ** 2)]),
+                               eps_ls, adversary=np.array([1.0, 0.0]),
+                               threshold=spec.alpha_boundary).state
+            expected = boosted_sign_est(float(state[0]), eps_se, kind, 15).value
+            assert values[i] == expected, (i, alpha0[i], overlap)
+    # entries decided only per entry: the straddling pair, and under worst
+    # error the boundary and +-1
+    assert undecided.size >= 2
 
 
 # ---------------------------------------------------------------------------
