@@ -13,15 +13,15 @@ import json
 
 import numpy as np
 
-from qsimplex.primitives import QueryStats, qsearch
-from qsimplex.subroutines import sign_est, sign_est_prob_one
+from qsimplex.primitives import QueryStats, _charge_pe, qsearch
+from qsimplex.subroutines import sign_est_prob_one, sign_est_spec
 
 
 def ae_repetitions_vs_eps(eps_values):
     rows = []
     for eps in eps_values:
         stats = QueryStats()
-        sign_est(0.0, None, float(eps), "nfn", stats=stats)
+        _charge_pe(stats, sign_est_spec(float(eps), "nfn").bits)
         rows.append({"eps": float(eps), "ae_repetitions": stats.ae_repetitions})
     slope = np.polyfit(np.log([r["eps"] for r in rows]),
                        np.log([r["ae_repetitions"] for r in rows]), 1)[0]

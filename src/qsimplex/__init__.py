@@ -19,26 +19,24 @@ from .lp import (BasisSingular, BasisState, LpInstance, ZeroColumn,
 from .primitives import (AllInfinite, QueryStats, amplitude_estimation,
                          min_finding, qsearch)
 from .qlsa import IdealQlsa
-from .statevector import PreparedUnitary, prepare_sparse_state
 from .subroutines import (IterationOutcome, PrecisionParams, ScaledBasis,
                           can_enter, find_column, find_row, is_optimal,
-                          is_unbounded, norm_estimate, sign_est,
-                          simplex_iter, solve_quantum)
+                          is_unbounded, norm_estimate, simplex_iter,
+                          solve_quantum)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllInfinite", "BasisSingular", "BasisState", "ClassicalPivotReport",
     "ClassicalSolution", "CostReport", "IdealQlsa", "IterationOutcome",
-    "LpInstance", "PrecisionParams", "PreparedUnitary", "QueryStats",
-    "ScaledBasis", "ThresholdViolation", "ZeroColumn",
-    "ZeroVector", "amplitude_estimation", "build_cost_report", "can_enter",
-    "classical_pricing_cost", "column_split", "estimate_sigma_max",
-    "find_column", "find_row", "is_optimal", "is_unbounded", "min_finding",
-    "mu", "mu_opt", "norm_estimate", "normalize",
-    "prepare_sparse_state", "qlsa_query_counts", "qsearch",
-    "quantum_pricing_cost", "quantum_ratio_test_cost", "ratio_test",
-    "read_instance", "read_lp_json", "read_mps", "reduced_cost",
-    "reduced_costs", "sign_est", "simplex_iter", "slack_identity_basis",
-    "solve_classical", "solve_quantum", "sparsity_stats", "write_lp_json",
+    "LpInstance", "PrecisionParams", "QueryStats", "ScaledBasis",
+    "ThresholdViolation", "ZeroColumn", "ZeroVector", "amplitude_estimation",
+    "build_cost_report", "can_enter", "classical_pricing_cost", "column_split",
+    "estimate_sigma_max", "find_column", "find_row", "is_optimal",
+    "is_unbounded", "min_finding", "mu", "mu_opt", "norm_estimate",
+    "normalize", "qlsa_query_counts", "qsearch", "quantum_pricing_cost",
+    "quantum_ratio_test_cost", "ratio_test", "read_instance", "read_lp_json",
+    "read_mps", "reduced_cost", "reduced_costs", "simplex_iter",
+    "slack_identity_basis", "solve_classical", "solve_quantum",
+    "sparsity_stats", "write_lp_json",
 ]

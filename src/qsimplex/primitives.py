@@ -11,19 +11,20 @@ Two execution modes run through everything:
   two tie;
 * sampling -- outcomes are drawn from those same distributions with a
   seeded generator, which is statistically identical to measuring the
-  full statevector circuit (``pe_circuit_distribution`` below builds the
-  honest circuit distribution for cross-checks); an amplitude-estimation
-  draw (``ae_sample``) inverts the same uniform through the same
-  cumulative distribution as ``rng.choice`` on the table, but reads it from
-  the kernel near its two peaks plus closed-form sums of the tails between
-  them, building the table only when a uniform lies too close to an
-  interval end to decide.
+  full statevector circuit (the circuit simulation in the test suite's
+  ``tests/oracles.py`` builds the honest circuit distribution for
+  cross-checks); an amplitude-estimation draw (``ae_sample``) inverts the
+  same uniform through the same cumulative distribution as ``rng.choice``
+  on the table, but reads it from the kernel near its two peaks plus
+  closed-form sums of the tails between them, building the table only when
+  a uniform lies too close to an interval end to decide.
 
 Query accounting conventions (one call of phase estimation on ``t`` bits,
 ``M = 2^t``): ``M`` controlled powers of the walk/Grover operator are
 charged as ``M`` controlled-U calls and ``2M`` U-calls (operator and
-inverse inside each iterate), ``t^2`` basic gates for the inverse QFT,
-plus the state-preparation cost per iterate.
+inverse inside each iterate) and ``t^2`` basic gates for the inverse QFT;
+the state preparations inside the iterates are charged by the caller
+(``subroutines.estimation_cost``).
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-
-from .statevector import PreparedUnitary
 
 
 class AllInfinite(ValueError):
@@ -109,35 +108,12 @@ def pe_outcome_distribution(phi: float, t: int) -> np.ndarray:
     return p / p.sum()
 
 
-def pe_circuit_distribution(unitary, psi: np.ndarray, t: int) -> np.ndarray:
-    """Full statevector simulation of the textbook PE circuit.
-
-    Applies the controlled powers ``U^x`` for x = 0 .. 2^t - 1 followed by
-    the inverse QFT on the estimation register and returns the marginal
-    outcome distribution: the ground truth the analytic kernel is checked
-    against, on eigenstates and their mixtures.
-    """
-    mat = unitary.matrix if isinstance(unitary, PreparedUnitary) else np.asarray(unitary)
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    M = 2 ** t
-    cols = np.empty((M, psi.size), dtype=complex)
-    cur = psi.copy()
-    for x in range(M):
-        cols[x] = cur
-        cur = mat @ cur
-    amp = np.fft.fft(cols, axis=0) / M
-    p = (np.abs(amp) ** 2).sum(axis=1)
-    return p / p.sum()
-
-
-def _charge_pe(stats: QueryStats | None, t: int, prep_gate_cost: float = 0.0) -> None:
-    if stats is None:
-        return
+def _charge_pe(stats: QueryStats, t: int) -> None:
     M = 2 ** t
     stats.controlled_u_calls += M
     stats.u_calls += 2 * M
     stats.ae_repetitions += M
-    stats.basic_gates += t * t + M * prep_gate_cost
+    stats.basic_gates += t * t
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +160,9 @@ def ae_readout(a: float, bits: int) -> int:
     The nearer of them carries at least 4/pi^2 of the kernel at theta
     (``bracketing_grid_points``); every other point of [0, M/2] lies at
     least one step from both kernel peaks (theta and -theta), where each
-    kernel is below 1/8, so the maximum is one of the two.  When their values agree to 1e-9 relative
-    (``theta M`` a half-integer, say), rounding decides the argmax, which
-    is then read off the full table.
+    kernel is below 1/8, so the maximum is one of the two.  When their
+    values agree to 1e-9 relative (``theta M`` a half-integer, say),
+    rounding decides the argmax, which is then read off the full table.
     """
     M = 2 ** bits
     theta = theta_of_amplitude(a)
@@ -327,17 +303,6 @@ def ae_sample(a: float, bits: int, rng: np.random.Generator, size=None):
     return ae_quantile(a, bits, rng.random(size))
 
 
-def grover_operator(prep: PreparedUnitary, target: int) -> np.ndarray:
-    """Grover iterate ``Q = (2|psi><psi| - I) S_target`` whose eigenphases
-    are ``+-theta`` with ``sin(pi theta) = |<target|psi>|`` (circuit-mode
-    cross-check for the analytic AE kernel)."""
-    psi = prep.state
-    dim = psi.size
-    s_t = np.eye(dim, dtype=complex)
-    s_t[target, target] = -1.0
-    return (2.0 * np.outer(psi, psi.conj()) - np.eye(dim)) @ s_t
-
-
 @dataclass(frozen=True)
 class AEOutcome:
     bits: int
@@ -360,13 +325,11 @@ class AEOutcome:
         return self.phase_error <= tol + 1e-15
 
 
-def amplitude_estimation(prep, target: int, bits: int, mode: str = "analytic",
-                         rng: np.random.Generator | None = None,
-                         stats: QueryStats | None = None,
-                         prep_gate_cost: float = 0.0) -> AEOutcome:
-    """Estimate the magnitude of the target basis-state amplitude of
-    ``prep`` (a PreparedUnitary or a bare state vector) with ``bits``
-    qubits of phase accuracy.
+def amplitude_estimation(a: float, bits: int, mode: str = "analytic",
+                         rng: np.random.Generator | None = None) -> AEOutcome:
+    """Estimate the amplitude ``sqrt(a)`` of a target state with probability
+    ``a`` with ``bits`` qubits of phase accuracy.  Uncharged: the caller
+    prices the run with ``estimation_cost``.
 
     Analytic mode reads out the most likely grid point of the exact
     outcome distribution with ``ae_readout``, so ``y`` is folded to
@@ -375,14 +338,7 @@ def amplitude_estimation(prep, target: int, bits: int, mode: str = "analytic",
     ``rng.choice`` on the table returns while building the table only for
     the rare undecided draw.
     """
-    if isinstance(prep, PreparedUnitary):
-        state = prep.state
-        prep_gate_cost = prep_gate_cost or prep.gate_cost
-    else:
-        state = np.asarray(prep)
-    a = float(abs(state[target]) ** 2)
     theta = theta_of_amplitude(a)
-    _charge_pe(stats, bits, prep_gate_cost)
     if mode == "analytic":
         y = ae_readout(a, bits)
     elif mode == "sampling":

@@ -53,7 +53,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costmodel import column_split, split_threshold  # re-exported  # noqa: F401
 from .lp import (BasisSingular, BasisState, LpInstance, ZeroColumn,
                  ZeroVector, normalize, scaled_basis_matrix)
 from .primitives import (AllInfinite, QueryStats, _charge_pe,
@@ -62,7 +61,6 @@ from .primitives import (AllInfinite, QueryStats, _charge_pe,
                          min_finding, qsearch, qsearch_analytic,
                          theta_of_amplitude)
 from .qlsa import IdealQlsa
-from .statevector import PreparedUnitary
 
 SQRT3PI = math.sqrt(3.0) * math.pi
 
@@ -153,32 +151,6 @@ def _gadget_phase(alpha: float, spec: SignEstSpec) -> tuple[float, float]:
     return a, theta_of_amplitude(a)
 
 
-def _target_alpha(prep, k: int | None) -> float:
-    """Real amplitude of basis state k in U|0..0>, up to global phase."""
-    if isinstance(prep, (int, float, np.floating)):
-        return float(prep)
-    if isinstance(prep, PreparedUnitary):
-        if not prep.real_amplitude:
-            raise ValueError("sign estimation needs a real-amplitude preparation")
-        state = prep.state
-    else:
-        state = np.asarray(prep, dtype=complex).reshape(-1)
-    j = int(np.argmax(np.abs(state)))
-    phase = state[j] / abs(state[j])
-    deph = state * np.conj(phase)
-    if np.abs(deph.imag).max() > 1e-9:
-        raise ValueError("state amplitudes are not real up to a global phase")
-    return float(deph.real[k])
-
-
-@dataclass(frozen=True)
-class SignEstResult:
-    value: int
-    in_tol: bool            # folded readout within the phase tolerance
-    prob_one: float
-    theta_true: float
-
-
 def _readout_flags(y, theta: float, spec: SignEstSpec):
     """Decision and in-tolerance flags of AE readout(s) ``y``, from their
     folds to [0, 1/2]."""
@@ -188,37 +160,19 @@ def _readout_flags(y, theta: float, spec: SignEstSpec):
 
 
 def _gadget_tables(alpha: float, spec: SignEstSpec):
-    """Distribution plus decision/tolerance masks over the AE readout grid."""
+    """Distribution plus decision mask over the AE readout grid."""
     a, theta = _gadget_phase(alpha, spec)
     dist = ae_distribution(a, spec.bits)
-    ones, in_tol = _readout_flags(np.arange(2 ** spec.bits), theta, spec)
-    return theta, dist, ones, in_tol
+    ones, _ = _readout_flags(np.arange(2 ** spec.bits), theta, spec)
+    return dist, ones
 
 
 def sign_est_prob_one(alpha: float, eps: float, kind: str,
                       threshold_shift: float = 0.0) -> float:
     """Exact Pr[routine returns 1] from the analytic AE distribution."""
     spec = sign_est_spec(eps, kind, threshold_shift)
-    _, dist, ones, _ = _gadget_tables(alpha, spec)
+    dist, ones = _gadget_tables(alpha, spec)
     return float(dist[ones].sum())
-
-
-def sign_est(prep, k: int | None, eps: float, kind: str,
-             stats: QueryStats | None = None,
-             threshold_shift: float = 0.0) -> SignEstResult:
-    """One run of a sign-estimation routine on the target amplitude.
-
-    Returns the maximum-likelihood decision together with the exact
-    probability of returning 1.  Sampled votes are drawn by
-    ``boosted_sign_est``.  ``stats`` is charged the phase estimation only.
-    """
-    alpha = _target_alpha(prep, k)
-    spec = sign_est_spec(eps, kind, threshold_shift)
-    theta, dist, ones, _ = _gadget_tables(alpha, spec)
-    prob_one = float(dist[ones].sum())
-    _charge_pe(stats, spec.bits)
-    return SignEstResult(value=int(prob_one >= 0.5), in_tol=True,
-                         prob_one=prob_one, theta_true=theta)
 
 
 @dataclass(frozen=True)
@@ -231,8 +185,7 @@ class BoostedResult:
 
 def boosted_sign_est(alpha: float, eps: float, kind: str, reps: int,
                      mode: str = "analytic",
-                     rng: np.random.Generator | None = None,
-                     threshold_shift: float = 0.0) -> BoostedResult:
+                     rng: np.random.Generator | None = None) -> BoostedResult:
     """reps-fold majority vote over independent sign-estimation runs.
 
     When at least ``(reps + 1)/2`` runs landed within the phase tolerance
@@ -250,14 +203,14 @@ def boosted_sign_est(alpha: float, eps: float, kind: str, reps: int,
     table would make) and counts the votes and in-tolerance runs from
     their folds.
     """
-    spec = sign_est_spec(eps, kind, threshold_shift)
+    spec = sign_est_spec(eps, kind)
     a, theta = _gadget_phase(alpha, spec)
     if mode == "analytic":
         m_size = 2 ** spec.bits
         lo, hi = bracketing_grid_points(theta, spec.bits)
         value = spec.decide(lo / m_size)
         if value != spec.decide(hi / m_size):
-            _, dist, ones_mask, _ = _gadget_tables(alpha, spec)
+            dist, ones_mask = _gadget_tables(alpha, spec)
             value = int(dist[ones_mask].sum() >= 0.5)
         return BoostedResult(value=value, ok=True, ones=value * reps,
                              in_tol_count=reps)
@@ -301,10 +254,10 @@ class ScaledBasis:
 
     @classmethod
     def build(cls, instance: LpInstance, basis, eps_prime: float = 1e-4,
-              error_mode: str = "zero", rng: np.random.Generator | None = None,
-              norm_seed: int = 0) -> "ScaledBasis":
+              error_mode: str = "zero",
+              rng: np.random.Generator | None = None) -> "ScaledBasis":
         state = basis if isinstance(basis, BasisState) else \
-            normalize(instance, basis, eps_prime, seed=norm_seed)
+            normalize(instance, basis, eps_prime)
         AB = scaled_basis_matrix(instance, state)
         rhs = state.matrix_scale * np.column_stack([instance.dense(), instance.b])
         nonempty = np.diff(instance.A.indptr) > 0
@@ -440,21 +393,19 @@ def _sweep_sign_values(alpha0: np.ndarray, eps_ls: float, spec: SignEstSpec,
 
 
 def _row_votes(scaled: ScaledBasis, u: np.ndarray, eps_ls: float, eps_se: float,
-               kind: str, reps: int, mode: str, rng: np.random.Generator | None,
-               threshold_shift: float):
+               kind: str, reps: int, mode: str, rng: np.random.Generator | None):
     """Boosted sign-estimation votes on every component ``u_h/|u|`` of a
     direction, read from solver states at precision ``eps_ls`` with the
     adversary ``e_h``, as an iterator in row order.  Unless the sweep is
     batched, each row is run when the iterator reaches it, so a caller's
     own draws per row stay interleaved with the votes' draws."""
     m = u.size
-    spec = sign_est_spec(eps_se, kind, threshold_shift)
+    spec = sign_est_spec(eps_se, kind)
 
     def vote(h: int) -> BoostedResult:
         sol = scaled.qlsa.solve(u, eps_ls, adversary=_unit(m, h),
                                 threshold=spec.alpha_boundary)
-        return boosted_sign_est(float(sol.state[h]), eps_se, kind, reps, mode,
-                                rng, threshold_shift=threshold_shift)
+        return boosted_sign_est(float(sol.state[h]), eps_se, kind, reps, mode, rng)
 
     if not _batched(mode, scaled.error_mode):
         return map(vote, range(m))
@@ -498,14 +449,12 @@ class CanEnterResult:
     value: int
     ok: bool
     alpha_exact: float
-    sign_bits_one: int
     reduced_cost_scaled: float  # alpha_exact * sqrt(2): c_bar / |(u, c_k)| truth
 
 
 def can_enter(scaled: ScaledBasis, k: int, eps: float, reps: int = 15,
               variant: str = "nfn", mode: str = "analytic",
-              rng: np.random.Generator | None = None,
-              threshold_shift: float = 0.0) -> CanEnterResult:
+              rng: np.random.Generator | None = None) -> CanEnterResult:
     """1 when the (rescaled) reduced cost of column k is certified
     ``< -eps |(A_B^-1 A_k, c_k)|``: the sign estimation at precision
     ``11 eps / (10 sqrt(2))`` must return 0.  Uncharged: the caller
@@ -517,15 +466,14 @@ def can_enter(scaled: ScaledBasis, k: int, eps: float, reps: int = 15,
     """
     eps_se = 11.0 * eps / (10.0 * math.sqrt(2.0))
     kind = {"nfn": "nfn", "nfp": "nfp"}[variant]
-    spec = sign_est_spec(eps_se, kind, threshold_shift)
+    spec = sign_est_spec(eps_se, kind)
     if scaled.error_mode == "random" and mode == "sampling":
         # each repetition rebuilds the circuit, so the deviation is fresh
         ones = in_tol = 0
         for _ in range(reps):
             sample = red_cost_sample(scaled, k, eps,
                                      decision_alpha=spec.alpha_boundary)
-            vote = boosted_sign_est(sample.alpha, eps_se, kind, 1, mode, rng,
-                                    threshold_shift=threshold_shift)
+            vote = boosted_sign_est(sample.alpha, eps_se, kind, 1, mode, rng)
             ones += vote.ones
             in_tol += vote.in_tol_count
         majority = (reps + 1) // 2
@@ -533,17 +481,14 @@ def can_enter(scaled: ScaledBasis, k: int, eps: float, reps: int = 15,
                               ones=ones, in_tol_count=in_tol)
     else:
         sample = red_cost_sample(scaled, k, eps, decision_alpha=spec.alpha_boundary)
-        boost = boosted_sign_est(sample.alpha, eps_se, kind, reps, mode, rng,
-                                 threshold_shift=threshold_shift)
+        boost = boosted_sign_est(sample.alpha, eps_se, kind, reps, mode, rng)
     return CanEnterResult(value=int(boost.value == 0), ok=boost.ok,
                           alpha_exact=sample.alpha_exact,
-                          sign_bits_one=boost.ones,
                           reduced_cost_scaled=sample.alpha_exact * math.sqrt(2.0))
 
 
 def _can_enter_sweep(scaled: ScaledBasis, eps: float, reps: int, variant: str,
-                     mode: str, rng: np.random.Generator | None,
-                     threshold_shift: float):
+                     mode: str, rng: np.random.Generator | None):
     """CanEnter on every column of ``scaled.domain``: the columns it fires
     on, whether every decision's tolerance flags held, and the
     ``CanEnterResult`` of each column run through ``can_enter``.  A batched
@@ -552,15 +497,13 @@ def _can_enter_sweep(scaled: ScaledBasis, eps: float, reps: int, variant: str,
     domain = scaled.domain
 
     def run(k: int) -> CanEnterResult:
-        return can_enter(scaled, k, eps, reps, variant, mode, rng,
-                         threshold_shift=threshold_shift)
+        return can_enter(scaled, k, eps, reps, variant, mode, rng)
 
     if not _batched(mode, scaled.error_mode):
         results = {k: run(k) for k in domain}
         fires = [results[k].value for k in domain]
     else:
-        spec = sign_est_spec(11.0 * eps / (10.0 * math.sqrt(2.0)), variant,
-                             threshold_shift)
+        spec = sign_est_spec(11.0 * eps / (10.0 * math.sqrt(2.0)), variant)
         signs, undecided = _sweep_sign_values(
             scaled.reduced_cost_amplitudes, eps / (10.0 * math.sqrt(2.0)), spec,
             scaled.error_mode, scaled.instance.m + 1)
@@ -590,15 +533,13 @@ class FindColumnResult:
     marked: tuple[int, ...]
     decisions_ok: bool
     stats: QueryStats = field(default_factory=QueryStats)
-    skipped_zero: tuple[int, ...] = ()
     reduced_cost_scaled: float | None = None  # c_bar/|(u, c_k)| at the pick
 
 
 def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
                 mode: str = "analytic", rng: np.random.Generator | None = None,
                 stats: QueryStats | None = None, variant: str = "nfn",
-                recover_with_nfp: bool = True,
-                threshold_shift: float = 0.0) -> FindColumnResult:
+                recover_with_nfp: bool = True) -> FindColumnResult:
     """Grover QSearch over the nonbasic columns for one with certified
     negative reduced cost.
 
@@ -612,10 +553,8 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
     """
     stats = stats if stats is not None else QueryStats()
     domain = list(scaled.domain)
-    skipped = tuple(sorted(set(scaled.state.nonbasic).difference(domain)))
 
-    marked, all_ok, decisions = _can_enter_sweep(scaled, eps, reps, variant, mode,
-                                                 rng, threshold_shift)
+    marked, all_ok, decisions = _can_enter_sweep(scaled, eps, reps, variant, mode, rng)
 
     per_call = can_enter_cost(scaled, eps, reps, variant)
     confirm_ok = True
@@ -629,8 +568,7 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
         def confirm(idx: int) -> bool:
             nonlocal confirm_ok, confirms
             confirms += 1
-            res = can_enter(scaled, idx, eps, reps, variant, mode, rng,
-                            threshold_shift=threshold_shift)
+            res = can_enter(scaled, idx, eps, reps, variant, mode, rng)
             confirm_ok = res.ok
             return res.value == 1
 
@@ -639,15 +577,13 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
     stats.add(per_call.scaled(activations))
 
     if found is None and variant == "nfn" and recover_with_nfp:
-        retry = find_column(scaled, eps, reps, mode, rng, stats, variant="nfp",
-                            recover_with_nfp=False, threshold_shift=threshold_shift)
-        return retry
+        return find_column(scaled, eps, reps, mode, rng, stats, variant="nfp",
+                           recover_with_nfp=False)
     if found is not None and found not in decisions:  # batched sweep, no draws
-        decisions[found] = can_enter(scaled, found, eps, reps, variant, mode, rng,
-                                     threshold_shift=threshold_shift)
+        decisions[found] = can_enter(scaled, found, eps, reps, variant, mode, rng)
     return FindColumnResult(column=found, ok=confirm_ok and found is not None,
                             variant=variant, marked=marked, decisions_ok=all_ok,
-                            stats=stats, skipped_zero=skipped,
+                            stats=stats,
                             reduced_cost_scaled=(
                                 decisions[found].reduced_cost_scaled
                                 if found is not None else None))
@@ -662,8 +598,7 @@ class IsOptimalResult:
 
 def is_optimal(scaled: ScaledBasis, eps: float, reps: int = 15,
                mode: str = "analytic", rng: np.random.Generator | None = None,
-               stats: QueryStats | None = None,
-               threshold_shift: float = 0.0) -> IsOptimalResult:
+               stats: QueryStats | None = None) -> IsOptimalResult:
     """Counting-Grover existence check over CanEnter with the "nfp"
     sign-estimation variant: returns 1 only when no nonbasic column fires,
     which certifies no column has scaled reduced cost <= -eps.
@@ -675,8 +610,7 @@ def is_optimal(scaled: ScaledBasis, eps: float, reps: int = 15,
     domain = list(scaled.domain)
     if not domain:
         return IsOptimalResult(value=1, ok=True, marked=())
-    marked, ok, _ = _can_enter_sweep(scaled, eps, reps, "nfp", mode, rng,
-                                     threshold_shift)
+    marked, ok, _ = _can_enter_sweep(scaled, eps, reps, "nfp", mode, rng)
     iters_before = stats.grover_iterations
     exists = grover_count_exists(domain, marked, rng, stats, mode)
     activations = stats.grover_iterations - iters_before
@@ -693,13 +627,11 @@ class IsUnboundedResult:
     value: int
     ok: bool
     marked_rows: tuple[int, ...]
-    direction_state: np.ndarray     # exact |A_B^-1 A_k> (simulation truth)
 
 
 def is_unbounded(scaled: ScaledBasis, k: int, delta: float, reps: int = 15,
                  mode: str = "analytic", rng: np.random.Generator | None = None,
-                 stats: QueryStats | None = None,
-                 threshold_shift: float = 0.0) -> IsUnboundedResult:
+                 stats: QueryStats | None = None) -> IsUnboundedResult:
     """1 when no component of ``A_B^-1 A_k`` rises above the delta
     threshold: solve at precision delta/10, test each row with the fine
     positive-sign estimation at 9 delta/10 (its 0-return certifies the
@@ -709,10 +641,9 @@ def is_unbounded(scaled: ScaledBasis, k: int, delta: float, reps: int = 15,
     u = scaled.direction(k)
     eps_ls = delta / 10.0
     eps_se = 9.0 * delta / 10.0
-    spec = sign_est_spec(eps_se, "nfn_plus", threshold_shift)
+    spec = sign_est_spec(eps_se, "nfn_plus")
     m = scaled.instance.m
-    votes = list(_row_votes(scaled, u, eps_ls, eps_se, "nfn_plus", reps, mode, rng,
-                            threshold_shift))
+    votes = list(_row_votes(scaled, u, eps_ls, eps_se, "nfn_plus", reps, mode, rng))
     marked = tuple(h for h in range(m) if votes[h].value == 1)
     ok = all(vote.ok for vote in votes)
     iters_before = stats.grover_iterations
@@ -724,8 +655,7 @@ def is_unbounded(scaled: ScaledBasis, k: int, delta: float, reps: int = 15,
     activations = stats.grover_iterations - iters_before
     stats.add(estimation_cost(scaled.qlsa, eps_ls, spec.bits)
               .scaled(reps * max(activations, 1)))
-    return IsUnboundedResult(value=int(not exists), ok=ok, marked_rows=marked,
-                             direction_state=u / np.linalg.norm(u))
+    return IsUnboundedResult(value=int(not exists), ok=ok, marked_rows=marked)
 
 
 @dataclass
@@ -742,8 +672,7 @@ class FindRowResult:
 def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
              reps: int = 15, mode: str = "analytic",
              rng: np.random.Generator | None = None,
-             stats: QueryStats | None = None,
-             threshold_shift: float = 0.0) -> FindRowResult:
+             stats: QueryStats | None = None) -> FindRowResult:
     """Approximate ratio-test minimizer (the leaving row).
 
     Builds solution states for ``A_B y = b`` and ``A_B y = A_k`` at
@@ -767,7 +696,7 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
     nu = delta / (16.0 * math.pi * t)
     ae_bits = math.ceil(math.log2(1.0 / nu)) + 2
     gate_eps = delta / 2.0
-    gate_spec = sign_est_spec(gate_eps, "nfp_plus", threshold_shift)
+    gate_spec = sign_est_spec(gate_eps, "nfp_plus")
     gate_cost = estimation_cost(scaled.qlsa, gate_eps, gate_spec.bits).scaled(reps)
     ae_cost = estimation_cost(scaled.qlsa, eps_ls, ae_bits).scaled(2)
 
@@ -776,8 +705,7 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
     all_ok = True
     num_est = np.zeros(m)
     den_est = np.zeros(m)
-    gates = _row_votes(scaled, u, gate_eps, gate_eps, "nfp_plus", reps, mode, rng,
-                       threshold_shift)
+    gates = _row_votes(scaled, u, gate_eps, gate_eps, "nfp_plus", reps, mode, rng)
     for h, gate in enumerate(gates):
         stats.add(gate_cost)
         all_ok = all_ok and gate.ok
@@ -788,8 +716,8 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
         xi = scaled.qlsa.solve(x, eps_ls, adversary=adversary, threshold=0.0)
         psi = scaled.qlsa.solve(u, eps_ls, adversary=adversary, threshold=0.0)
         stats.add(ae_cost)
-        num = amplitude_estimation(xi.state, h, ae_bits, mode=mode, rng=rng)
-        den = amplitude_estimation(psi.state, h, ae_bits, mode=mode, rng=rng)
+        num = amplitude_estimation(float(xi.state[h]) ** 2, ae_bits, mode=mode, rng=rng)
+        den = amplitude_estimation(float(psi.state[h]) ** 2, ae_bits, mode=mode, rng=rng)
         all_ok = all_ok and num.within(nu) and den.within(nu)
         num_est[h] = num.amp_est
         den_est[h] = den.amp_est
@@ -876,8 +804,7 @@ def norm_estimate(scaled: ScaledBasis, eps: float, alpha: float | None = None,
 
     nu = eps / (4.0 * math.pi * alpha ** 2)
     bits = math.ceil(math.log2(1.0 / nu)) + 2
-    outcome = amplitude_estimation(np.array([math.sqrt(p), math.sqrt(1 - p)]),
-                                   0, bits, mode=mode, rng=rng)
+    outcome = amplitude_estimation(p, bits, mode=mode, rng=rng)
     stats.add(estimation_cost(scaled.qlsa, eps_ls, bits))
     rho = outcome.amp_est ** 2 * alpha ** 2 * fro2
     return NormEstimateResult(rho=float(rho), exact=exact,
@@ -907,11 +834,10 @@ class IterationOutcome:
 def simplex_iter(instance: LpInstance, basis, params: PrecisionParams,
                  mode: str = "analytic", error_mode: str = "zero",
                  rng: np.random.Generator | None = None,
-                 eps_prime: float = 1e-4,
-                 threshold_shift: float = 0.0) -> IterationOutcome:
+                 eps_prime: float = 1e-4) -> IterationOutcome:
     """One full iteration: normalize, IsOptimal, FindColumn, IsUnbounded,
     FindRow.  An IsOptimal = 1 verdict is only trusted after the
-    "nfp"-variant FindColumn re-check comes back empty (the recovery路
+    "nfp"-variant FindColumn re-check comes back empty (the recovery
     for the indecision window between -2.2 eps and -eps); conversely a
     FindColumn miss under "nfn" retries with "nfp" before declaring the
     basis numerically optimal.
@@ -920,13 +846,11 @@ def simplex_iter(instance: LpInstance, basis, params: PrecisionParams,
                                error_mode=error_mode, rng=rng)
     stats = QueryStats()
     diag: dict = {"kappa": scaled.state.kappa}
-    opt = is_optimal(scaled, params.eps, params.reps, mode, rng, stats,
-                     threshold_shift)
+    opt = is_optimal(scaled, params.eps, params.reps, mode, rng, stats)
     diag["is_optimal"] = opt.value
     if opt.value == 1:
         recheck = find_column(scaled, params.eps, params.reps, mode, rng, stats,
-                              variant="nfp", recover_with_nfp=False,
-                              threshold_shift=threshold_shift)
+                              variant="nfp", recover_with_nfp=False)
         if recheck.column is None:
             return IterationOutcome("optimal", ok=opt.ok, kappa=scaled.state.kappa,
                                     stats=stats, diagnostics=diag)
@@ -934,7 +858,7 @@ def simplex_iter(instance: LpInstance, basis, params: PrecisionParams,
         diag["is_optimal_overridden"] = True
     else:
         fc = find_column(scaled, params.eps, params.reps, mode, rng, stats,
-                         variant="nfn", threshold_shift=threshold_shift)
+                         variant="nfn")
         if fc.column is None:
             diag["pricing_not_found"] = True
             return IterationOutcome("optimal", ok=fc.decisions_ok,
@@ -943,14 +867,12 @@ def simplex_iter(instance: LpInstance, basis, params: PrecisionParams,
     k = fc.column
     diag["entering_variant"] = fc.variant
     diag["reduced_cost_scaled_estimate"] = fc.reduced_cost_scaled
-    ub = is_unbounded(scaled, k, params.delta, params.reps, mode, rng, stats,
-                      threshold_shift)
+    ub = is_unbounded(scaled, k, params.delta, params.reps, mode, rng, stats)
     if ub.value == 1:
         return IterationOutcome("unbounded", entering=k, ok=fc.ok and ub.ok,
                                 kappa=scaled.state.kappa, stats=stats,
                                 diagnostics=diag)
-    fr = find_row(scaled, k, params.delta, params.t, params.reps, mode, rng,
-                  stats, threshold_shift)
+    fr = find_row(scaled, k, params.delta, params.t, params.reps, mode, rng, stats)
     if fr.row is None:
         diag["failure"] = fr.failure
         diag["recovery_options"] = fr.recovery_options
@@ -986,8 +908,7 @@ NUMERICAL_DEAD_ENDS = (BasisSingular, ZeroColumn, ZeroVector, AllInfinite,
 def solve_quantum(instance: LpInstance, start_basis, params: PrecisionParams,
                   mode: str = "analytic", error_mode: str = "zero",
                   seed: int = 0, max_iters: int | None = None,
-                  eps_prime: float = 1e-4, keep_outcomes: bool = True,
-                  threshold_shift: float = 0.0) -> QuantumSolveResult:
+                  eps_prime: float = 1e-4) -> QuantumSolveResult:
     """Drive simplex_iter to termination from a feasible start basis."""
     basis = list(start_basis)
     rng = np.random.default_rng(seed)
@@ -1000,14 +921,13 @@ def solve_quantum(instance: LpInstance, start_basis, params: PrecisionParams,
         tick = time.perf_counter()
         try:
             out = simplex_iter(instance, basis, params, mode, error_mode, rng,
-                               eps_prime, threshold_shift)
+                               eps_prime)
         except NUMERICAL_DEAD_ENDS as exc:
             out = IterationOutcome("failure", ok=False,
                                    diagnostics={"failure": repr(exc)})
         out.diagnostics["elapsed_ms"] = (time.perf_counter() - tick) * 1e3
         total.add(out.stats)
-        if keep_outcomes:
-            outcomes.append(out)
+        outcomes.append(out)
         if out.status == "pivot":
             basis[out.leaving_row] = out.entering
             continue

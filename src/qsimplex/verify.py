@@ -28,11 +28,11 @@ from .costmodel import column_split, quantum_pricing_cost, split_threshold
 from .instances import (random_bounded_lp, random_lp, random_unbounded_lp,
                         ratio_test_triple)
 from .lp import LpInstance, slack_identity_basis
-from .primitives import (QueryStats, extra_qubits, pe_outcome_distribution,
-                         qsearch)
+from .primitives import (QueryStats, _charge_pe, extra_qubits,
+                         pe_outcome_distribution, qsearch)
 from .subroutines import (PrecisionParams, ScaledBasis, find_column, find_row,
                           is_unbounded, norm_estimate, sign_est_prob_one,
-                          solve_quantum)
+                          sign_est_spec, solve_quantum)
 
 
 @dataclass
@@ -394,8 +394,7 @@ def scaling_suite(seed: int = 20_260_505, grover_runs: int = 200) -> SuiteResult
     reps_counts = []
     for eps in eps_values:
         stats = QueryStats()
-        from .subroutines import sign_est
-        sign_est(0.0, None, float(eps), "nfn", stats=stats)
+        _charge_pe(stats, sign_est_spec(float(eps), "nfn").bits)
         reps_counts.append(stats.ae_repetitions)
     slope = np.polyfit(np.log(eps_values), np.log(reps_counts), 1)[0]
     out.line(abs(slope + 1.0) <= 0.1,

@@ -1,8 +1,8 @@
 """Independent reference implementations the tests check against.
 
 Everything here is deliberately primitive (dense tableau, exhaustive
-scans, direct arithmetic) and shares no code with the package paths it
-validates.
+scans, direct arithmetic, full statevector circuits) and shares no code
+with the package paths it validates.
 """
 
 from __future__ import annotations
@@ -59,6 +59,38 @@ def exhaustive_ratio_test(x, u, delta=0.0):
             if best is None or r < best[1] - 1e-15:
                 best = (j, r)
     return best
+
+
+def pe_circuit_distribution(unitary, psi, t):
+    """Full statevector simulation of the textbook PE circuit.
+
+    Applies the controlled powers ``U^x`` for x = 0 .. 2^t - 1 followed by
+    the inverse QFT on the estimation register and returns the marginal
+    outcome distribution: the ground truth the analytic kernel is checked
+    against, on eigenstates and their mixtures.
+    """
+    mat = np.asarray(unitary)
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    M = 2 ** t
+    cols = np.empty((M, psi.size), dtype=complex)
+    cur = psi.copy()
+    for x in range(M):
+        cols[x] = cur
+        cur = mat @ cur
+    amp = np.fft.fft(cols, axis=0) / M
+    p = (np.abs(amp) ** 2).sum(axis=1)
+    return p / p.sum()
+
+
+def grover_operator(psi, target):
+    """Grover iterate ``Q = (2|psi><psi| - I) S_target`` of a unit state
+    ``psi``, whose eigenphases are ``+-theta`` with
+    ``sin(pi theta) = |<target|psi>|``."""
+    psi = np.asarray(psi, dtype=complex)
+    dim = psi.size
+    s_t = np.eye(dim, dtype=complex)
+    s_t[target, target] = -1.0
+    return (2.0 * np.outer(psi, psi.conj()) - np.eye(dim)) @ s_t
 
 
 def tv_distance(p, q):

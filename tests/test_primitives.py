@@ -1,8 +1,9 @@
 """Phase estimation, amplitude estimation, QSearch, and minimum finding.
 
 The analytic kernels are the package's central claim: every distribution
-here is checked against a full statevector circuit simulation or a
-closed-form reference before the statistical behavior is exercised.
+here is checked against a full statevector circuit simulation
+(``oracles.pe_circuit_distribution``) or a closed-form reference before
+the statistical behavior is exercised.
 """
 
 import math
@@ -12,16 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import empirical_distribution, tv_distance
-from qsimplex.primitives import (_AE_WINDOW, AllInfinite, QueryStats, _fejer,
-                                 _kernel_gap_sums, ae_distribution, ae_quantile,
-                                 ae_readout, ae_sample, amplitude_estimation,
-                                 extra_qubits, fold_phase, grover_count_exists,
-                                 grover_operator, min_finding,
-                                 pe_circuit_distribution,
+from oracles import (empirical_distribution, grover_operator,
+                     pe_circuit_distribution, tv_distance)
+from qsimplex.primitives import (_AE_WINDOW, AllInfinite, QueryStats,
+                                 _charge_pe, _fejer, _kernel_gap_sums,
+                                 ae_distribution, ae_quantile, ae_readout,
+                                 ae_sample, amplitude_estimation, extra_qubits,
+                                 fold_phase, grover_count_exists, min_finding,
                                  pe_outcome_distribution, qsearch,
                                  qsearch_analytic, theta_of_amplitude)
-from qsimplex.statevector import prepare_sparse_state
 from qsimplex.verify import pe_success_probability
 
 # frozen from a one-off calibration run (mean iterations 6.2 over 200 seeds
@@ -121,23 +121,24 @@ def test_ae_half_amplitude_concentration():
 @given(st.floats(0.0, 1.0))
 @settings(max_examples=40, deadline=None)
 def test_ae_matches_grover_circuit(a):
-    # build an actual preparation with target probability a and compare the
-    # kernel mixture with phase estimation on the true Grover operator
+    # prepare a state with target probability a and compare the kernel
+    # mixture with phase estimation on the true Grover operator
     v = np.array([math.sqrt(a), math.sqrt(1.0 - a)])
     if not np.any(v):
         return
-    prep = prepare_sparse_state(v)
-    Q = grover_operator(prep, 0)
+    psi = v / np.linalg.norm(v)
+    Q = grover_operator(psi, 0)
     for bits in (4, 5):
         assert tv_distance(ae_distribution(a, bits),
-                           pe_circuit_distribution(Q, prep.state, bits)) < 1e-10
+                           pe_circuit_distribution(Q, psi, bits)) < 1e-10
 
 
 def test_grover_operator_eigenphases():
-    prep = prepare_sparse_state(np.array([0.3, -0.5, 0.6, 0.55]))
+    v = np.array([0.3, -0.5, 0.6, 0.55])
+    psi = v / np.linalg.norm(v)
     target = 2
-    amp = abs(prep.state[target])
-    eig = np.linalg.eigvals(grover_operator(prep, target))
+    amp = abs(psi[target])
+    eig = np.linalg.eigvals(grover_operator(psi, target))
     phases = np.sort(np.angle(eig) / (2 * np.pi) % 1.0)
     theta = theta_of_amplitude(amp ** 2)
     assert np.any(np.isclose(phases, theta, atol=1e-9))
@@ -150,8 +151,7 @@ def test_ae_analytic_vs_sampled_tv():
     a = 0.3
     bits = 5
     dist = ae_distribution(a, bits)
-    draws = [amplitude_estimation(np.array([math.sqrt(a), math.sqrt(1 - a)]),
-                                  0, bits, mode="sampling", rng=rng).y
+    draws = [amplitude_estimation(a, bits, mode="sampling", rng=rng).y
              for _ in range(10_000)]
     assert tv_distance(dist, empirical_distribution(draws, 2 ** bits)) <= 0.05
 
@@ -177,10 +177,10 @@ def test_analytic_ae_builds_no_table(monkeypatch):
     # out the fold of the table's argmax
     import qsimplex.primitives as primitives
 
-    state = np.array([0.6, 0.8])
-    y = int(np.argmax(ae_distribution(float(abs(state[0]) ** 2), 18)))
+    a = 0.6 ** 2
+    y = int(np.argmax(ae_distribution(a, 18)))
     monkeypatch.setattr(primitives, "pe_outcome_distribution", None)
-    assert amplitude_estimation(state, 0, 18).y == min(y, 2 ** 18 - y)
+    assert amplitude_estimation(a, 18).y == min(y, 2 ** 18 - y)
 
 
 def sampling_amplitudes(bits: int, rng) -> list[float]:
@@ -281,7 +281,6 @@ def test_sampled_ae_far_from_boundaries_builds_no_table(monkeypatch):
     # from every interval end, never evaluates the kernel table
     import qsimplex.primitives as primitives
 
-    state = np.array([0.6, 0.8])
     dist = ae_distribution(0.36, 18)
     cdf = dist.cumsum() / dist.sum()
     u = np.random.default_rng(3).random()
@@ -289,14 +288,14 @@ def test_sampled_ae_far_from_boundaries_builds_no_table(monkeypatch):
     assert min(u - cdf[y - 1], cdf[y] - u) > 1e-6
     assert dist[y] > 1e-3  # next to a peak, so inside its window
     monkeypatch.setattr(primitives, "pe_outcome_distribution", None)
-    out = amplitude_estimation(state, 0, 18, mode="sampling",
+    out = amplitude_estimation(0.6 ** 2, 18, mode="sampling",
                                rng=np.random.default_rng(3))
     assert out.y == y
 
 
 def test_ae_charges_repetitions():
     stats = QueryStats()
-    amplitude_estimation(np.array([1.0, 0.0]), 0, 5, stats=stats)
+    _charge_pe(stats, 5)
     assert stats.ae_repetitions == 32
     assert stats.u_calls == 64
 

@@ -14,13 +14,12 @@ from qsimplex.instances import (embed_basis_instance, random_bounded_lp,
                                 ratio_test_triple)
 from qsimplex.lp import LpInstance, slack_identity_basis
 from qsimplex.qlsa import IdealQlsa
-from qsimplex.statevector import prepare_sparse_state
 from qsimplex.subroutines import (SIGN_EST_KINDS, PrecisionParams, ScaledBasis,
                                   _can_enter_sweep, _row_votes, _sweep_eta,
                                   _sweep_sign_values, boosted_sign_est,
                                   can_enter, find_column, find_row, is_optimal,
                                   is_unbounded, norm_estimate, red_cost_sample,
-                                  sign_est, sign_est_prob_one, sign_est_spec,
+                                  sign_est_prob_one, sign_est_spec,
                                   simplex_iter, solve_quantum)
 from test_iteration import CASES, dantzig_basis
 from test_iteration import GENERATORS as ITERATION_GENERATORS
@@ -57,31 +56,30 @@ def test_sign_est_spec_tables():
 
 def test_sign_est_gadget_interference_coefficient():
     # the Hadamard gadget puts (1 + alpha)/2 on |0>|k>: verify by building
-    # the two-branch state explicitly for a real preparation
-    prep = prepare_sparse_state(np.array([0.28, -0.96]))
-    alpha = float(prep.state[1].real)
+    # the two-branch state explicitly for a real state
+    v = np.array([0.28, -0.96])
+    state = v / np.linalg.norm(v)
+    alpha = float(state[1])
     dim = 2
     psi = np.zeros(2 * dim)
     psi[1] = 0.5 * (1 + alpha)          # |0>|k>
     psi[dim + 1] = 0.5 * (1 - alpha)    # |1>|k>
-    psi[0] = 0.5 * float(prep.state[0].real)
-    psi[dim] = -0.5 * float(prep.state[0].real)
+    psi[0] = 0.5 * float(state[0])
+    psi[dim] = -0.5 * float(state[0])
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
     assert psi[1] == pytest.approx((1 + alpha) / 2)
 
 
 def test_sign_est_nfn_maximal_amplitude():
-    res = sign_est(prepare_sparse_state(np.array([1.0, 0.0])), 0, 0.1, "nfn")
-    assert res.value == 1
-    assert res.prob_one >= 0.75
+    assert boosted_sign_est(1.0, 0.1, "nfn", 1).value == 1
+    assert sign_est_prob_one(1.0, 0.1, "nfn") >= 0.75
 
 
 def test_sign_est_nfn_strongly_negative():
     # alpha = -3 eps is outside the certified window: returns 0 w.h.p.
     eps = 0.1
     assert sign_est_prob_one(-0.9, eps, "nfn") <= 0.25
-    res = sign_est(-0.9, None, eps, "nfn")
-    assert res.value == 0
+    assert boosted_sign_est(-0.9, eps, "nfn", 1).value == 0
 
 
 def test_sign_est_nfp_boundary_points():
@@ -118,10 +116,8 @@ def test_sign_est_plus_trivial_points():
     eps = 0.1
     # alpha = 1: the |1>|k> coefficient vanishes, both variants return 1
     for kind in ("nfn_plus", "nfp_plus"):
-        res = sign_est(1.0, None, eps, kind)
-        assert res.value == 1, kind
-        res = sign_est(-1.0, None, eps, kind)
-        assert res.value == 0, kind
+        assert boosted_sign_est(1.0, eps, kind, 1).value == 1, kind
+        assert boosted_sign_est(-1.0, eps, kind, 1).value == 0, kind
 
 
 def test_sign_est_plus_mirror_identities():
@@ -148,18 +144,6 @@ def test_sign_est_plus_certificates():
     assert sign_est_prob_one(0.0, eps, "nfn_plus") <= 0.25
     assert sign_est_prob_one(4 * eps, eps, "nfp_plus") >= 0.75
     assert sign_est_prob_one(0.9 * eps, eps, "nfp_plus") <= 0.25
-
-
-def test_sign_est_requires_real_amplitudes():
-    from qsimplex.statevector import PreparedUnitary
-
-    mat = np.diag([1.0, 1j])
-    prep = PreparedUnitary(mat, 1, real_amplitude=True)
-    sign_est(prep, 0, 0.1, "nfn")  # column 0 is fine (real)
-    mat = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
-    prep = PreparedUnitary(mat, 1, real_amplitude=True)
-    with pytest.raises(ValueError, match="real"):
-        sign_est(prep, 0, 0.1, "nfn")
 
 
 def test_boosted_sign_est_majority():
@@ -452,8 +436,7 @@ def test_batched_sweeps_match_per_entry_path(gen, m, seed, step, error_mode):
     inst = ITERATION_GENERATORS[gen](m, 3 * m, seed=seed)
     scaled = ScaledBasis.build(inst, dantzig_basis(inst, step), error_mode=error_mode)
     for variant in ("nfp", "nfn"):
-        marked, ok, _ = _can_enter_sweep(scaled, 0.1, 15, variant, "analytic",
-                                         None, 0.0)
+        marked, ok, _ = _can_enter_sweep(scaled, 0.1, 15, variant, "analytic", None)
         expected = tuple(k for k in scaled.domain
                          if can_enter(scaled, k, 0.1, 15, variant).value == 1)
         assert (marked, ok) == (expected, True), variant
@@ -462,7 +445,7 @@ def test_batched_sweeps_match_per_entry_path(gen, m, seed, step, error_mode):
         for kind in ("nfn_plus", "nfp_plus"):
             eps_ls, eps_se = SWEEPS[kind]
             votes = list(_row_votes(scaled, u, eps_ls, eps_se, kind, 15,
-                                    "analytic", None, 0.0))
+                                    "analytic", None))
             assert [vote.value for vote in votes] == _row_vote_reference(
                 scaled, u, kind), (k, kind)
 

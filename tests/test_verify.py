@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from qsimplex.verify import (nfn_certified_window, pe_success_probability,
-                             ratio_bound, sign_estimation_check)
+                             ratio_bound, scaling_suite, sign_estimation_check)
+
+# phase-estimation repetitions charged per coarse sign estimation at
+# eps = 0.2, 0.1, 0.05, 0.025 (2^bits with bits = ceil(log2(sqrt(3) pi/eps)) + 2)
+AE_COUNTS = [128.0, 256.0, 512.0, 1024.0]
 
 
 def test_pe_success_handles_wraparound_phase():
@@ -46,3 +50,8 @@ def test_sign_estimation_check_reports_worst_margins():
                                   "nfp_reject", "nfp_accept"}
     assert all(res["checks"].values())
     assert all(0 <= v <= 1 for v in res["worst"].values())
+
+
+def test_scaling_suite_ae_counts_pinned():
+    res = scaling_suite(grover_runs=5)
+    assert res.details["ae_counts"] == AE_COUNTS
