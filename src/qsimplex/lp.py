@@ -123,9 +123,6 @@ class BasisState:
     row_nnz_max: int
     sparsity: int
     cost_degenerate: bool = False
-    sigma_estimate: float = 0.0
-    power_iterations: int = 0
-    power_cap_hit: bool = False
 
     @property
     def size(self) -> int:
@@ -224,7 +221,7 @@ def normalize(instance: LpInstance, basis, eps_prime: float = 1e-4,
     if svals[-1] <= _SINGULAR_RTOL * svals[0]:
         raise BasisSingular(f"basis {cols} is singular")
 
-    sigma_hat, iters, cap_hit = estimate_sigma_max(B, eps_prime, seed=seed)
+    sigma_hat, _, _ = estimate_sigma_max(B, eps_prime, seed=seed)
     matrix_scale = (1.0 - eps_prime) / sigma_hat
 
     c_B = instance.c[list(cols)]
@@ -245,9 +242,6 @@ def normalize(instance: LpInstance, basis, eps_prime: float = 1e-4,
         row_nnz_max=d_r,
         sparsity=max(instance.col_nnz_max, d_r),
         cost_degenerate=degenerate,
-        sigma_estimate=sigma_hat,
-        power_iterations=iters,
-        power_cap_hit=cap_hit,
     )
 
 

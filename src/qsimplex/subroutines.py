@@ -28,17 +28,15 @@ alone; the exact solutions behind those invocations are computed once per
 basis by ``ScaledBasis.build`` and cost nothing.
 
 Sweeps: IsOptimal and FindColumn apply CanEnter to every nonbasic column,
-IsUnbounded and the FindRow gate a sign estimation to every row.  In
-analytic mode under zero or worst solver error nothing is drawn, so a
-sweep is decided in one array pass (``_sweep_sign_values``) over
-amplitudes read off ``ScaledBasis.solutions``, with worst error in closed
-form.  They differ from the per-column path's by rounding alone, below a
-stated bound eta; an entry whose decision could change within eta (its
-bracketing grid points straddle the threshold, or under worst error it
-lies within eta of the boundary or next to +-1) runs through the
-per-column path, so every decision is the one it would make.  Sampling and
-random-error modes draw per column, in the order that fixes their
-generator streams, and keep the per-column loop.
+IsUnbounded and the FindRow gate a sign estimation to every row.  Under
+zero or worst solver error every amplitude an iteration reads -- the
+sweeps', FindColumn's confirmations and FindRow's AE numerators and
+denominators -- comes from ``ScaledBasis.solutions`` through
+``qlsa.read_amplitudes``, the error model's closed form.  Analytic mode
+decides a whole sweep in one array pass (``_analytic_sign_values``);
+sampling mode draws entry by entry, in the order that fixes the generator
+stream.  Random error draws a deviation per prepared state, so it alone
+runs column by column and row by row through ``IdealQlsa.solve``.
 
 Each subroutine run owns its generator and counters; inputs are immutable,
 so independent runs are safe to parallelize from the caller's side.
@@ -54,13 +52,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lp import (BasisSingular, BasisState, LpInstance, ZeroColumn,
-                 ZeroVector, normalize, scaled_basis_matrix)
+                 ZeroVector, normalize)
 from .primitives import (AllInfinite, QueryStats, _charge_pe,
                          ae_distribution, ae_sample, amplitude_estimation,
                          bracketing_grid_points, grover_count_exists,
                          min_finding, qsearch, qsearch_analytic,
                          theta_of_amplitude)
-from .qlsa import IdealQlsa
+from .qlsa import IdealQlsa, read_amplitudes
 
 SQRT3PI = math.sqrt(3.0) * math.pi
 
@@ -258,8 +256,9 @@ class ScaledBasis:
               rng: np.random.Generator | None = None) -> "ScaledBasis":
         state = basis if isinstance(basis, BasisState) else \
             normalize(instance, basis, eps_prime)
-        AB = scaled_basis_matrix(instance, state)
-        rhs = state.matrix_scale * np.column_stack([instance.dense(), instance.b])
+        dense = instance.dense()
+        AB = state.matrix_scale * dense[:, list(state.basis)]
+        rhs = state.matrix_scale * np.column_stack([dense, instance.b])
         nonempty = np.diff(instance.A.indptr) > 0
         m = instance.m
         return cls(instance=instance, state=state, AB=AB,
@@ -292,12 +291,22 @@ class ScaledBasis:
     @functools.cached_property
     def reduced_cost_amplitudes(self) -> np.ndarray:
         """``<w|(u_k, c_k)> / |(u_k, c_k)|`` for every column k of ``domain``
-        in order, with ``w = |(-c_B, 1)>``: the amplitudes a pricing sweep
-        reads before error injection, from one matrix-vector product (within
-        a few ulps of ``red_cost_sample``'s ``alpha_exact``)."""
+        in order, with ``w = |(-c_B, 1)>``: the exact amplitudes a pricing
+        sweep reads, from one matrix-vector product."""
         cols = list(self.domain)
         ext = np.vstack([self.solutions[:, cols], self.c[cols]])
         return (self.cost_vector_gadget @ ext) / np.linalg.norm(ext, axis=0)
+
+    def extended_solution(self, k: int) -> np.ndarray:
+        """Exact ``(u_k, c_k)``: the solution of the reduced-cost system
+        ``diag(A_B, 1)(x, y) = (s A_k, c_k)`` extended by the cost row."""
+        return np.append(self.direction(k), self.c[k])
+
+    def reduced_cost_scaled(self, k: int) -> float:
+        """``c_bar_k / |(u_k, c_k)|`` of column k, i.e. ``sqrt(2)`` times its
+        exact amplitude, from its own extended solution."""
+        x = self.extended_solution(k)
+        return float(self.cost_vector_gadget @ (x / np.linalg.norm(x))) * math.sqrt(2.0)
 
 
 def estimation_cost(qlsa: IdealQlsa, eps_ls: float, bits: int) -> QueryStats:
@@ -311,218 +320,150 @@ def estimation_cost(qlsa: IdealQlsa, eps_ls: float, bits: int) -> QueryStats:
     return per
 
 
-def _unit(m: int, h: int) -> np.ndarray:
-    e = np.zeros(m)
-    e[h] = 1.0
-    return e
-
-
 # ---------------------------------------------------------------------------
-# batched analytic sweeps
-
-# The batched and per-entry amplitudes of an entry differ only in how their
-# dot products and norms round, by a few ``dim`` ulps; eta0 = _SWEEP_ULPS *
-# dim * 2^-53 bounds that with a wide margin.
-_SWEEP_ULPS = 64
-# Under worst error the injection divides by sqrt(1 - alpha0^2), which
-# amplifies that rounding; entries with 1 - alpha0^2 below this go per entry
-# (``inject_error``'s degenerate branch needs it below about 1e-24).
-_SWEEP_MIN_PERP2 = 1e-6
+# sweeps: one sign estimation per column or row
 
 
-def _batched(mode: str, error_mode: str) -> bool:
-    """Whether a sweep is decided in one array pass: analytic mode under
-    zero or worst solver error draws nothing, so no generator stream fixes
-    the order of its entries."""
-    return mode == "analytic" and error_mode != "random"
-
-
-def _sweep_eta(dim: int) -> float:
-    """Bound on the batched-vs-per-entry amplitude difference, before error
-    injection, of a solution state in ``dim`` dimensions."""
-    return _SWEEP_ULPS * dim * 2.0 ** -53
-
-
-def _bracket_decisions(alpha: np.ndarray, spec: SignEstSpec):
-    """``spec.decide`` at the two grid points bracketing ``theta M`` of
-    each target amplitude, as analytic ``boosted_sign_est`` reads them."""
+def _analytic_sign_values(alpha: np.ndarray, spec: SignEstSpec) -> np.ndarray:
+    """Analytic ``boosted_sign_est`` values of the amplitudes ``alpha``, in
+    one array pass: the decision at the two grid points bracketing each
+    ``theta M``, and where they straddle the threshold, ``Pr[1] >= 1/2``
+    summed over the table of that same amplitude."""
     m_size = 2 ** spec.bits
     amp = (1.0 - alpha) / 2.0 if spec.flipped else (1.0 + alpha) / 2.0
     theta_m = np.arcsin(np.sqrt(np.clip(amp, 0.0, 1.0) ** 2)) / math.pi * m_size
-    return spec.decide(np.floor(theta_m) / m_size), spec.decide(np.ceil(theta_m) / m_size)
+    values = spec.decide(np.floor(theta_m) / m_size).astype(int)
+    for i in np.flatnonzero(values != spec.decide(np.ceil(theta_m) / m_size)):
+        dist, ones = _gadget_tables(float(alpha[i]), spec)
+        values[i] = int(dist[ones].sum() >= 0.5)
+    return values
 
 
-def _sweep_sign_values(alpha0: np.ndarray, eps_ls: float, spec: SignEstSpec,
-                       error_mode: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic ``boosted_sign_est`` values of a whole sweep, and the indices
-    of the entries left to the per-entry path.
-
-    ``alpha0`` holds each entry's overlap ``<w|x>`` of its exact solution
-    state x with the unit functional w read off it.  Worst error uses
-    ``inject_error``'s closed form: x turns by ``phi = 2 asin(eps_ls/2)`` in
-    the plane of x and w, toward ``spec.alpha_boundary``, so the amplitude
-    becomes ``cos(phi) alpha0 + sin(phi) sqrt(1 - alpha0^2)`` below the
-    boundary and ``cos(phi) alpha0 - sin(phi) sqrt(1 - alpha0^2)`` above it.
-
-    An entry is decided here only when the two bracketing grid points agree
-    at both ``alpha - eta`` and ``alpha + eta``, where eta bounds the
-    difference between its amplitude here and the per-entry path's
-    (``_sweep_eta``, times ``1 + sin(phi)/sqrt(1 - alpha0^2)`` under worst
-    error).  Every step from the amplitude to the decision is monotone, so
-    the per-entry path then decides the same.  Entries whose two points
-    straddle the threshold are left undecided (the per-entry path sums the
-    table), and under worst error so are entries within eta of the
-    boundary, where the injection's direction is a toss-up, and entries
-    with ``1 - alpha0^2 < _SWEEP_MIN_PERP2``.
-    """
-    eta = _sweep_eta(dim)
-    undecided = np.zeros(alpha0.shape, dtype=bool)
-    alpha = alpha0
-    if error_mode == "worst":
-        phi = 2.0 * math.asin(eps_ls / 2.0)
-        perp2 = 1.0 - alpha0 * alpha0
-        undecided = (perp2 < _SWEEP_MIN_PERP2) | (np.abs(alpha0 - spec.alpha_boundary) <= eta)
-        perp = np.sqrt(np.maximum(perp2, _SWEEP_MIN_PERP2))
-        sign = np.where(alpha0 < spec.alpha_boundary, 1.0, -1.0)
-        alpha = math.cos(phi) * alpha0 + sign * math.sin(phi) * perp
-        eta = eta * (1.0 + math.sin(phi) / perp)
-    lo_minus, hi_minus = _bracket_decisions(alpha - eta, spec)
-    lo_plus, hi_plus = _bracket_decisions(alpha + eta, spec)
-    undecided |= (lo_minus != hi_minus) | (lo_plus != hi_plus) | (lo_minus != lo_plus)
-    return lo_minus.astype(int), np.flatnonzero(undecided)
+def _sign_votes(alpha: np.ndarray, eps_se: float, kind: str, reps: int,
+                mode: str, rng: np.random.Generator | None):
+    """(value, ok) of boosted sign estimation on each amplitude of ``alpha``,
+    as an iterator in order.  Analytic mode decides them all in one array
+    pass; sampling mode draws an entry's readouts when the iterator reaches
+    it, so a caller's own draws per entry stay interleaved with them."""
+    if mode == "analytic":
+        values = _analytic_sign_values(alpha, sign_est_spec(eps_se, kind))
+        return ((value, True) for value in values.tolist())
+    return ((vote.value, vote.ok) for vote in
+            (boosted_sign_est(float(a), eps_se, kind, reps, mode, rng) for a in alpha))
 
 
 def _row_votes(scaled: ScaledBasis, u: np.ndarray, eps_ls: float, eps_se: float,
                kind: str, reps: int, mode: str, rng: np.random.Generator | None):
-    """Boosted sign-estimation votes on every component ``u_h/|u|`` of a
-    direction, read from solver states at precision ``eps_ls`` with the
-    adversary ``e_h``, as an iterator in row order.  Unless the sweep is
-    batched, each row is run when the iterator reaches it, so a caller's
-    own draws per row stay interleaved with the votes' draws."""
-    m = u.size
-    spec = sign_est_spec(eps_se, kind)
-
-    def vote(h: int) -> BoostedResult:
-        sol = scaled.qlsa.solve(u, eps_ls, adversary=_unit(m, h),
-                                threshold=spec.alpha_boundary)
-        return boosted_sign_est(float(sol.state[h]), eps_se, kind, reps, mode, rng)
-
-    if not _batched(mode, scaled.error_mode):
-        return map(vote, range(m))
-    values, undecided = _sweep_sign_values(u / np.linalg.norm(u), eps_ls, spec,
-                                           scaled.error_mode, m)
-    votes = [BoostedResult(value=int(v), ok=True, ones=int(v) * reps,
-                           in_tol_count=reps) for v in values]
-    for h in undecided:
-        votes[h] = vote(int(h))
-    return iter(votes)
+    """(value, ok) of boosted sign estimation on every component
+    ``u_h/|u|`` of a direction, read from solver states at precision
+    ``eps_ls``, as an iterator in row order (see ``_sign_votes``).  Under
+    random error each row reads its own prepared state."""
+    if scaled.error_mode == "random":
+        # a row's state is prepared when the iterator reaches the row
+        reads = (float(scaled.qlsa.solve(u, eps_ls)[h]) for h in range(u.size))
+        return ((vote.value, vote.ok) for vote in
+                (boosted_sign_est(a, eps_se, kind, reps, mode, rng) for a in reads))
+    threshold = sign_est_spec(eps_se, kind).alpha_boundary
+    alpha = read_amplitudes(u / np.linalg.norm(u), eps_ls, scaled.error_mode, threshold)
+    return _sign_votes(alpha, eps_se, kind, reps, mode, rng)
 
 
 # ---------------------------------------------------------------------------
-# reduced cost oracle and pricing (RedCost / CanEnter / FindColumn / IsOptimal)
+# pricing (CanEnter / FindColumn / IsOptimal)
 
 
-@dataclass(frozen=True)
-class RedCostSample:
-    alpha: float            # target amplitude after error injection
-    alpha_exact: float      # without injection (simulation-side truth)
+def _pricing_precisions(eps: float) -> tuple[float, float]:
+    """CanEnter's solver precision ``eps/(10 sqrt(2))`` and sign-estimation
+    precision ``11 eps/(10 sqrt(2))``."""
+    return eps / (10.0 * math.sqrt(2.0)), 11.0 * eps / (10.0 * math.sqrt(2.0))
 
 
-def red_cost_sample(scaled: ScaledBasis, k: int, eps: float,
-                    decision_alpha: float = 0.0) -> RedCostSample:
-    """Solve the extended system ``diag(A_B, 1)(x, y) = (A_k, c_k)`` at
-    precision ``eps/(10 sqrt(2))`` and read off the all-zeros amplitude
-    after un-preparing ``|(-c_B, 1)>``; that amplitude equals
-    ``c_bar_k / (sqrt(2) |(A_B^-1 A_k, c_k)|)`` up to the solver error.
-    The exact extended solution is ``(A_B^-1 A_k, c_k)``.  Uncharged: the
-    caller prices the oracle with ``can_enter_cost``."""
-    w = scaled.cost_vector_gadget
-    exact = np.append(scaled.direction(k), scaled.c[k])
-    sol = scaled.qlsa_ext.solve(exact, eps / (10.0 * math.sqrt(2.0)),
-                                adversary=w, threshold=decision_alpha)
-    return RedCostSample(alpha=float(w @ sol.state),
-                         alpha_exact=float(w @ sol.exact))
+def _pricing_reads(scaled: ScaledBasis, eps: float, variant: str) -> np.ndarray:
+    """The amplitude CanEnter reads of every column of ``scaled.domain``
+    under zero or worst solver error: ``scaled.reduced_cost_amplitudes``
+    through ``read_amplitudes``, pushed toward the variant's boundary."""
+    eps_ls, eps_se = _pricing_precisions(eps)
+    return read_amplitudes(scaled.reduced_cost_amplitudes, eps_ls, scaled.error_mode,
+                           sign_est_spec(eps_se, variant).alpha_boundary)
 
 
 @dataclass(frozen=True)
 class CanEnterResult:
     value: int
     ok: bool
-    alpha_exact: float
-    reduced_cost_scaled: float  # alpha_exact * sqrt(2): c_bar / |(u, c_k)| truth
+    reduced_cost_scaled: float  # c_bar / |(u, c_k)| truth
 
 
 def can_enter(scaled: ScaledBasis, k: int, eps: float, reps: int = 15,
               variant: str = "nfn", mode: str = "analytic",
               rng: np.random.Generator | None = None) -> CanEnterResult:
-    """1 when the (rescaled) reduced cost of column k is certified
-    ``< -eps |(A_B^-1 A_k, c_k)|``: the sign estimation at precision
-    ``11 eps / (10 sqrt(2))`` must return 0.  Uncharged: the caller
-    prices each application with ``can_enter_cost``.
+    """1 when the (rescaled) reduced cost of column k of ``scaled.domain``
+    is certified ``< -eps |(A_B^-1 A_k, c_k)|``: the sign estimation at
+    precision ``11 eps / (10 sqrt(2))`` must return 0.  Uncharged: the
+    caller prices each application with ``can_enter_cost``.
+
+    The oracle solves the extended system ``diag(A_B, 1)(x, y) = (A_k,
+    c_k)`` at precision ``eps/(10 sqrt(2))`` and reads off the all-zeros
+    amplitude after un-preparing ``|(-c_B, 1)>``; that amplitude equals
+    ``c_bar_k / (sqrt(2) |(A_B^-1 A_k, c_k)|)`` up to the solver error.
+    Under zero or worst error it is column k's entry of the sweeps' array
+    (``_pricing_reads``); under random error every prepared state draws its
+    own deviation, and in sampling mode each repetition prepares one.
 
     variant "nfn" is the pricing default; "nfp" is the optimality-check
     variant (fires on everything at most ``-eps``, may fire inside the
     indecision window, which is exactly what IsOptimal needs).
     """
-    eps_se = 11.0 * eps / (10.0 * math.sqrt(2.0))
+    eps_ls, eps_se = _pricing_precisions(eps)
     kind = {"nfn": "nfn", "nfp": "nfp"}[variant]
-    spec = sign_est_spec(eps_se, kind)
-    if scaled.error_mode == "random" and mode == "sampling":
-        # each repetition rebuilds the circuit, so the deviation is fresh
-        ones = in_tol = 0
-        for _ in range(reps):
-            sample = red_cost_sample(scaled, k, eps,
-                                     decision_alpha=spec.alpha_boundary)
-            vote = boosted_sign_est(sample.alpha, eps_se, kind, 1, mode, rng)
-            ones += vote.ones
-            in_tol += vote.in_tol_count
-        majority = (reps + 1) // 2
-        boost = BoostedResult(value=int(ones >= majority), ok=in_tol >= majority,
-                              ones=ones, in_tol_count=in_tol)
+    if scaled.error_mode != "random":
+        alpha = _pricing_reads(scaled, eps, kind)[scaled.domain.index(k)]
+        boost = boosted_sign_est(float(alpha), eps_se, kind, reps, mode, rng)
     else:
-        sample = red_cost_sample(scaled, k, eps, decision_alpha=spec.alpha_boundary)
-        boost = boosted_sign_est(sample.alpha, eps_se, kind, reps, mode, rng)
+        exact = scaled.extended_solution(k)
+
+        def vote(runs: int) -> BoostedResult:
+            state = scaled.qlsa_ext.solve(exact, eps_ls)
+            return boosted_sign_est(float(scaled.cost_vector_gadget @ state), eps_se,
+                                    kind, runs, mode, rng)
+
+        if mode == "analytic":
+            boost = vote(reps)
+        else:
+            votes = [vote(1) for _ in range(reps)]
+            ones = sum(v.ones for v in votes)
+            in_tol = sum(v.in_tol_count for v in votes)
+            majority = (reps + 1) // 2
+            boost = BoostedResult(value=int(ones >= majority), ok=in_tol >= majority,
+                                  ones=ones, in_tol_count=in_tol)
     return CanEnterResult(value=int(boost.value == 0), ok=boost.ok,
-                          alpha_exact=sample.alpha_exact,
-                          reduced_cost_scaled=sample.alpha_exact * math.sqrt(2.0))
+                          reduced_cost_scaled=scaled.reduced_cost_scaled(k))
 
 
 def _can_enter_sweep(scaled: ScaledBasis, eps: float, reps: int, variant: str,
                      mode: str, rng: np.random.Generator | None):
-    """CanEnter on every column of ``scaled.domain``: the columns it fires
-    on, whether every decision's tolerance flags held, and the
-    ``CanEnterResult`` of each column run through ``can_enter``.  A batched
-    sweep decides from ``scaled.reduced_cost_amplitudes`` and runs only the
-    columns ``_sweep_sign_values`` leaves undecided."""
-    domain = scaled.domain
-
-    def run(k: int) -> CanEnterResult:
-        return can_enter(scaled, k, eps, reps, variant, mode, rng)
-
-    if not _batched(mode, scaled.error_mode):
-        results = {k: run(k) for k in domain}
-        fires = [results[k].value for k in domain]
+    """CanEnter on every column of ``scaled.domain``, in order: the columns
+    it fires on, and whether every decision's tolerance flags held.  Under
+    zero or worst error the amplitudes are one array (``_pricing_reads``);
+    under random error each column runs through ``can_enter``."""
+    if scaled.error_mode == "random":
+        runs = (can_enter(scaled, k, eps, reps, variant, mode, rng) for k in scaled.domain)
+        decisions = [(run.value, run.ok) for run in runs]
     else:
-        spec = sign_est_spec(11.0 * eps / (10.0 * math.sqrt(2.0)), variant)
-        signs, undecided = _sweep_sign_values(
-            scaled.reduced_cost_amplitudes, eps / (10.0 * math.sqrt(2.0)), spec,
-            scaled.error_mode, scaled.instance.m + 1)
-        fires = 1 - signs
-        results = {}
-        for i in undecided:
-            results[domain[i]] = run(domain[i])
-            fires[i] = results[domain[i]].value
-    marked = tuple(k for k, fire in zip(domain, fires) if fire == 1)
-    return marked, all(res.ok for res in results.values()), results
+        eps_se = _pricing_precisions(eps)[1]
+        decisions = [(1 - value, ok) for value, ok in
+                     _sign_votes(_pricing_reads(scaled, eps, variant), eps_se, variant,
+                                 reps, mode, rng)]
+    marked = tuple(k for k, (fire, _) in zip(scaled.domain, decisions) if fire == 1)
+    return marked, all(ok for _, ok in decisions)
 
 
 def can_enter_cost(scaled: ScaledBasis, eps: float, reps: int,
                    variant: str = "nfn") -> QueryStats:
     """Deterministic cost of one boosted CanEnter oracle application."""
-    eps_se = 11.0 * eps / (10.0 * math.sqrt(2.0))
+    eps_ls, eps_se = _pricing_precisions(eps)
     spec = sign_est_spec(eps_se, {"nfn": "nfn", "nfp": "nfp"}[variant])
-    return estimation_cost(scaled.qlsa_ext, eps / (10.0 * math.sqrt(2.0)),
-                           spec.bits).scaled(reps)
+    return estimation_cost(scaled.qlsa_ext, eps_ls, spec.bits).scaled(reps)
 
 
 @dataclass
@@ -554,7 +495,7 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
     stats = stats if stats is not None else QueryStats()
     domain = list(scaled.domain)
 
-    marked, all_ok, decisions = _can_enter_sweep(scaled, eps, reps, variant, mode, rng)
+    marked, all_ok = _can_enter_sweep(scaled, eps, reps, variant, mode, rng)
 
     per_call = can_enter_cost(scaled, eps, reps, variant)
     confirm_ok = True
@@ -579,14 +520,11 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
     if found is None and variant == "nfn" and recover_with_nfp:
         return find_column(scaled, eps, reps, mode, rng, stats, variant="nfp",
                            recover_with_nfp=False)
-    if found is not None and found not in decisions:  # batched sweep, no draws
-        decisions[found] = can_enter(scaled, found, eps, reps, variant, mode, rng)
     return FindColumnResult(column=found, ok=confirm_ok and found is not None,
                             variant=variant, marked=marked, decisions_ok=all_ok,
                             stats=stats,
-                            reduced_cost_scaled=(
-                                decisions[found].reduced_cost_scaled
-                                if found is not None else None))
+                            reduced_cost_scaled=(scaled.reduced_cost_scaled(found)
+                                                 if found is not None else None))
 
 
 @dataclass(frozen=True)
@@ -610,7 +548,7 @@ def is_optimal(scaled: ScaledBasis, eps: float, reps: int = 15,
     domain = list(scaled.domain)
     if not domain:
         return IsOptimalResult(value=1, ok=True, marked=())
-    marked, ok, _ = _can_enter_sweep(scaled, eps, reps, "nfp", mode, rng)
+    marked, ok = _can_enter_sweep(scaled, eps, reps, "nfp", mode, rng)
     iters_before = stats.grover_iterations
     exists = grover_count_exists(domain, marked, rng, stats, mode)
     activations = stats.grover_iterations - iters_before
@@ -644,8 +582,8 @@ def is_unbounded(scaled: ScaledBasis, k: int, delta: float, reps: int = 15,
     spec = sign_est_spec(eps_se, "nfn_plus")
     m = scaled.instance.m
     votes = list(_row_votes(scaled, u, eps_ls, eps_se, "nfn_plus", reps, mode, rng))
-    marked = tuple(h for h in range(m) if votes[h].value == 1)
-    ok = all(vote.ok for vote in votes)
+    marked = tuple(h for h, (value, _) in enumerate(votes) if value == 1)
+    ok = all(vote_ok for _, vote_ok in votes)
     iters_before = stats.grover_iterations
     # a missed marked row turns into a terminal (false) unbounded verdict,
     # so the counting schedule is repeated; each repetition keeps the fixed
@@ -684,7 +622,9 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
     ``(2t+1)/(2t-1)`` relative plus ``2/(2t-1)`` absolute bound against the
     delta-thresholded classical minimum whenever the run's tolerance flags
     hold.  Raw estimates are used as-is (no flooring): a zero denominator
-    readout gives an infinite ratio for that row.
+    readout gives an infinite ratio for that row.  Worst error pushes both
+    components toward 0; under random error each gated row prepares both
+    states afresh.
     """
     stats = stats if stats is not None else QueryStats()
     m = scaled.instance.m
@@ -692,6 +632,8 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
     if not np.any(scaled.instance.b):
         raise ZeroColumn("right-hand side b is zero")
     x = scaled.basic_solution
+    x_norm = float(np.linalg.norm(x))
+    u_norm = float(np.linalg.norm(u))
     eps_ls = delta / (16.0 * t)
     nu = delta / (16.0 * math.pi * t)
     ae_bits = math.ceil(math.log2(1.0 / nu)) + 2
@@ -699,50 +641,48 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
     gate_spec = sign_est_spec(gate_eps, "nfp_plus")
     gate_cost = estimation_cost(scaled.qlsa, gate_eps, gate_spec.bits).scaled(reps)
     ae_cost = estimation_cost(scaled.qlsa, eps_ls, ae_bits).scaled(2)
+    if scaled.error_mode == "random":
+        def components(h: int) -> tuple[float, float]:
+            return (float(scaled.qlsa.solve(x, eps_ls)[h]),
+                    float(scaled.qlsa.solve(u, eps_ls)[h]))
+    else:
+        num_amps = read_amplitudes(x / x_norm, eps_ls, scaled.error_mode)
+        den_amps = read_amplitudes(u / u_norm, eps_ls, scaled.error_mode)
+
+        def components(h: int) -> tuple[float, float]:
+            return float(num_amps[h]), float(den_amps[h])
 
     ratios = np.full(m, np.inf)
     gated = []
     all_ok = True
-    num_est = np.zeros(m)
-    den_est = np.zeros(m)
     gates = _row_votes(scaled, u, gate_eps, gate_eps, "nfp_plus", reps, mode, rng)
-    for h, gate in enumerate(gates):
+    for h, (value, gate_ok) in enumerate(gates):
         stats.add(gate_cost)
-        all_ok = all_ok and gate.ok
-        if gate.value != 1:
+        all_ok = all_ok and gate_ok
+        if value != 1:
             continue
         gated.append(h)
-        adversary = _unit(m, h)
-        xi = scaled.qlsa.solve(x, eps_ls, adversary=adversary, threshold=0.0)
-        psi = scaled.qlsa.solve(u, eps_ls, adversary=adversary, threshold=0.0)
+        x_h, u_h = components(h)
         stats.add(ae_cost)
-        num = amplitude_estimation(float(xi.state[h]) ** 2, ae_bits, mode=mode, rng=rng)
-        den = amplitude_estimation(float(psi.state[h]) ** 2, ae_bits, mode=mode, rng=rng)
+        num = amplitude_estimation(x_h ** 2, ae_bits, mode=mode, rng=rng)
+        den = amplitude_estimation(u_h ** 2, ae_bits, mode=mode, rng=rng)
         all_ok = all_ok and num.within(nu) and den.within(nu)
-        num_est[h] = num.amp_est
-        den_est[h] = den.amp_est
         ratios[h] = num.amp_est / den.amp_est if den.amp_est > 0 else np.inf
 
-    u_norm = float(np.linalg.norm(u))
-    direction = u / u_norm
     if not gated or not np.any(np.isfinite(ratios)):
         return FindRowResult(
             row=None, ok=all_ok, failure="no_positive_denominator",
             gated=tuple(gated), ratio_estimates=ratios,
             recovery_options=("relax the sign-check tolerance slightly",
-                              "flag the instance as numerically unstable"),
-            diagnostics={"direction": direction})
+                              "flag the instance as numerically unstable"))
     row = min_finding(ratios, rng=rng, stats=stats, mode=mode)
     all_ok = all_ok and ratios[row] == ratios[np.argmin(ratios)]
     # the AE quotient estimates the normalized ratio (x_h/|x|)/(u_h/|u|);
     # report the unscaled ratio-test value alongside it
-    x_norm = float(np.linalg.norm(x))
-    norm_factor = x_norm / u_norm
     return FindRowResult(row=int(row), ok=all_ok, failure=None,
                          gated=tuple(gated), ratio_estimates=ratios,
-                         diagnostics={"direction": direction, "solution": x / x_norm,
-                                      "numerators": num_est, "denominators": den_est,
-                                      "ratio_unscaled": float(ratios[row]) * norm_factor})
+                         diagnostics={"ratio_unscaled":
+                                      float(ratios[row]) * (x_norm / u_norm)})
 
 
 # ---------------------------------------------------------------------------
@@ -754,13 +694,10 @@ class NormEstimateResult:
     rho: float              # estimate of |A_Bscaled^-1 A_N|_F^2
     exact: float            # dense-oracle truth for the same quantity
     ok: bool
-    amplitude: float        # the success probability fed to AE
-    alpha: float
-    bits: int
 
 
-def norm_estimate(scaled: ScaledBasis, eps: float, alpha: float | None = None,
-                  mode: str = "analytic", rng: np.random.Generator | None = None,
+def norm_estimate(scaled: ScaledBasis, eps: float, mode: str = "analytic",
+                  rng: np.random.Generator | None = None,
                   stats: QueryStats | None = None,
                   column: int | None = None) -> NormEstimateResult:
     """Estimate ``|A_B^-1 A_N|_F^2`` (scaled basis) to relative error eps.
@@ -769,14 +706,13 @@ def norm_estimate(scaled: ScaledBasis, eps: float, alpha: float | None = None,
     superposition; the solver's auxiliary register succeeds with
     probability ``|A~_B^-1 A_N|_F^2 / (alpha^2 |A_N|_F^2)``, which
     amplitude estimation reads out at phase precision ``eps/(4 pi alpha^2)``.
-    ``alpha`` is the solver's internal normalization; the ideal oracle
-    exposes it as a parameter, default kappa (an upper bound on
-    ``|A_B^-1|`` after scaling, so the success amplitude stays <= 1).
-    Per-column variant: pass ``column`` to estimate ``|A_B^-1 A_k|^2``.
+    ``alpha`` is the solver's internal normalization, here kappa (an upper
+    bound on ``|A_B^-1|`` after scaling, so the success amplitude stays
+    <= 1).  Per-column variant: pass ``column`` to estimate
+    ``|A_B^-1 A_k|^2``.
     """
     stats = stats if stats is not None else QueryStats()
-    if alpha is None:
-        alpha = scaled.state.kappa
+    alpha = scaled.state.kappa
     if column is not None:
         cols = [column]
         eps_ls = eps / 2.0
@@ -807,9 +743,7 @@ def norm_estimate(scaled: ScaledBasis, eps: float, alpha: float | None = None,
     outcome = amplitude_estimation(p, bits, mode=mode, rng=rng)
     stats.add(estimation_cost(scaled.qlsa, eps_ls, bits))
     rho = outcome.amp_est ** 2 * alpha ** 2 * fro2
-    return NormEstimateResult(rho=float(rho), exact=exact,
-                              ok=outcome.within(nu), amplitude=p,
-                              alpha=float(alpha), bits=bits)
+    return NormEstimateResult(rho=float(rho), exact=exact, ok=outcome.within(nu))
 
 
 # ---------------------------------------------------------------------------

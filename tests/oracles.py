@@ -7,6 +7,8 @@ with the package paths it validates.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -59,6 +61,25 @@ def exhaustive_ratio_test(x, u, delta=0.0):
             if best is None or r < best[1] - 1e-15:
                 best = (j, r)
     return best
+
+
+def worst_case_state(state, eps_ls, adversary, threshold):
+    """The worst-case solver state as a vector: the unit ``state`` turned
+    by the angle whose chord is ``eps_ls``, in the plane of the state and
+    the unit functional ``adversary``, so that ``<adversary|state>`` moves
+    toward ``threshold``.  A functional parallel to the state spans no
+    plane; any orthogonal direction then gives the same read."""
+    state = np.asarray(state, dtype=float)
+    d = adversary - (adversary @ state) * state
+    dn = np.linalg.norm(d)
+    if dn < 1e-12:
+        axis = np.zeros(state.size)
+        axis[int(np.argmin(np.abs(state)))] = 1.0
+        d = axis - (axis @ state) * state
+        dn = np.linalg.norm(d)
+    angle = 2.0 * math.asin(eps_ls / 2.0)
+    sign = 1.0 if (adversary @ state) < threshold else -1.0
+    return math.cos(angle) * state + sign * math.sin(angle) * (d / dn)
 
 
 def pe_circuit_distribution(unitary, psi, t):

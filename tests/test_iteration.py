@@ -138,24 +138,49 @@ def test_pricing_step_pinned(error_mode):
 
 @pytest.mark.parametrize("error_mode", ["zero", "worst"])
 def test_analytic_pricing_runs_few_columns_alone(monkeypatch, error_mode):
-    # the m=64 pivot pinned above decides its 2 x 128 CanEnter calls in
-    # batched sweeps; only the entries those leave undecided and the pick's
-    # reduced cost go through red_cost_sample (384 calls column by column)
+    # the m=64 pivot pinned above decides its 2 x 128 CanEnter calls and its
+    # row sweeps in array passes: no entry runs boosted_sign_est on its own,
+    # and only the entries whose bracketing grid points straddle the
+    # threshold build a sign-estimation table
     import qsimplex.subroutines as subroutines
 
-    calls = []
-    sample = subroutines.red_cost_sample
+    tables, votes = [], []
+    gadget_tables = subroutines._gadget_tables
+    boosted = subroutines.boosted_sign_est
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return sample(*args, **kwargs)
+    def counting_tables(*args, **kwargs):
+        tables.append(1)
+        return gadget_tables(*args, **kwargs)
 
-    monkeypatch.setattr(subroutines, "red_cost_sample", counting)
+    def counting_votes(*args, **kwargs):
+        votes.append(1)
+        return boosted(*args, **kwargs)
+
+    monkeypatch.setattr(subroutines, "_gadget_tables", counting_tables)
+    monkeypatch.setattr(subroutines, "boosted_sign_est", counting_votes)
     inst = random_lp(64, 192, seed=0)
     out = simplex_iter(inst, dantzig_basis(inst, 24), PrecisionParams(),
                        "analytic", error_mode, np.random.default_rng(24))
     assert (out.status, out.entering, out.leaving_row) == ("pivot", 1, 53)
-    assert 1 <= len(calls) <= 8
+    assert 1 <= len(tables) <= 8
+    assert not votes
+
+
+@pytest.mark.parametrize("mode", ["analytic", "sampling"])
+def test_worst_error_never_prepares_a_state(monkeypatch, mode):
+    # under worst error every read comes from the closed form; only random
+    # error draws solver states
+    from qsimplex import qlsa
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("a solver state was prepared under worst error")
+
+    monkeypatch.setattr(qlsa.IdealQlsa, "solve", no_state)
+    monkeypatch.setattr(qlsa, "inject_error", no_state)
+    inst = random_lp(16, 48, seed=7)
+    out = simplex_iter(inst, dantzig_basis(inst, 6), PrecisionParams(), mode,
+                       "worst", np.random.default_rng(6))
+    assert out.status == "pivot"
 
 
 @pytest.mark.parametrize("mode,error_mode", [("analytic", "worst"),
@@ -176,6 +201,17 @@ def test_simplex_iter_solves_once(monkeypatch, mode, error_mode):
                        np.random.default_rng(0))
     assert out.status == "pivot"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["analytic", "sampling"])
+def test_one_row_worst_error_pivots(mode):
+    # a one-row basis: every row read has alpha0 = +-1, where the worst-case
+    # rotation has no plane of its own and the read is cos(phi) alpha0
+    A = np.array([[1.0, 2.0, 1.0]])
+    inst = LpInstance.from_dense(A, [1.0], [0.0, -1.0, 0.0])
+    out = simplex_iter(inst, (0,), PrecisionParams(), mode, "worst",
+                       np.random.default_rng(0))
+    assert (out.status, out.entering, out.leaving_row) == ("pivot", 1, 0)
 
 
 def test_analytic_pivot_builds_only_small_tables(monkeypatch):

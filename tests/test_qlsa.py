@@ -1,19 +1,22 @@
 """Ideal linear-system oracle: error injection and cost charging."""
 
+import math
+
 import numpy as np
 import pytest
 
+from oracles import worst_case_state
 from qsimplex.costmodel import qlsa_query_counts
 from qsimplex.lp import LpInstance, ZeroVector
 from qsimplex.primitives import QueryStats
-from qsimplex.qlsa import IdealQlsa, inject_error
+from qsimplex.qlsa import IdealQlsa, inject_error, read_amplitudes
 from qsimplex.subroutines import ScaledBasis
 
 
 def test_identity_solve_zero_error():
     oracle = IdealQlsa(2, kappa=1.0, sparsity=1, error_mode="zero")
-    sol = oracle.solve(np.array([1.0, 0.0]), 0.01)
-    assert np.allclose(sol.state, [1.0, 0.0])
+    state = oracle.solve(np.array([1.0, 0.0]), 0.01)
+    assert np.allclose(state, [1.0, 0.0])
 
 
 def test_diagonal_solve_amplitudes():
@@ -21,34 +24,89 @@ def test_diagonal_solve_amplitudes():
     A = np.hstack([np.diag([1.0, 0.5]), np.eye(2)])
     inst = LpInstance.from_dense(A, np.array([1.0, 1.0]) / np.sqrt(2), np.ones(4))
     scaled = ScaledBasis.build(inst, (0, 1))
-    sol = scaled.qlsa.solve(scaled.basic_solution, 0.05)
-    assert np.allclose(sol.state, np.array([1.0, 2.0]) / np.sqrt(5), atol=1e-12)
+    state = scaled.qlsa.solve(scaled.basic_solution, 0.05)
+    assert np.allclose(state, np.array([1.0, 2.0]) / np.sqrt(5), atol=1e-12)
 
 
 def test_worst_mode_injects_exact_deviation():
-    oracle = IdealQlsa(2, kappa=2.0, sparsity=1, error_mode="worst")
+    # the closed-form read is the read of a unit vector at distance eps_ls
+    x = np.array([0.3, 1.4]) / np.linalg.norm([0.3, 1.4])
     target = np.array([1.0, 0.0])
-    sol = oracle.solve(np.array([0.3, 1.4]), 0.01, adversary=target)
-    assert np.linalg.norm(sol.state - sol.exact) == pytest.approx(0.01, abs=1e-12)
-    assert np.linalg.norm(sol.state) == pytest.approx(1.0, abs=1e-12)
+    moved = worst_case_state(x, 0.01, target, 0.0)
+    assert np.linalg.norm(moved - x) == pytest.approx(0.01, abs=1e-12)
+    assert np.linalg.norm(moved) == pytest.approx(1.0, abs=1e-12)
+    assert read_amplitudes(x[0], 0.01, "worst") == pytest.approx(moved[0], abs=1e-15)
 
 
 def test_worst_mode_pushes_functional_toward_threshold():
-    oracle = IdealQlsa(2, kappa=1.0, sparsity=1, error_mode="worst")
-    w = np.array([1.0, 0.0])
     # functional starts negative: the adversary pushes it up toward 0
-    sol = oracle.solve(np.array([-0.6, 0.8]), 0.1, adversary=w, threshold=0.0)
-    assert w @ sol.state > w @ sol.exact
+    assert read_amplitudes(-0.6, 0.1, "worst", threshold=0.0) > -0.6
     # and down when it starts positive
-    sol = oracle.solve(np.array([0.6, 0.8]), 0.1, adversary=w, threshold=0.0)
-    assert w @ sol.state < w @ sol.exact
+    assert read_amplitudes(0.6, 0.1, "worst", threshold=0.0) < 0.6
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 17, 129])
+def test_closed_form_read_matches_vector_rotation(dim):
+    # read_amplitudes against the vector rotation of tests/oracles.py on
+    # random states, on states 1e-5 to 0.1 rad from +-w, with the threshold
+    # at random, at the overlap itself (the boundary: the injection then
+    # pushes down) and at +-1.  Both start from the same rounded alpha0,
+    # whose rounding the read inherits with slope at most
+    # 1 + sin(phi)/sqrt(1 - alpha0^2); they agree within 4 ulps of that.
+    rng = np.random.default_rng(dim)
+    ulp = np.spacing(1.0)
+    for eps_ls in (1e-3, 0.01 / math.sqrt(2), 0.05, 0.3):
+        phi = 2.0 * math.asin(eps_ls / 2.0)
+        pairs = [(_unit(rng.standard_normal(dim)), _unit(rng.standard_normal(dim)))
+                 for _ in range(40)]
+        for beta in (1e-5, 1e-3, 0.1):
+            w = _unit(rng.standard_normal(dim))
+            v = rng.standard_normal(dim)
+            v = _unit(v - (v @ w) * w)
+            x = _unit(math.cos(beta) * w + math.sin(beta) * v)
+            pairs += [(x, w), (-x, w)]
+        for x, w in pairs:
+            alpha0 = float(w @ x)
+            slope = 1.0 + math.sin(phi) / math.sqrt(1.0 - alpha0 ** 2)
+            for threshold in (rng.uniform(-1.0, 1.0), alpha0, -1.0, 1.0):
+                got = read_amplitudes(alpha0, eps_ls, "worst", threshold)
+                want = float(w @ worst_case_state(x, eps_ls, w, threshold))
+                assert abs(got - want) <= 4 * ulp * slope, (eps_ls, alpha0, threshold)
+                assert abs(got - alpha0) <= eps_ls * (1.0 + 1e-12)
+        # a functional parallel to the state: alpha0 = +-1 exactly
+        for h in (0, dim - 1):
+            w = np.eye(dim)[h]
+            for s in (1.0, -1.0):
+                for threshold in (0.0, -1.0, 1.0):
+                    got = read_amplitudes(s, eps_ls, "worst", threshold)
+                    assert got == float(w @ worst_case_state(s * w, eps_ls, w, threshold))
+                    assert got == s * math.cos(phi)
+    # an array reads entry by entry exactly as floats do
+    alpha0 = rng.uniform(-1.0, 1.0, 64)
+    reads = read_amplitudes(alpha0, 0.05, "worst", 0.1)
+    assert [float(read_amplitudes(float(a), 0.05, "worst", 0.1)) for a in alpha0] == \
+        reads.tolist()
+
+
+def test_zero_mode_reads_exact_and_random_mode_has_no_closed_form():
+    alpha0 = np.array([-0.5, 0.25])
+    assert read_amplitudes(alpha0, 0.1, "zero") is alpha0
+    with pytest.raises(ValueError):
+        read_amplitudes(alpha0, 0.1, "random")
+    with pytest.raises(ValueError):
+        inject_error(np.array([1.0, 0.0]), 0.1, "worst")
 
 
 def test_random_mode_seeded():
     rng = np.random.default_rng(3)
     oracle = IdealQlsa(3, kappa=1.0, sparsity=1, error_mode="random", rng=rng)
-    sol = oracle.solve(np.array([1.0, 1.0, 1.0]), 0.2)
-    assert np.linalg.norm(sol.state - sol.exact) == pytest.approx(0.2, abs=1e-12)
+    exact = np.ones(3) / np.sqrt(3)
+    state = oracle.solve(np.array([1.0, 1.0, 1.0]), 0.2)
+    assert np.linalg.norm(state - exact) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_inject_error_rejects_oversized():

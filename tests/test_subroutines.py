@@ -13,14 +13,16 @@ from qsimplex.instances import (embed_basis_instance, random_bounded_lp,
                                 random_lp, random_unbounded_lp,
                                 ratio_test_triple)
 from qsimplex.lp import LpInstance, slack_identity_basis
-from qsimplex.qlsa import IdealQlsa
+from qsimplex.primitives import amplitude_estimation, bracketing_grid_points
+from qsimplex.qlsa import read_amplitudes
 from qsimplex.subroutines import (SIGN_EST_KINDS, PrecisionParams, ScaledBasis,
-                                  _can_enter_sweep, _row_votes, _sweep_eta,
-                                  _sweep_sign_values, boosted_sign_est,
+                                  _analytic_sign_values, _can_enter_sweep,
+                                  _gadget_phase, _row_votes, boosted_sign_est,
                                   can_enter, find_column, find_row, is_optimal,
-                                  is_unbounded, norm_estimate, red_cost_sample,
+                                  is_unbounded, norm_estimate,
                                   sign_est_prob_one, sign_est_spec,
                                   simplex_iter, solve_quantum)
+from oracles import worst_case_state
 from test_iteration import CASES, dantzig_basis
 from test_iteration import GENERATORS as ITERATION_GENERATORS
 
@@ -189,10 +191,10 @@ def test_red_cost_amplitude_matches_arithmetic():
     # numbers: c_bar = -0.88995, |(0.6, 0.8, 0.1)| = 1.00499 -> -0.6262
     inst = _module2_instance()
     scaled = ScaledBasis.build(inst, (0, 1), error_mode="zero")
-    sample = red_cost_sample(scaled, 2, eps=0.1)
+    alpha_exact = scaled.reduced_cost_amplitudes[scaled.domain.index(2)]
     cbar = 0.1 - 1.4 / np.sqrt(2)
     expected = cbar / (np.sqrt(2) * np.linalg.norm([0.6, 0.8, 0.1]))
-    assert sample.alpha_exact == pytest.approx(expected, abs=1e-10)
+    assert alpha_exact == pytest.approx(expected, abs=1e-10)
     assert expected == pytest.approx(-0.6261, abs=1e-4)
 
 
@@ -203,17 +205,18 @@ def test_red_cost_basic_column_zero_amplitude():
     A = np.hstack([inst.dense(), inst.dense()[:, [0]]])
     inst2 = LpInstance.from_dense(A, inst.b, np.append(inst.c, inst.c[0]))
     scaled2 = ScaledBasis.build(inst2, (0, 1), error_mode="zero")
-    sample = red_cost_sample(scaled2, 3, eps=0.1)
-    assert abs(sample.alpha_exact) <= 0.1 / (10 * np.sqrt(2)) + 1e-9
+    alpha_exact = scaled2.reduced_cost_amplitudes[scaled2.domain.index(3)]
+    assert abs(alpha_exact) <= 0.1 / (10 * np.sqrt(2)) + 1e-9
 
 
 def test_red_cost_worst_error_bounded():
     inst = _module2_instance()
     scaled = ScaledBasis.build(inst, (0, 1), error_mode="worst")
-    sample = red_cost_sample(scaled, 2, eps=0.1)
-    exact = red_cost_sample(
-        ScaledBasis.build(inst, (0, 1), error_mode="zero"), 2, eps=0.1)
-    assert abs(sample.alpha - exact.alpha_exact) <= 0.1 / (10 * np.sqrt(2)) + 1e-12
+    eps_ls = 0.1 / (10 * np.sqrt(2))
+    i = scaled.domain.index(2)
+    alpha = read_amplitudes(scaled.reduced_cost_amplitudes, eps_ls, scaled.error_mode)[i]
+    exact = ScaledBasis.build(inst, (0, 1), error_mode="zero").reduced_cost_amplitudes[i]
+    assert abs(alpha - exact) <= 0.1 / (10 * np.sqrt(2)) + 1e-12
 
 
 def test_can_enter_module2_example():
@@ -404,7 +407,7 @@ def test_find_row_t100_close_to_classical():
 
 
 # ---------------------------------------------------------------------------
-# batched analytic sweeps: every decision equals the per-entry path's
+# sweeps: every decision equals the per-entry vector path's
 
 PINNED_BASES = sorted({case[:4] for case in CASES if case[4] == "analytic"})
 PRICING_EPS = (0.1 / (10 * math.sqrt(2)), 11 * 0.1 / (10 * math.sqrt(2)))
@@ -414,48 +417,92 @@ SWEEPS = {"nfp": PRICING_EPS, "nfn": PRICING_EPS, "nfn_plus": (0.01, 0.09),
           "nfp_plus": (0.05, 0.05)}
 
 
+def _vector_read(x, eps_ls, w, threshold, error_mode):
+    """<w|x~> of the unit state x after the solver error, as a vector."""
+    if error_mode == "worst":
+        x = worst_case_state(x, eps_ls, w, threshold)
+    return float(w @ x)
+
+
+def _pricing_reference(scaled, variant):
+    """The per-column loop: each column's own extended solution state, its
+    worst-case rotation as a vector, and a boosted vote."""
+    eps_ls, eps_se = PRICING_EPS
+    threshold = sign_est_spec(eps_se, variant).alpha_boundary
+    w = scaled.cost_vector_gadget
+    marked = []
+    for k in scaled.domain:
+        x = np.append(scaled.direction(k), scaled.c[k])
+        alpha = _vector_read(x / np.linalg.norm(x), eps_ls, w, threshold,
+                             scaled.error_mode)
+        if boosted_sign_est(alpha, eps_se, variant, 15).value == 0:
+            marked.append(k)
+    return tuple(marked)
+
+
 def _row_vote_reference(scaled, u, kind):
     """The per-row loop: one solver state and boosted vote per row."""
     eps_ls, eps_se = SWEEPS[kind]
     threshold = sign_est_spec(eps_se, kind).alpha_boundary
     m = u.size
-    values = []
-    for h in range(m):
-        state = scaled.qlsa.solve(u, eps_ls, adversary=np.eye(m)[h],
-                                  threshold=threshold).state
-        values.append(boosted_sign_est(float(state[h]), eps_se, kind, 15).value)
-    return values
+    return [boosted_sign_est(_vector_read(u / np.linalg.norm(u), eps_ls, np.eye(m)[h],
+                                          threshold, scaled.error_mode),
+                             eps_se, kind, 15).value for h in range(m)]
 
 
 @pytest.mark.parametrize("error_mode", ["zero", "worst"])
 @pytest.mark.parametrize("gen,m,seed,step", PINNED_BASES)
 def test_batched_sweeps_match_per_entry_path(gen, m, seed, step, error_mode):
-    # IsOptimal's and FindColumn's pricing sweeps against can_enter on every
-    # column; IsUnbounded's rows and FindRow's gate against the per-row loop
-    # on the directions of up to 8 columns
+    # IsOptimal's and FindColumn's pricing sweeps against the per-column
+    # vector path on every column; IsUnbounded's rows and FindRow's gate
+    # against the per-row loop on the directions of up to 8 columns
     inst = ITERATION_GENERATORS[gen](m, 3 * m, seed=seed)
     scaled = ScaledBasis.build(inst, dantzig_basis(inst, step), error_mode=error_mode)
     for variant in ("nfp", "nfn"):
-        marked, ok, _ = _can_enter_sweep(scaled, 0.1, 15, variant, "analytic", None)
-        expected = tuple(k for k in scaled.domain
-                         if can_enter(scaled, k, 0.1, 15, variant).value == 1)
-        assert (marked, ok) == (expected, True), variant
+        marked, ok = _can_enter_sweep(scaled, 0.1, 15, variant, "analytic", None)
+        assert (marked, ok) == (_pricing_reference(scaled, variant), True), variant
+        assert marked == tuple(k for k in scaled.domain
+                               if can_enter(scaled, k, 0.1, 15, variant).value == 1)
     for k in scaled.domain[::max(1, len(scaled.domain) // 8)]:
         u = scaled.direction(k)
         for kind in ("nfn_plus", "nfp_plus"):
             eps_ls, eps_se = SWEEPS[kind]
             votes = list(_row_votes(scaled, u, eps_ls, eps_se, kind, 15,
                                     "analytic", None))
-            assert [vote.value for vote in votes] == _row_vote_reference(
+            assert [value for value, _ in votes] == _row_vote_reference(
                 scaled, u, kind), (k, kind)
 
 
-def _planted_overlaps(spec, eps_ls, error_mode, eta):
-    """Overlaps alpha0 placed where a batched decision is hardest: the gadget
+@pytest.mark.parametrize("gen,m,seed,step", PINNED_BASES)
+def test_find_row_worst_error_reads_match_vector_rotation(gen, m, seed, step):
+    # FindRow's AE numerator and denominator of every gated row under worst
+    # error: the h-th components of x/|x| and u/|u| rotated toward 0
+    inst = ITERATION_GENERATORS[gen](m, 3 * m, seed=seed)
+    scaled = ScaledBasis.build(inst, dantzig_basis(inst, step), error_mode="worst")
+    delta, t = 0.1, 100.0
+    eps_ls = delta / (16 * t)
+    bits = math.ceil(math.log2(16 * math.pi * t / delta)) + 2
+    x = scaled.basic_solution
+    checked = 0
+    for k in scaled.domain[::max(1, len(scaled.domain) // 8)]:
+        u = scaled.direction(k)
+        fr = find_row(scaled, k, delta, t)
+        for h in fr.gated:
+            e_h = np.eye(m)[h]
+            num, den = (amplitude_estimation(
+                worst_case_state(v / np.linalg.norm(v), eps_ls, e_h, 0.0)[h] ** 2,
+                bits).amp_est for v in (x, u))
+            assert fr.ratio_estimates[h] == (num / den if den > 0 else np.inf), (k, h)
+            checked += 1
+    assert checked > 0
+
+
+def _planted_overlaps(spec, eps_ls, error_mode):
+    """Overlaps alpha0 placed where a sweep decision is hardest: the gadget
     phase theta M within 1e-13 of the grid points around the threshold, a
     pair inside the interval whose two grid points straddle it (one nearer
-    each end), and under worst error alpha0 within eta of the boundary and
-    next to +-1, where the injection divides by sqrt(1 - alpha0^2)."""
+    each end), and under worst error alpha0 at and next to the boundary,
+    where the injection turns round, and at and next to +-1."""
     M = 2 ** spec.bits
     j = math.floor(spec.threshold * M)
     theta_ms = [g + d for g in range(j - 2, j + 4) for d in (-1e-13, 0.0, 1e-13)]
@@ -477,7 +524,8 @@ def _planted_overlaps(spec, eps_ls, error_mode, eta):
             overlaps.append(math.cos(beta + phi))
         if beta - phi >= 0.0 and math.cos(beta - phi) >= boundary:
             overlaps.append(math.cos(beta - phi))
-    overlaps += [boundary + f * eta for f in (-1.0, -0.25, 0.0, 0.25, 1.0)]
+    overlaps += [boundary + f * 1e-14 for f in (-1.0, -0.25, 0.0, 0.25, 1.0)]
+    overlaps += [math.nextafter(boundary, -2.0), math.nextafter(boundary, 2.0)]
     overlaps += [-1.0, -1.0 + 1e-9, 1.0 - 1e-9, 1.0]
     return overlaps
 
@@ -485,29 +533,24 @@ def _planted_overlaps(spec, eps_ls, error_mode, eta):
 @pytest.mark.parametrize("error_mode", ["zero", "worst"])
 @pytest.mark.parametrize("kind", sorted(SWEEPS))
 def test_batched_decisions_on_planted_boundary_entries(kind, error_mode):
-    # a decided entry must match the per-entry path at every overlap within
-    # half the stated bound eta of its own, both sides of the grid points,
-    # the straddling pair and the worst-error boundary included
+    # the array rule decides every planted entry as boosted_sign_est and
+    # the full table do on the same amplitude, both sides of the grid
+    # points, the straddling pair and the worst-error boundary included
     eps_ls, eps_se = SWEEPS[kind]
     spec = sign_est_spec(eps_se, kind)
-    dim = 129
-    eta = _sweep_eta(dim)
     rng = np.random.default_rng(7)
-    alpha0 = np.array(_planted_overlaps(spec, eps_ls, error_mode, eta)
+    alpha0 = np.array(_planted_overlaps(spec, eps_ls, error_mode)
                       + list(rng.uniform(-1.0, 1.0, 50)))
-    values, undecided = _sweep_sign_values(alpha0, eps_ls, spec, error_mode, dim)
-    qlsa = IdealQlsa(2, 1.0, 1, error_mode)
-    for i in sorted(set(range(alpha0.size)) - set(undecided)):
-        for overlap in alpha0[i] + np.array([-0.5, 0.0, 0.5]) * eta:
-            overlap = min(max(overlap, -1.0), 1.0)
-            state = qlsa.solve(np.array([overlap, math.sqrt(1.0 - overlap ** 2)]),
-                               eps_ls, adversary=np.array([1.0, 0.0]),
-                               threshold=spec.alpha_boundary).state
-            expected = boosted_sign_est(float(state[0]), eps_se, kind, 15).value
-            assert values[i] == expected, (i, alpha0[i], overlap)
-    # entries decided only per entry: the straddling pair, and under worst
-    # error the boundary and +-1
-    assert undecided.size >= 2
+    alpha = read_amplitudes(alpha0, eps_ls, error_mode, spec.alpha_boundary)
+    values = _analytic_sign_values(alpha, spec)
+    straddling = 0
+    for i, a in enumerate(alpha.tolist()):
+        assert values[i] == boosted_sign_est(a, eps_se, kind, 15).value, (i, alpha0[i])
+        assert values[i] == int(sign_est_prob_one(a, eps_se, kind) >= 0.5), (i, alpha0[i])
+        lo, hi = bracketing_grid_points(_gadget_phase(a, spec)[1], spec.bits)
+        straddling += spec.decide(lo / 2 ** spec.bits) != spec.decide(hi / 2 ** spec.bits)
+    # the table sum is exercised: at least the planted straddling pair
+    assert straddling >= 2
 
 
 # ---------------------------------------------------------------------------
