@@ -20,7 +20,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,16 +29,18 @@ from .classical import (basic_solution, ratio_test, reduced_cost,
 from .costmodel import COST_REPORT_SCHEMA, build_cost_report
 from .io import InstanceFormatError, read_instance
 from .lp import BasisSingular, LpInstance, normalize, slack_identity_basis
+from .primitives import QueryStats
 from .subroutines import PrecisionParams, solve_quantum
 from .verify import run_all
+
+# the query counters, in QueryStats field order
+COUNTER_COLUMNS = [f.name for f in fields(QueryStats)]
 
 TRACE_COLUMNS = [
     "iteration", "status", "entering", "leaving_row", "leaving_var", "kappa",
     "objective_before", "is_optimal", "variant", "ratio_estimate",
     "classical_cbar_entering", "classical_pricing_norm", "pricing_check_ok",
-    "classical_ratio_row", "u_calls", "controlled_u_calls", "qlsa_invocations",
-    "p_ab_queries", "p_b_queries", "grover_iterations", "ae_repetitions",
-    "basic_gates", "elapsed_ms",
+    "classical_ratio_row", *COUNTER_COLUMNS, "elapsed_ms",
 ]
 
 CLASSICAL_TRACE_COLUMNS = [
@@ -243,9 +245,7 @@ def cmd_analyze(config: RunConfig) -> int:
             reader = csv.DictReader(fh)
             totals: dict[str, float] = {}
             for row in reader:
-                for key in ("u_calls", "controlled_u_calls", "qlsa_invocations",
-                            "p_ab_queries", "p_b_queries", "grover_iterations",
-                            "ae_repetitions", "basic_gates"):
+                for key in COUNTER_COLUMNS:
                     if row.get(key):
                         totals[key] = totals.get(key, 0.0) + float(row[key])
             measured = totals or None

@@ -14,15 +14,20 @@ Conceptually the solver runs on the symmetric embedding
 the contract ``| |x~> - |A^-1 b> | <= eps_ls``, which the worst-case mode
 saturates adversarially.
 
-Error modes:
+Each prepared state is read once, through one unit functional w, so a
+read is a function of the exact overlap ``alpha0 = <w|x>`` alone and no
+state is ever built.  With ``phi = 2 asin(eps_ls/2)`` the angle whose chord
+is ``eps_ls``, the error modes read:
 
-* ``zero``   -- no deviation (ideal solver);
-* ``worst``  -- rotate the solution state by exactly ``eps_ls`` within the
-  plane spanned by the state and the unit functional read off it, pushing
-  the functional value toward its decision threshold.  Only that value is
-  ever read, so it is given in closed form (``read_amplitudes``);
-* ``random`` -- rotate by exactly ``eps_ls`` in a seeded random direction
-  (``inject_error``, one draw per prepared state).
+* ``zero``   -- ``alpha0`` (ideal solver);
+* ``worst``  -- x turned by phi within the plane of x and w, pushing the
+  read toward its decision threshold: ``cos(phi) alpha0 +- sin(phi)
+  sqrt(1 - alpha0^2)`` (``read_amplitudes``);
+* ``random`` -- x turned by phi in a uniformly random direction, one fresh
+  direction per prepared state: ``cos(phi) alpha0 + sin(phi) sqrt(1 -
+  alpha0^2) T``, with T the first coordinate of a uniform point on the
+  unit sphere of the ``dim - 1`` directions orthogonal to x
+  (``inject_error``).
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import math
 import numpy as np
 
 from .costmodel import qlsa_query_counts
-from .lp import ZeroVector
 from .primitives import QueryStats
 
 ERROR_MODES = ("zero", "worst", "random")
@@ -48,7 +52,7 @@ def _rotation_angle(eps_ls: float) -> float:
 def read_amplitudes(alpha0, eps_ls: float, mode: str, threshold: float = 0.0):
     """``<w|x~>`` for unit functionals w whose exact overlaps with the exact
     solution states x are ``alpha0`` (a float or an array), under zero or
-    worst solver error.
+    worst solver error; random error is drawn (``inject_error``).
 
     Worst error turns x by ``phi = 2 asin(eps_ls/2)`` in the plane of x and
     w, toward ``threshold``: the read becomes ``cos(phi) alpha0 + sin(phi)
@@ -59,27 +63,28 @@ def read_amplitudes(alpha0, eps_ls: float, mode: str, threshold: float = 0.0):
     if mode == "zero" or eps_ls == 0.0:
         return alpha0
     if mode != "worst":
-        raise ValueError(f"no closed-form read under {mode!r} error")
+        raise ValueError(f"no deterministic read under {mode!r} error")
     phi = _rotation_angle(eps_ls)
     perp = np.sqrt(np.maximum(1.0 - alpha0 * alpha0, 0.0))
     sign = np.where(alpha0 < threshold, 1.0, -1.0)
     return math.cos(phi) * alpha0 + sign * math.sin(phi) * perp
 
 
-def inject_error(state: np.ndarray, eps_ls: float, mode: str,
-                 rng: np.random.Generator | None = None) -> np.ndarray:
-    """Return a unit vector at L2 distance exactly ``eps_ls`` from ``state``,
-    turned in a random direction (``random`` mode) or not at all (``zero``)."""
-    if mode == "zero" or eps_ls == 0.0:
-        return state
-    angle = _rotation_angle(eps_ls)
-    if mode != "random":
-        raise ValueError(f"no state is drawn under {mode!r} error")
-    w = rng.standard_normal(state.size)
-    d = w - (w @ state) * state
-    d /= np.linalg.norm(d)
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    return math.cos(angle) * state + sign * math.sin(angle) * d
+def inject_error(alpha0, eps_ls: float, dim: int, rng: np.random.Generator):
+    """One random-error read per entry of ``alpha0`` (a float or an array),
+    the exact overlaps of unit functionals with solution states in R^dim.
+    T, the first coordinate of a uniform point on the unit sphere of
+    R^(dim-1), is ``2 Beta(k, k) - 1`` with ``k = (dim - 2)/2``, and a fair
+    +-1 at dim 2.  At dim 1, ``alpha0 = +-1`` and the read is ``cos(phi)
+    alpha0``."""
+    phi = _rotation_angle(eps_ls)
+    alpha0 = np.asarray(alpha0, dtype=float)
+    if dim <= 2:
+        t = np.where(rng.random(alpha0.shape) < 0.5, 1.0, -1.0)
+    else:
+        t = 2.0 * rng.beta((dim - 2) / 2.0, (dim - 2) / 2.0, alpha0.shape) - 1.0
+    perp = np.sqrt(np.maximum(1.0 - alpha0 * alpha0, 0.0))
+    return math.cos(phi) * alpha0 + math.sin(phi) * perp * t
 
 
 class IdealQlsa:
@@ -97,7 +102,6 @@ class IdealQlsa:
         self.size = int(size)
         self.kappa = float(kappa)
         self.sparsity = int(sparsity)
-        self.error_mode = error_mode
         self.rng = rng
 
     def charge(self, eps_ls: float, stats: QueryStats,
@@ -108,12 +112,8 @@ class IdealQlsa:
         stats.p_b_queries += invocations * counts["p_b_queries"]
         stats.basic_gates += invocations * counts["gates"]
 
-    def solve(self, solution: np.ndarray, eps_ls: float) -> np.ndarray:
-        """The output state of one invocation whose exact solution is
-        ``solution = A^-1 r``, with a fresh random deviation in ``random``
-        mode.  Charges nothing."""
-        x = np.asarray(solution, dtype=float).reshape(-1)
-        norm = float(np.linalg.norm(x))
-        if norm == 0.0:
-            raise ZeroVector("the solution of a zero right-hand side has no state")
-        return inject_error(x / norm, eps_ls, self.error_mode, rng=self.rng)
+    def solve(self, alpha0, eps_ls: float):
+        """Random-error reads of fresh output states of this ``size`` x
+        ``size`` system, one per entry of the exact overlaps ``alpha0``
+        (``inject_error`` with the oracle's generator).  Charges nothing."""
+        return inject_error(alpha0, eps_ls, self.size, self.rng)

@@ -28,15 +28,14 @@ alone; the exact solutions behind those invocations are computed once per
 basis by ``ScaledBasis.build`` and cost nothing.
 
 Sweeps: IsOptimal and FindColumn apply CanEnter to every nonbasic column,
-IsUnbounded and the FindRow gate a sign estimation to every row.  Under
-zero or worst solver error every amplitude an iteration reads -- the
-sweeps', FindColumn's confirmations and FindRow's AE numerators and
-denominators -- comes from ``ScaledBasis.solutions`` through
-``qlsa.read_amplitudes``, the error model's closed form.  Analytic mode
-decides a whole sweep in one array pass (``_analytic_sign_values``);
-sampling mode draws entry by entry, in the order that fixes the generator
-stream.  Random error draws a deviation per prepared state, so it alone
-runs column by column and row by row through ``IdealQlsa.solve``.
+IsUnbounded and the FindRow gate a sign estimation to every row.  Every
+amplitude an iteration reads -- the sweeps', FindColumn's confirmations
+and FindRow's AE numerators and denominators -- comes from
+``ScaledBasis.solutions`` through ``ScaledBasis.read``, the one place that
+picks the error model: a closed form under zero or worst error, one fresh
+draw per prepared state under random error.  Analytic mode decides a
+whole sweep in one array pass (``_analytic_sign_values``); sampling mode
+draws entry by entry, in the order that fixes the generator stream.
 
 Each subroutine run owns its generator and counters; inputs are immutable,
 so independent runs are safe to parallelize from the caller's side.
@@ -54,7 +53,8 @@ import numpy as np
 from .lp import (BasisSingular, BasisState, LpInstance, ZeroColumn,
                  ZeroVector, normalize)
 from .primitives import (AllInfinite, QueryStats, _charge_pe,
-                         ae_distribution, ae_sample, amplitude_estimation,
+                         ae_distribution, ae_quantile, ae_sample,
+                         amplitude_estimation,
                          bracketing_grid_points, grover_count_exists,
                          min_finding, qsearch, qsearch_analytic,
                          theta_of_amplitude)
@@ -181,7 +181,7 @@ class BoostedResult:
     in_tol_count: int
 
 
-def boosted_sign_est(alpha: float, eps: float, kind: str, reps: int,
+def boosted_sign_est(alpha: float | list[float], eps: float, kind: str, reps: int,
                      mode: str = "analytic",
                      rng: np.random.Generator | None = None) -> BoostedResult:
     """reps-fold majority vote over independent sign-estimation runs.
@@ -199,11 +199,13 @@ def boosted_sign_est(alpha: float, eps: float, kind: str, reps: int,
     the mass summed over the full table.  Sampling mode draws the ``reps``
     readouts in one ``ae_sample`` call (the draws ``rng.choice`` on the
     table would make) and counts the votes and in-tolerance runs from
-    their folds.
+    their folds.  There ``alpha`` may also list one amplitude per run, for
+    runs that each prepare their own state: the ``reps`` uniforms are then
+    drawn at once and each is mapped through the amplitude of its own run.
     """
     spec = sign_est_spec(eps, kind)
-    a, theta = _gadget_phase(alpha, spec)
     if mode == "analytic":
+        _, theta = _gadget_phase(alpha, spec)
         m_size = 2 ** spec.bits
         lo, hi = bracketing_grid_points(theta, spec.bits)
         value = spec.decide(lo / m_size)
@@ -212,8 +214,13 @@ def boosted_sign_est(alpha: float, eps: float, kind: str, reps: int,
             value = int(dist[ones_mask].sum() >= 0.5)
         return BoostedResult(value=value, ok=True, ones=value * reps,
                              in_tol_count=reps)
-    votes, in_tol_flags = _readout_flags(ae_sample(a, spec.bits, rng, size=reps),
-                                         theta, spec)
+    if np.ndim(alpha):  # one prepared state per run
+        a, theta = np.array([_gadget_phase(x, spec) for x in alpha]).T
+        y = np.array([ae_quantile(p, spec.bits, v) for p, v in zip(a, rng.random(reps))])
+    else:
+        a, theta = _gadget_phase(alpha, spec)
+        y = ae_sample(a, spec.bits, rng, size=reps)
+    votes, in_tol_flags = _readout_flags(y, theta, spec)
     ones = int(votes.sum())
     in_tol = int(in_tol_flags.sum())
     majority = (reps + 1) // 2
@@ -233,8 +240,9 @@ class ScaledBasis:
 
     ``solutions`` holds every exact solution the iteration can read, from
     one multi-right-hand-side dense solve: column k is ``A_B^-1 (s A_k)``
-    and the last column is ``A_B^-1 (s b)``, for the matrix scale s.  The
-    oracles only perturb these and charge: ``qlsa`` for the m x m system,
+    and the last column is ``A_B^-1 (s b)``, for the matrix scale s.  Every
+    read of a solver state comes from these through ``read``; the oracles
+    charge, and draw random error: ``qlsa`` for the m x m system,
     ``qlsa_ext`` for the reduced-cost system extended by the cost row.
     ``domain`` lists the nonbasic columns with a nonzero entry.
     """
@@ -270,6 +278,22 @@ class ScaledBasis:
                    qlsa_ext=IdealQlsa(m + 1, state.kappa, state.sparsity,
                                       error_mode, rng))
 
+    def read(self, alpha0, eps_ls: float, threshold: float = 0.0,
+             extended: bool = False, runs: int = 1):
+        """What solver states at precision ``eps_ls`` give the unit
+        functionals whose exact overlaps with the exact solution states are
+        ``alpha0``: the closed form under zero or worst error (pushed toward
+        ``threshold``), and under random error one fresh read per prepared
+        state, from ``qlsa`` or, if ``extended``, ``qlsa_ext``.  With
+        ``runs`` > 1 each entry prepares that many states, read along a
+        trailing axis under random error; zero and worst error read them all
+        alike, so the entry stands for all of them."""
+        if self.error_mode != "random":
+            return read_amplitudes(alpha0, eps_ls, self.error_mode, threshold)
+        if runs > 1:
+            alpha0 = np.repeat(np.asarray(alpha0)[..., None], runs, axis=-1)
+        return (self.qlsa_ext if extended else self.qlsa).solve(alpha0, eps_ls)
+
     def direction(self, k: int) -> np.ndarray:
         """Exact ``A_B^-1 (s A_k)``."""
         u = self.solutions[:, k]
@@ -297,15 +321,11 @@ class ScaledBasis:
         ext = np.vstack([self.solutions[:, cols], self.c[cols]])
         return (self.cost_vector_gadget @ ext) / np.linalg.norm(ext, axis=0)
 
-    def extended_solution(self, k: int) -> np.ndarray:
-        """Exact ``(u_k, c_k)``: the solution of the reduced-cost system
-        ``diag(A_B, 1)(x, y) = (s A_k, c_k)`` extended by the cost row."""
-        return np.append(self.direction(k), self.c[k])
-
     def reduced_cost_scaled(self, k: int) -> float:
         """``c_bar_k / |(u_k, c_k)|`` of column k, i.e. ``sqrt(2)`` times its
-        exact amplitude, from its own extended solution."""
-        x = self.extended_solution(k)
+        exact amplitude, from its own solution ``(u_k, c_k)`` of the
+        reduced-cost system ``diag(A_B, 1)(x, y) = (s A_k, c_k)``."""
+        x = np.append(self.direction(k), self.c[k])
         return float(self.cost_vector_gadget @ (x / np.linalg.norm(x))) * math.sqrt(2.0)
 
 
@@ -349,22 +369,17 @@ def _sign_votes(alpha: np.ndarray, eps_se: float, kind: str, reps: int,
         values = _analytic_sign_values(alpha, sign_est_spec(eps_se, kind))
         return ((value, True) for value in values.tolist())
     return ((vote.value, vote.ok) for vote in
-            (boosted_sign_est(float(a), eps_se, kind, reps, mode, rng) for a in alpha))
+            (boosted_sign_est(a, eps_se, kind, reps, mode, rng) for a in alpha.tolist()))
 
 
 def _row_votes(scaled: ScaledBasis, u: np.ndarray, eps_ls: float, eps_se: float,
                kind: str, reps: int, mode: str, rng: np.random.Generator | None):
     """(value, ok) of boosted sign estimation on every component
-    ``u_h/|u|`` of a direction, read from solver states at precision
-    ``eps_ls``, as an iterator in row order (see ``_sign_votes``).  Under
-    random error each row reads its own prepared state."""
-    if scaled.error_mode == "random":
-        # a row's state is prepared when the iterator reaches the row
-        reads = (float(scaled.qlsa.solve(u, eps_ls)[h]) for h in range(u.size))
-        return ((vote.value, vote.ok) for vote in
-                (boosted_sign_est(a, eps_se, kind, reps, mode, rng) for a in reads))
+    ``u_h/|u|`` of a direction, each read from a state prepared for its row
+    at precision ``eps_ls``, as an iterator in row order (see
+    ``_sign_votes``)."""
     threshold = sign_est_spec(eps_se, kind).alpha_boundary
-    alpha = read_amplitudes(u / np.linalg.norm(u), eps_ls, scaled.error_mode, threshold)
+    alpha = scaled.read(u / np.linalg.norm(u), eps_ls, threshold)
     return _sign_votes(alpha, eps_se, kind, reps, mode, rng)
 
 
@@ -378,13 +393,17 @@ def _pricing_precisions(eps: float) -> tuple[float, float]:
     return eps / (10.0 * math.sqrt(2.0)), 11.0 * eps / (10.0 * math.sqrt(2.0))
 
 
-def _pricing_reads(scaled: ScaledBasis, eps: float, variant: str) -> np.ndarray:
-    """The amplitude CanEnter reads of every column of ``scaled.domain``
-    under zero or worst solver error: ``scaled.reduced_cost_amplitudes``
-    through ``read_amplitudes``, pushed toward the variant's boundary."""
+def _pricing_reads(scaled: ScaledBasis, eps: float, variant: str, reps: int,
+                   mode: str, columns=slice(None)) -> np.ndarray:
+    """The amplitudes CanEnter reads of the columns ``scaled.domain[columns]``:
+    ``scaled.reduced_cost_amplitudes`` read from the reduced-cost system's
+    states, pushed toward the variant's boundary under worst error.  A
+    column prepares one state for its ``reps`` runs in analytic mode and
+    one per run in sampling mode (``ScaledBasis.read``)."""
     eps_ls, eps_se = _pricing_precisions(eps)
-    return read_amplitudes(scaled.reduced_cost_amplitudes, eps_ls, scaled.error_mode,
-                           sign_est_spec(eps_se, variant).alpha_boundary)
+    return scaled.read(scaled.reduced_cost_amplitudes[columns], eps_ls,
+                       sign_est_spec(eps_se, variant).alpha_boundary, extended=True,
+                       runs=reps if mode == "sampling" else 1)
 
 
 @dataclass(frozen=True)
@@ -405,37 +424,17 @@ def can_enter(scaled: ScaledBasis, k: int, eps: float, reps: int = 15,
     The oracle solves the extended system ``diag(A_B, 1)(x, y) = (A_k,
     c_k)`` at precision ``eps/(10 sqrt(2))`` and reads off the all-zeros
     amplitude after un-preparing ``|(-c_B, 1)>``; that amplitude equals
-    ``c_bar_k / (sqrt(2) |(A_B^-1 A_k, c_k)|)`` up to the solver error.
-    Under zero or worst error it is column k's entry of the sweeps' array
-    (``_pricing_reads``); under random error every prepared state draws its
-    own deviation, and in sampling mode each repetition prepares one.
+    ``c_bar_k / (sqrt(2) |(A_B^-1 A_k, c_k)|)`` up to the solver error,
+    read as the sweeps read it (``_pricing_reads``).
 
     variant "nfn" is the pricing default; "nfp" is the optimality-check
     variant (fires on everything at most ``-eps``, may fire inside the
     indecision window, which is exactly what IsOptimal needs).
     """
-    eps_ls, eps_se = _pricing_precisions(eps)
     kind = {"nfn": "nfn", "nfp": "nfp"}[variant]
-    if scaled.error_mode != "random":
-        alpha = _pricing_reads(scaled, eps, kind)[scaled.domain.index(k)]
-        boost = boosted_sign_est(float(alpha), eps_se, kind, reps, mode, rng)
-    else:
-        exact = scaled.extended_solution(k)
-
-        def vote(runs: int) -> BoostedResult:
-            state = scaled.qlsa_ext.solve(exact, eps_ls)
-            return boosted_sign_est(float(scaled.cost_vector_gadget @ state), eps_se,
-                                    kind, runs, mode, rng)
-
-        if mode == "analytic":
-            boost = vote(reps)
-        else:
-            votes = [vote(1) for _ in range(reps)]
-            ones = sum(v.ones for v in votes)
-            in_tol = sum(v.in_tol_count for v in votes)
-            majority = (reps + 1) // 2
-            boost = BoostedResult(value=int(ones >= majority), ok=in_tol >= majority,
-                                  ones=ones, in_tol_count=in_tol)
+    alpha = _pricing_reads(scaled, eps, kind, reps, mode, scaled.domain.index(k))
+    boost = boosted_sign_est(alpha.tolist(), _pricing_precisions(eps)[1], kind, reps,
+                             mode, rng)
     return CanEnterResult(value=int(boost.value == 0), ok=boost.ok,
                           reduced_cost_scaled=scaled.reduced_cost_scaled(k))
 
@@ -443,17 +442,11 @@ def can_enter(scaled: ScaledBasis, k: int, eps: float, reps: int = 15,
 def _can_enter_sweep(scaled: ScaledBasis, eps: float, reps: int, variant: str,
                      mode: str, rng: np.random.Generator | None):
     """CanEnter on every column of ``scaled.domain``, in order: the columns
-    it fires on, and whether every decision's tolerance flags held.  Under
-    zero or worst error the amplitudes are one array (``_pricing_reads``);
-    under random error each column runs through ``can_enter``."""
-    if scaled.error_mode == "random":
-        runs = (can_enter(scaled, k, eps, reps, variant, mode, rng) for k in scaled.domain)
-        decisions = [(run.value, run.ok) for run in runs]
-    else:
-        eps_se = _pricing_precisions(eps)[1]
-        decisions = [(1 - value, ok) for value, ok in
-                     _sign_votes(_pricing_reads(scaled, eps, variant), eps_se, variant,
-                                 reps, mode, rng)]
+    it fires on, and whether every decision's tolerance flags held, from
+    one array of reads (``_pricing_reads``)."""
+    alpha = _pricing_reads(scaled, eps, variant, reps, mode)
+    decisions = [(1 - value, ok) for value, ok in
+                 _sign_votes(alpha, _pricing_precisions(eps)[1], variant, reps, mode, rng)]
     marked = tuple(k for k, (fire, _) in zip(scaled.domain, decisions) if fire == 1)
     return marked, all(ok for _, ok in decisions)
 
@@ -622,9 +615,9 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
     ``(2t+1)/(2t-1)`` relative plus ``2/(2t-1)`` absolute bound against the
     delta-thresholded classical minimum whenever the run's tolerance flags
     hold.  Raw estimates are used as-is (no flooring): a zero denominator
-    readout gives an infinite ratio for that row.  Worst error pushes both
-    components toward 0; under random error each gated row prepares both
-    states afresh.
+    readout gives an infinite ratio for that row.  Each row's numerator and
+    denominator are read from states of their own; worst error pushes both
+    toward 0.
     """
     stats = stats if stats is not None else QueryStats()
     m = scaled.instance.m
@@ -641,17 +634,8 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
     gate_spec = sign_est_spec(gate_eps, "nfp_plus")
     gate_cost = estimation_cost(scaled.qlsa, gate_eps, gate_spec.bits).scaled(reps)
     ae_cost = estimation_cost(scaled.qlsa, eps_ls, ae_bits).scaled(2)
-    if scaled.error_mode == "random":
-        def components(h: int) -> tuple[float, float]:
-            return (float(scaled.qlsa.solve(x, eps_ls)[h]),
-                    float(scaled.qlsa.solve(u, eps_ls)[h]))
-    else:
-        num_amps = read_amplitudes(x / x_norm, eps_ls, scaled.error_mode)
-        den_amps = read_amplitudes(u / u_norm, eps_ls, scaled.error_mode)
-
-        def components(h: int) -> tuple[float, float]:
-            return float(num_amps[h]), float(den_amps[h])
-
+    num_amps = scaled.read(x / x_norm, eps_ls)
+    den_amps = scaled.read(u / u_norm, eps_ls)
     ratios = np.full(m, np.inf)
     gated = []
     all_ok = True
@@ -662,10 +646,9 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
         if value != 1:
             continue
         gated.append(h)
-        x_h, u_h = components(h)
         stats.add(ae_cost)
-        num = amplitude_estimation(x_h ** 2, ae_bits, mode=mode, rng=rng)
-        den = amplitude_estimation(u_h ** 2, ae_bits, mode=mode, rng=rng)
+        num = amplitude_estimation(float(num_amps[h]) ** 2, ae_bits, mode=mode, rng=rng)
+        den = amplitude_estimation(float(den_amps[h]) ** 2, ae_bits, mode=mode, rng=rng)
         all_ok = all_ok and num.within(nu) and den.within(nu)
         ratios[h] = num.amp_est / den.amp_est if den.amp_est > 0 else np.inf
 

@@ -47,17 +47,9 @@ class SuiteResult:
         self.lines.append(f"[{'PASS' if ok else 'FAIL'}] {text}")
         self.passed = self.passed and ok
 
-    def info(self, text: str) -> None:
-        self.lines.append(f"[info] {text}")
-
 
 # ---------------------------------------------------------------------------
 # phase-estimation accuracy
-
-
-def _circular_distance(a: float, b: float) -> float:
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
 
 
 def pe_success_probability(phi: float, q: int, eps_fail: float) -> float:

@@ -82,6 +82,17 @@ def worst_case_state(state, eps_ls, adversary, threshold):
     return math.cos(angle) * state + sign * math.sin(angle) * (d / dn)
 
 
+def random_state(state, eps_ls, rng):
+    """The random-error solver state as a vector: the unit ``state`` turned
+    by the angle whose chord is ``eps_ls`` toward a direction orthogonal to
+    it, uniform on that sphere (a Gaussian draw projected off the state)."""
+    state = np.asarray(state, dtype=float)
+    g = rng.standard_normal(state.size)
+    d = g - (g @ state) * state
+    angle = 2.0 * math.asin(eps_ls / 2.0)
+    return math.cos(angle) * state + math.sin(angle) * (d / np.linalg.norm(d))
+
+
 def pe_circuit_distribution(unitary, psi, t):
     """Full statevector simulation of the textbook PE circuit.
 

@@ -63,8 +63,10 @@ def test_solve_failure_reason_reported(demo, tmp_path, capsys):
     assert json.loads(summary.read_text())["failure"] is None
 
 
-def test_solve_trace_byte_identical(demo, tmp_path):
-    args = ["solve", "--instance", demo, "--mode", "sampling", "--seed", "5"]
+@pytest.mark.parametrize("qlsa_error", ["zero", "worst", "random"])
+def test_solve_trace_byte_identical(demo, tmp_path, qlsa_error):
+    args = ["solve", "--instance", demo, "--mode", "sampling", "--seed", "5",
+            "--qlsa-error", qlsa_error]
     t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out-trace", str(t1)]) == 0
     assert main(args + ["--out-trace", str(t2)]) == 0

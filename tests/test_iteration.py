@@ -59,12 +59,12 @@ CASES = [
       3376180378.676744, 49.0, 2780160.0, 1.272989083270852e+18)),
     ("random_lp", 10, 11, 0, "sampling", "random",
      ("pivot", 2, 4, True),
-     (3698688.0, 1849344.0, 3698919.0, 21159973871.96414,
-      13132797.971313108, 184.0, 1849344.0, 15199517135106.68)),
+     (4624384.0, 2312192.0, 4624602.0, 27889321035.94723,
+      16723322.5833495, 180.0, 2312192.0, 20223089545015.76)),
     ("random_lp", 10, 11, 1, "sampling", "random",
      ("pivot", 13, 5, True),
-     (2527232.0, 1263616.0, 2527446.0, 178786363274.89502,
-      29209666.439807322, 181.0, 1263616.0, 167620967994190.0)),
+     (3325952.0, 1662976.0, 3326316.0, 192746545906.79623,
+      36348664.89292285, 188.0, 1662976.0, 170539219399182.56)),
     ("random_bounded_lp", 12, 0, 18, "analytic", "worst",
      ("optimal", None, None, True),
      (1966080.0, 983040.0, 1966320.0, 45351066642100.16,
@@ -72,7 +72,7 @@ CASES = [
     ("random_bounded_lp", 8, 2, 9, "sampling", "random",
      ("optimal", None, None, True),
      (9461760.0, 4730880.0, 9462915.0, 18396174590099.86,
-      786113168.0928284, 56.0, 4730880.0, 8770344049116210.0)),
+      786113168.0928284, 58.0, 4730880.0, 8770344049116210.0)),
     ("random_lp", 64, 0, 24, "analytic", "zero",
      ("pivot", 1, 53, True),
      (23034880.0, 11517440.0, 23037390.0, 7102335409311443.0,
@@ -183,6 +183,28 @@ def test_worst_error_never_prepares_a_state(monkeypatch, mode):
     assert out.status == "pivot"
 
 
+def test_analytic_random_error_reads_each_sweep_at_once(monkeypatch):
+    # the m=64 pivot pinned above, under random error: each sweep, and each
+    # of FindRow's two AE components, draws its reads in one oracle call
+    # (7 at most: IsOptimal, FindColumn and its nfp retry, IsUnbounded,
+    # the FindRow gate, numerators and denominators)
+    from qsimplex import qlsa
+
+    calls = []
+    solve = qlsa.IdealQlsa.solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(qlsa.IdealQlsa, "solve", counting)
+    inst = random_lp(64, 192, seed=0)
+    out = simplex_iter(inst, dantzig_basis(inst, 24), PrecisionParams(),
+                       "analytic", "random", np.random.default_rng(24))
+    assert out.status == "pivot"
+    assert len(calls) <= 7
+
+
 @pytest.mark.parametrize("mode,error_mode", [("analytic", "worst"),
                                              ("sampling", "random")])
 def test_simplex_iter_solves_once(monkeypatch, mode, error_mode):
@@ -203,13 +225,18 @@ def test_simplex_iter_solves_once(monkeypatch, mode, error_mode):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("mode", ["analytic", "sampling"])
-def test_one_row_worst_error_pivots(mode):
+@pytest.mark.parametrize("mode,error_mode",
+                         [("analytic", "worst"), ("sampling", "worst"),
+                          ("analytic", "random"), ("sampling", "random")],
+                         ids=["analytic", "sampling", "analytic-random",
+                              "sampling-random"])
+def test_one_row_worst_error_pivots(mode, error_mode):
     # a one-row basis: every row read has alpha0 = +-1, where the worst-case
-    # rotation has no plane of its own and the read is cos(phi) alpha0
+    # rotation has no plane of its own and a random one no direction to
+    # turn in, so the read is cos(phi) alpha0
     A = np.array([[1.0, 2.0, 1.0]])
     inst = LpInstance.from_dense(A, [1.0], [0.0, -1.0, 0.0])
-    out = simplex_iter(inst, (0,), PrecisionParams(), mode, "worst",
+    out = simplex_iter(inst, (0,), PrecisionParams(), mode, error_mode,
                        np.random.default_rng(0))
     assert (out.status, out.entering, out.leaving_row) == ("pivot", 1, 0)
 

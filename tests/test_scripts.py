@@ -27,5 +27,6 @@ def test_scaling_study_runs(tmp_path):
 
 
 def test_compare_solvers_runs():
-    proc = run_script("compare_solvers.py", "--count", "2")
-    assert proc.returncode == 0, proc.stderr
+    for error_args in ([], ["--qlsa-error", "random"]):
+        proc = run_script("compare_solvers.py", "--count", "2", *error_args)
+        assert proc.returncode == 0, proc.stderr
