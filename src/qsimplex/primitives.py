@@ -13,11 +13,13 @@ Two execution modes run through everything:
   seeded generator, which is statistically identical to measuring the
   full statevector circuit (the circuit simulation in the test suite's
   ``tests/oracles.py`` builds the honest circuit distribution for
-  cross-checks); an amplitude-estimation draw (``ae_sample``) inverts the
-  same uniform through the same cumulative distribution as ``rng.choice``
-  on the table, but reads it from the kernel near its two peaks plus
-  closed-form sums of the tails between them, building the table only when
-  a uniform lies too close to an interval end to decide.
+  cross-checks); amplitude-estimation draws invert the same uniforms
+  through the same cumulative distributions as ``rng.choice`` on the
+  tables, for a whole vector of probabilities in one array pass
+  (``AEQuantiles``; ``ae_sample`` is its one-row case): up to 9 bits from
+  the tables themselves, above that from the kernel near its two peaks plus
+  closed-form sums of the tails between them, building a row's table only
+  when one of its uniforms lies too close to an interval end to decide.
 
 Query accounting conventions (one call of phase estimation on ``t`` bits,
 ``M = 2^t``): ``M`` controlled powers of the walk/Grover operator are
@@ -175,12 +177,14 @@ def ae_readout(a: float, bits: int) -> int:
     return int(y[np.argmax(p)])
 
 
-# Sampled readouts (``ae_quantile``).  The kernel is evaluated on
-# +-_AE_WINDOW grid points around each of its two peaks; the tails between
-# them hold about 2/(pi^2 _AE_WINDOW) ~ 0.16% of the mass, and a uniform that
-# lands there is inverted through the table.  _AE_MARGIN bounds the distance
-# between the windowed and the table's cumulative sums (see ``ae_quantile``).
+# Sampled readouts (``AEQuantiles``).  Above _AE_POINTS grid points the
+# kernel is evaluated on +-_AE_WINDOW grid points around each of its two
+# peaks; the tails between them hold about 2/(pi^2 _AE_WINDOW) ~ 0.16% of the
+# mass, and a uniform that lands there is inverted through the table.
+# _AE_MARGIN bounds the distance between the windowed and the table's
+# cumulative sums (see ``AEQuantiles``).
 _AE_WINDOW = 128
+_AE_POINTS = 2 * (2 * _AE_WINDOW + 1)  # the most grid points two windows hold
 _AE_MARGIN = 1e-9
 
 # Euler-Maclaurin weights B_2j/(2j)! for j = 1, 2, 3, and the derivatives
@@ -191,13 +195,12 @@ _EM_TERMS = ((1, 1.0 / 12.0, (-2.0, -2.0, 0.0, 0.0)),
              (5, 1.0 / 30240.0, (-272.0, -1232.0, -1680.0, -720.0)))
 
 
-def _kernel_gap_sums(peaks, starts: np.ndarray, ends: np.ndarray, M: int,
-                     s2: float) -> np.ndarray:
+def _kernel_gap_sums(peaks, starts, ends, M: int, s2) -> np.ndarray:
     """Sums of the phase-estimation kernels peaked at grid positions
-    ``peaks``, ``s2 / (M^2 sin^2(pi (y - peak)/M))`` with
-    ``s2 = sin^2(pi M theta)``, over the grid points ``starts[i] .. ends[i]``
-    of each gap (inclusive, nonempty), none of which holds a peak; one row
-    per peak.
+    ``peaks[..., j]``, ``s2 / (M^2 sin^2(pi (y - peak)/M))`` with
+    ``s2 = sin^2(pi M theta)``, over the grid points ``starts[..., i] ..
+    ends[..., i]`` of each gap (inclusive, nonempty), none of which holds a
+    peak; shape ``(..., peak, gap)``, with ``s2`` given per leading index.
 
     Euler-Maclaurin with the integral ``-(M/pi) cot``, the end-point
     average and three derivative terms.  The sixth derivative is positive
@@ -213,34 +216,43 @@ def _kernel_gap_sums(peaks, starts: np.ndarray, ends: np.ndarray, M: int,
     for order, weight, coef in _EM_TERMS:
         for i, c in enumerate(coef):
             odd[i] -= weight * h ** order * c
+    starts = np.asarray(starts)[..., None, :]
+    ends = np.asarray(ends)[..., None, :]
     # shift a peak by a period where needed, so each gap lies in (peak, peak + M)
-    peaks = np.asarray(peaks, dtype=float)[:, None] % M
+    peaks = np.asarray(peaks, dtype=float)[..., None] % M
     peaks = np.where(peaks > ends, peaks - M, peaks)
-    cot = 1.0 / np.tan(h * (np.stack([starts, ends])[:, None] - peaks))
+    cot = 1.0 / np.tan(h * (np.stack([starts, ends]) - peaks))
     c2 = cot * cot
     odd_part = cot * (odd[0] + c2 * (odd[1] + c2 * (odd[2] + c2 * odd[3])))
     # (1 + C^2)/2 at both ends; the odd part enters with + at a gap's start, - at its end
+    s2 = np.asarray(s2)[..., None, None]
     return s2 / M ** 2 * ((1.0 + c2).sum(axis=0) / 2.0 + odd_part[0] - odd_part[1])
 
 
-def _table_quantile(a: float, bits: int, u):
+def _table_quantile(a: float, bits: int, u: np.ndarray) -> np.ndarray:
     """``rng.choice``'s inverse-CDF map on the full table."""
     cdf = ae_distribution(a, bits).cumsum()
     cdf /= cdf[-1]
-    y = cdf.searchsorted(u, side="right")
-    return int(y) if np.ndim(u) == 0 else y
+    return cdf.searchsorted(u, side="right")
 
 
-def ae_quantile(a: float, bits: int, u):
-    """Readout(s) of ``ae_distribution(a, bits)`` for uniform(s) ``u`` in
-    [0, 1) under the map ``rng.choice`` applies to a table ``p``:
-    ``cdf = p.cumsum(); cdf /= cdf[-1]; cdf.searchsorted(u, side="right")``.
+class AEQuantiles:
+    """Readouts of ``ae_distribution(a[i], bits)`` for uniforms in [0, 1),
+    for every probability of a vector ``a`` at one ``bits``, under the map
+    ``rng.choice`` applies to a table ``p``: ``cdf = p.cumsum(); cdf /=
+    cdf[-1]; cdf.searchsorted(u, side="right")``.  Building draws nothing;
+    calling maps row i of a uniform array through probability ``a[i]`` (or
+    ``a[rows[i]]``).
 
-    The kernel is evaluated (bit-identically to the table) on the windows
-    of +-``_AE_WINDOW`` grid points around theta M and M - theta M
-    (M = 2^bits), merged where they overlap or wrap past 0 or M, and summed
-    in closed form over the gaps between them (``_kernel_gap_sums``).  The
-    resulting cumulative sums differ from the table's by at most:
+    Up to ``_AE_POINTS`` grid points (M = 2^bits) the tables themselves are
+    built, all rows in one kernel pass; their sums and cumulative sums run
+    along the last axis, as a single table's do.  Above that, each row holds
+    the kernel (bit-identically to the table) on the windows of
+    +-``_AE_WINDOW`` grid points around theta M and M - theta M, merged
+    where they overlap or wrap past 0 or M, padded to ``_AE_POINTS``, and
+    its sums in closed form over the gaps between them
+    (``_kernel_gap_sums``).  These cumulative sums differ from the table's
+    by at most:
 
     * ``M 2^-52`` for the rounding of the table's running sum and of its
       division by the total;
@@ -255,50 +267,92 @@ def ae_quantile(a: float, bits: int, u):
 
     For M <= 2^21 the total is below ``_AE_MARGIN / 2``, so a uniform at
     least ``_AE_MARGIN`` from both ends of the window interval holding it
-    gets that interval's grid point.  The table decides instead when a
-    uniform lies within the margin of an interval end or in a gap, when the
-    windows cover the whole grid, and when ``M 2^-51`` exceeds the margin.
+    gets that interval's grid point.  A row with a uniform within the
+    margin of an interval end or in a gap, and every row when ``M 2^-51``
+    exceeds the margin, is mapped through its table (``_table_quantile``).
     """
-    M = 2 ** bits
-    theta = theta_of_amplitude(a)
-    c = round(theta * M)  # the peaks' nearest grid points are c and M - c
-    W = _AE_WINDOW
-    if c <= W:  # both windows wrap past 0 and M, where they merge
-        windows = [(0, c + W), (M - c - W, M - 1)]
-    elif M - c - W <= c + W + 1:  # they merge at M/2
-        windows = [(c - W, M - c + W)]
-    else:
-        windows = [(c - W, c + W), (M - c - W, M - c + W)]
-    sizes = [hi - lo + 1 for lo, hi in windows]
-    if sum(sizes) >= M or M * 2.0 ** -51 > _AE_MARGIN:
-        return _table_quantile(a, bits, u)
-    # a gap before, between and after the windows, possibly empty
-    bounds = [-1, *(end for window in windows for end in window), M]
-    starts = np.array(bounds[0::2]) + 1
-    ends = np.array(bounds[1::2]) - 1
-    full = starts <= ends
-    gaps = np.zeros(starts.size)
-    gaps[full] = 0.5 * _kernel_gap_sums(
-        (theta * M, M - theta * M), starts[full], ends[full], M,
-        math.sin(math.pi * (theta * M - c)) ** 2).sum(axis=0)
-    pts = np.concatenate([np.arange(lo, hi + 1) for lo, hi in windows])
-    mass = 0.5 * _fejer(np.array([[theta], [-theta]]), pts, M).sum(axis=0)
-    # cumulative mass at the end of each window point, gaps included
-    cum = np.cumsum(mass) + np.repeat(np.cumsum(gaps[:-1]), sizes)
-    k = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
-    # undecided: u beyond the last window point, in a gap, or near an end
-    decided = (u - (cum[k] - mass[k]) >= _AE_MARGIN) & (cum[k] - u >= _AE_MARGIN)
-    if not np.all(decided):
-        return _table_quantile(a, bits, u)
-    y = pts[k]
-    return int(y) if np.ndim(u) == 0 else y
+
+    def __init__(self, a, bits: int):
+        self.a = np.array(a, dtype=float).ravel()
+        self.bits = bits
+        M = 2 ** bits
+        theta = np.array([theta_of_amplitude(x) for x in self.a.tolist()])
+        if M <= _AE_POINTS:
+            p = _fejer(np.stack([theta, -theta])[:, :, None], np.arange(M), M)
+            p /= p.sum(axis=-1, keepdims=True)
+            self.mass = 0.5 * (p[0] + p[1])
+            self.cum = self.mass.cumsum(axis=-1)
+            self.cum /= self.cum[:, -1:]
+            self.points = np.broadcast_to(np.arange(M), self.mass.shape)
+            self.sizes = np.full(theta.size, M)
+            self.margin = -math.inf  # the tables decide every uniform
+            return
+        W = _AE_WINDOW
+        c = np.round(theta * M).astype(int)  # the peaks' nearest grid points are c and M - c
+        wrap = c <= W  # both windows wrap past 0 and M, where they merge
+        merge = ~wrap & (M - c - W <= c + W + 1)  # they merge at M/2 (window 1 empty)
+        lo0 = np.where(wrap, 0, c - W)
+        hi0 = np.where(merge, M - c + W, c + W)
+        lo1 = np.where(merge, M, M - c - W)
+        hi1 = np.where(wrap | merge, M - 1, M - c + W)
+        # the gaps before, between and after the windows, possibly empty
+        starts = np.stack([np.zeros_like(c), hi0 + 1, hi1 + 1], axis=-1)
+        ends = np.stack([lo0 - 1, lo1 - 1, np.full_like(c, M - 1)], axis=-1)
+        full = starts <= ends
+        row = np.nonzero(full)[0]
+        s2 = np.array([math.sin(math.pi * (t * M - k)) ** 2
+                       for t, k in zip(theta.tolist(), c.tolist())])
+        gaps = np.zeros(starts.shape)
+        gaps[full] = 0.5 * _kernel_gap_sums(
+            np.stack([theta * M, M - theta * M], axis=-1)[row],
+            starts[full][:, None], ends[full][:, None], M, s2[row]).sum(axis=-2)[:, 0]
+        n0 = (hi0 - lo0 + 1)[:, None]
+        j = np.arange(_AE_POINTS)
+        first = j < n0
+        self.points = np.where(first, lo0[:, None] + j, lo1[:, None] + j - n0)
+        self.sizes = n0[:, 0] + hi1 - lo1 + 1
+        self.mass = 0.5 * _fejer(np.stack([theta, -theta])[:, :, None],
+                                 self.points, M).sum(axis=0)
+        # cumulative mass at the end of each window point, gaps included
+        self.cum = np.cumsum(self.mass, axis=-1) + np.where(
+            first, gaps[:, :1], gaps[:, :1] + gaps[:, 1:2])
+        self.cum[j >= self.sizes[:, None]] = math.inf  # padding
+        self.margin = _AE_MARGIN if M * 2.0 ** -51 <= _AE_MARGIN else math.inf
+
+    def __call__(self, u: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Readouts of the uniforms ``u[i, :]``, each through the table of
+        ``a[rows][i]``."""
+        cum, mass = self.cum[rows], self.mass[rows]
+        # one searchsorted per row: exact, and cheaper than comparing every
+        # uniform with every point of its row
+        k = np.array([row.searchsorted(v, side="right") for row, v in zip(cum, u)],
+                     dtype=np.intp).reshape(u.shape)
+        k = np.minimum(k, self.sizes[rows][:, None] - 1)
+        r = np.arange(k.shape[0])[:, None]
+        end = cum[r, k]
+        start = end - mass[r, k]
+        y = self.points[rows][r, k]
+        # undecided: u beyond the last window point, in a gap, or near an end
+        decided = (u - start >= self.margin) & (end - u >= self.margin)
+        a = self.a[rows]
+        for i in np.flatnonzero(~decided.all(axis=-1)):
+            y[i] = _table_quantile(float(a[i]), self.bits, u[i])
+        return y
+
+
+def ae_quantile(a: float, bits: int, u):
+    """Readout(s) of ``ae_distribution(a, bits)`` for uniform(s) ``u`` in
+    [0, 1), as ``rng.choice`` maps them on the table: the one-row case of
+    ``AEQuantiles``."""
+    y = AEQuantiles([a], bits)(np.reshape(u, (1, -1)))[0]
+    return int(y[0]) if np.ndim(u) == 0 else y
 
 
 def ae_sample(a: float, bits: int, rng: np.random.Generator, size=None):
     """Sampled readout(s) of ``ae_distribution(a, bits)``: the index, and
     the generator state after it, that ``rng.choice(2**bits, size=size,
     p=ae_distribution(a, bits))`` gives, without building the table unless
-    ``ae_quantile`` cannot decide.  Draws the uniforms ``rng.random(size)``,
+    ``AEQuantiles`` cannot decide.  Draws the uniforms ``rng.random(size)``,
     as ``choice`` does."""
     return ae_quantile(a, bits, rng.random(size))
 

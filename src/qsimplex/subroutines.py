@@ -33,9 +33,13 @@ amplitude an iteration reads -- the sweeps', FindColumn's confirmations
 and FindRow's AE numerators and denominators -- comes from
 ``ScaledBasis.solutions`` through ``ScaledBasis.read``, the one place that
 picks the error model: a closed form under zero or worst error, one fresh
-draw per prepared state under random error.  Analytic mode decides a
-whole sweep in one array pass (``_analytic_sign_values``); sampling mode
-draws entry by entry, in the order that fixes the generator stream.
+draw per prepared state under random error.  Each sweep is decided in one
+array pass: analytic mode from the grid points bracketing each phase
+(``_analytic_sign_values``), sampling mode by drawing all its uniforms in
+one ``rng.random`` call and mapping them through one set of quantile
+tables (``AEQuantiles``), which is the same generator stream as drawing
+entry by entry.  FindRow alone draws row by row, since whether a row draws
+its AE uniforms depends on its gate; its tables are built outside the loop.
 
 Each subroutine run owns its generator and counters; inputs are immutable,
 so independent runs are safe to parallelize from the caller's side.
@@ -52,12 +56,10 @@ import numpy as np
 
 from .lp import (BasisSingular, BasisState, LpInstance, ZeroColumn,
                  ZeroVector, normalize)
-from .primitives import (AllInfinite, QueryStats, _charge_pe,
-                         ae_distribution, ae_quantile, ae_sample,
-                         amplitude_estimation,
-                         bracketing_grid_points, grover_count_exists,
-                         min_finding, qsearch, qsearch_analytic,
-                         theta_of_amplitude)
+from .primitives import (AEOutcome, AEQuantiles, AllInfinite, QueryStats,
+                         _charge_pe, ae_distribution, amplitude_estimation,
+                         grover_count_exists, min_finding, qsearch,
+                         qsearch_analytic, theta_of_amplitude)
 from .qlsa import IdealQlsa, read_amplitudes
 
 SQRT3PI = math.sqrt(3.0) * math.pi
@@ -177,55 +179,22 @@ def sign_est_prob_one(alpha: float, eps: float, kind: str,
 class BoostedResult:
     value: int
     ok: bool                # majority of the votes were within tolerance
-    ones: int
-    in_tol_count: int
 
 
 def boosted_sign_est(alpha: float | list[float], eps: float, kind: str, reps: int,
                      mode: str = "analytic",
                      rng: np.random.Generator | None = None) -> BoostedResult:
-    """reps-fold majority vote over independent sign-estimation runs.
+    """reps-fold majority vote over independent sign-estimation runs: the
+    one-entry case of ``_sign_votes``.  In sampling mode ``alpha`` may also
+    list one amplitude per run, for runs that each prepare their own state.
 
     When at least ``(reps + 1)/2`` runs landed within the phase tolerance
     and the majority decision is v, some in-tolerance run also voted v, so
     the single-run certificate for v transfers to the boosted output.
     Uncharged: the caller prices the runs with ``estimation_cost``.
-
-    Analytic mode returns the maximum-likelihood decision
-    ``Pr[one run returns 1] >= 1/2``.  The two grid points bracketing
-    ``theta M`` (M = 2^bits, ``bracketing_grid_points``) carry more than
-    half the readout mass, so when their folds fall on the same side of the
-    threshold, that side is the decision; only when they straddle it is
-    the mass summed over the full table.  Sampling mode draws the ``reps``
-    readouts in one ``ae_sample`` call (the draws ``rng.choice`` on the
-    table would make) and counts the votes and in-tolerance runs from
-    their folds.  There ``alpha`` may also list one amplitude per run, for
-    runs that each prepare their own state: the ``reps`` uniforms are then
-    drawn at once and each is mapped through the amplitude of its own run.
     """
-    spec = sign_est_spec(eps, kind)
-    if mode == "analytic":
-        _, theta = _gadget_phase(alpha, spec)
-        m_size = 2 ** spec.bits
-        lo, hi = bracketing_grid_points(theta, spec.bits)
-        value = spec.decide(lo / m_size)
-        if value != spec.decide(hi / m_size):
-            dist, ones_mask = _gadget_tables(alpha, spec)
-            value = int(dist[ones_mask].sum() >= 0.5)
-        return BoostedResult(value=value, ok=True, ones=value * reps,
-                             in_tol_count=reps)
-    if np.ndim(alpha):  # one prepared state per run
-        a, theta = np.array([_gadget_phase(x, spec) for x in alpha]).T
-        y = np.array([ae_quantile(p, spec.bits, v) for p, v in zip(a, rng.random(reps))])
-    else:
-        a, theta = _gadget_phase(alpha, spec)
-        y = ae_sample(a, spec.bits, rng, size=reps)
-    votes, in_tol_flags = _readout_flags(y, theta, spec)
-    ones = int(votes.sum())
-    in_tol = int(in_tol_flags.sum())
-    majority = (reps + 1) // 2
-    return BoostedResult(value=int(ones >= majority), ok=in_tol >= majority,
-                         ones=ones, in_tol_count=in_tol)
+    values, oks = _sign_votes(np.array([alpha], dtype=float), eps, kind, reps, mode, rng)
+    return BoostedResult(value=int(values[0]), ok=bool(oks[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -359,25 +328,51 @@ def _analytic_sign_values(alpha: np.ndarray, spec: SignEstSpec) -> np.ndarray:
     return values
 
 
+def _sampled_phases(alpha: np.ndarray, spec: SignEstSpec):
+    """Gadget probabilities and phases of the amplitudes ``alpha`` (any
+    shape), each from ``_gadget_phase``."""
+    phases = [_gadget_phase(x, spec) for x in alpha.ravel().tolist()]
+    a, theta = np.array(phases, dtype=float).reshape(-1, 2).T
+    return a.reshape(alpha.shape), theta.reshape(alpha.shape)
+
+
+def _tally(y: np.ndarray, theta: np.ndarray, spec: SignEstSpec, reps: int):
+    """(values, oks) of the majority votes over each row of AE readouts
+    ``y`` (one column per run) at the phases ``theta``."""
+    votes, in_tol = _readout_flags(y, theta, spec)
+    majority = (reps + 1) // 2
+    return ((votes.sum(axis=-1) >= majority).astype(int),
+            in_tol.sum(axis=-1) >= majority)
+
+
 def _sign_votes(alpha: np.ndarray, eps_se: float, kind: str, reps: int,
                 mode: str, rng: np.random.Generator | None):
-    """(value, ok) of boosted sign estimation on each amplitude of ``alpha``,
-    as an iterator in order.  Analytic mode decides them all in one array
-    pass; sampling mode draws an entry's readouts when the iterator reaches
-    it, so a caller's own draws per entry stay interleaved with them."""
+    """(values, oks): boosted sign estimation on each amplitude of
+    ``alpha``, as arrays in order.  Analytic mode decides them in one array
+    pass (``_analytic_sign_values``).  Sampling mode draws all uniforms at
+    once, ``rng.random((N, reps))`` (in C order, N consecutive
+    ``rng.random(reps)`` calls), and maps row i through the quantile table
+    of amplitude i, built for all rows in one ``AEQuantiles``; a 2-D
+    ``alpha`` lists one amplitude per run, and each run is a row of its
+    own."""
+    spec = sign_est_spec(eps_se, kind)
     if mode == "analytic":
-        values = _analytic_sign_values(alpha, sign_est_spec(eps_se, kind))
-        return ((value, True) for value in values.tolist())
-    return ((vote.value, vote.ok) for vote in
-            (boosted_sign_est(a, eps_se, kind, reps, mode, rng) for a in alpha.tolist()))
+        values = _analytic_sign_values(alpha, spec)
+        return values, np.ones(values.shape, dtype=bool)
+    a, theta = _sampled_phases(alpha, spec)
+    u = rng.random((alpha.shape[0], reps))
+    if alpha.ndim == 1:
+        y, theta = AEQuantiles(a, spec.bits)(u), theta[:, None]
+    else:
+        y = AEQuantiles(a, spec.bits)(u.reshape(-1, 1)).reshape(u.shape)
+    return _tally(y, theta, spec, reps)
 
 
 def _row_votes(scaled: ScaledBasis, u: np.ndarray, eps_ls: float, eps_se: float,
                kind: str, reps: int, mode: str, rng: np.random.Generator | None):
-    """(value, ok) of boosted sign estimation on every component
+    """(values, oks) of boosted sign estimation on every component
     ``u_h/|u|`` of a direction, each read from a state prepared for its row
-    at precision ``eps_ls``, as an iterator in row order (see
-    ``_sign_votes``)."""
+    at precision ``eps_ls``, in row order (see ``_sign_votes``)."""
     threshold = sign_est_spec(eps_se, kind).alpha_boundary
     alpha = scaled.read(u / np.linalg.norm(u), eps_ls, threshold)
     return _sign_votes(alpha, eps_se, kind, reps, mode, rng)
@@ -433,8 +428,7 @@ def can_enter(scaled: ScaledBasis, k: int, eps: float, reps: int = 15,
     """
     kind = {"nfn": "nfn", "nfp": "nfp"}[variant]
     alpha = _pricing_reads(scaled, eps, kind, reps, mode, scaled.domain.index(k))
-    boost = boosted_sign_est(alpha.tolist(), _pricing_precisions(eps)[1], kind, reps,
-                             mode, rng)
+    boost = boosted_sign_est(alpha, _pricing_precisions(eps)[1], kind, reps, mode, rng)
     return CanEnterResult(value=int(boost.value == 0), ok=boost.ok,
                           reduced_cost_scaled=scaled.reduced_cost_scaled(k))
 
@@ -445,10 +439,9 @@ def _can_enter_sweep(scaled: ScaledBasis, eps: float, reps: int, variant: str,
     it fires on, and whether every decision's tolerance flags held, from
     one array of reads (``_pricing_reads``)."""
     alpha = _pricing_reads(scaled, eps, variant, reps, mode)
-    decisions = [(1 - value, ok) for value, ok in
-                 _sign_votes(alpha, _pricing_precisions(eps)[1], variant, reps, mode, rng)]
-    marked = tuple(k for k, (fire, _) in zip(scaled.domain, decisions) if fire == 1)
-    return marked, all(ok for _, ok in decisions)
+    values, oks = _sign_votes(alpha, _pricing_precisions(eps)[1], variant, reps, mode, rng)
+    marked = tuple(k for k, value in zip(scaled.domain, values.tolist()) if value == 0)
+    return marked, bool(oks.all())
 
 
 def can_enter_cost(scaled: ScaledBasis, eps: float, reps: int,
@@ -574,9 +567,9 @@ def is_unbounded(scaled: ScaledBasis, k: int, delta: float, reps: int = 15,
     eps_se = 9.0 * delta / 10.0
     spec = sign_est_spec(eps_se, "nfn_plus")
     m = scaled.instance.m
-    votes = list(_row_votes(scaled, u, eps_ls, eps_se, "nfn_plus", reps, mode, rng))
-    marked = tuple(h for h, (value, _) in enumerate(votes) if value == 1)
-    ok = all(vote_ok for _, vote_ok in votes)
+    values, oks = _row_votes(scaled, u, eps_ls, eps_se, "nfn_plus", reps, mode, rng)
+    marked = tuple(np.flatnonzero(values == 1).tolist())
+    ok = bool(oks.all())
     iters_before = stats.grover_iterations
     # a missed marked row turns into a terminal (false) unbounded verdict,
     # so the counting schedule is repeated; each repetition keeps the fixed
@@ -636,19 +629,39 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
     ae_cost = estimation_cost(scaled.qlsa, eps_ls, ae_bits).scaled(2)
     num_amps = scaled.read(x / x_norm, eps_ls)
     den_amps = scaled.read(u / u_norm, eps_ls)
-    ratios = np.full(m, np.inf)
-    gated = []
-    all_ok = True
-    gates = _row_votes(scaled, u, gate_eps, gate_eps, "nfp_plus", reps, mode, rng)
-    for h, (value, gate_ok) in enumerate(gates):
+    gate_alpha = scaled.read(u / u_norm, gate_eps, gate_spec.alpha_boundary)
+    if mode == "analytic":
+        gate_values = _analytic_sign_values(gate_alpha, gate_spec)
+        all_ok = True
+        gated = np.flatnonzero(gate_values == 1).tolist()
+        outcomes = [amplitude_estimation(float(amps[h]) ** 2, ae_bits)
+                    for h in gated for amps in (num_amps, den_amps)]
+    else:
+        # each row draws its gate's reps uniforms, then, if gated, one for
+        # its numerator and one for its denominator; building a table draws
+        # nothing, so the AE tables wait for the gated rows
+        a, theta = _sampled_phases(gate_alpha, gate_spec)
+        gate = AEQuantiles(a, gate_spec.bits)
+        gate_values = np.zeros(m, dtype=int)
+        gated, ae_draws = [], []
+        all_ok = True
+        for h in range(m):
+            values, oks = _tally(gate(rng.random((1, reps)), [h]), theta[h], gate_spec, reps)
+            all_ok = all_ok and bool(oks[0])
+            gate_values[h] = values[0]
+            if values[0] == 1:
+                gated.append(h)
+                ae_draws.append(rng.random(2))
+        probs = [float(amps[h]) ** 2 for h in gated for amps in (num_amps, den_amps)]
+        ys = AEQuantiles(probs, ae_bits)(np.reshape(ae_draws, (-1, 1)))[:, 0]
+        outcomes = [AEOutcome(bits=ae_bits, theta_true=theta_of_amplitude(p), y=int(y))
+                    for p, y in zip(probs, ys.tolist())]
+    for value in gate_values.tolist():
         stats.add(gate_cost)
-        all_ok = all_ok and gate_ok
-        if value != 1:
-            continue
-        gated.append(h)
-        stats.add(ae_cost)
-        num = amplitude_estimation(float(num_amps[h]) ** 2, ae_bits, mode=mode, rng=rng)
-        den = amplitude_estimation(float(den_amps[h]) ** 2, ae_bits, mode=mode, rng=rng)
+        if value == 1:
+            stats.add(ae_cost)
+    ratios = np.full(m, np.inf)
+    for h, num, den in zip(gated, outcomes[0::2], outcomes[1::2]):
         all_ok = all_ok and num.within(nu) and den.within(nu)
         ratios[h] = num.amp_est / den.amp_est if den.amp_est > 0 else np.inf
 

@@ -83,6 +83,17 @@ CASES = [
       6880931986.954368, 563.0, 12041728.0, 1.1464956284075305e+19)),
 ]
 
+# the generator's next draw after each sampling case, as float hex: a
+# change in how many uniforms an iteration draws shows up here
+NEXT_DRAWS = {
+    ("random_lp", 7, 0, "worst"): "0x1.b3a778c39c940p-1",
+    ("random_lp", 7, 6, "worst"): "0x1.481fc1c4d1b6ap-2",
+    ("random_lp", 7, 12, "worst"): "0x1.acf50897c5efep-2",
+    ("random_lp", 11, 0, "random"): "0x1.0bba0189e2aa2p-1",
+    ("random_lp", 11, 1, "random"): "0x1.36dc7a1a1070ep-2",
+    ("random_bounded_lp", 2, 9, "random"): "0x1.f53c7326b12d9p-1",
+}
+
 # pricing step (IsOptimal, then FindColumn) on Dantzig basis #5 of
 # random_lp(128, 384, seed=0): error mode -> ((IsOptimal value, ok, number
 # and sum of marked columns), (column, variant, ok, number and sum of marked
@@ -108,8 +119,9 @@ def dantzig_basis(instance, steps: int) -> tuple[int, ...]:
 @pytest.mark.parametrize("gen,m,seed,step,mode,error_mode,verdict,counters", CASES)
 def test_simplex_iter_pinned(gen, m, seed, step, mode, error_mode, verdict, counters):
     inst = GENERATORS[gen](m, 3 * m, seed=seed)
+    rng = np.random.default_rng(step)
     out = simplex_iter(inst, dantzig_basis(inst, step), PrecisionParams(), mode,
-                       error_mode, np.random.default_rng(step))
+                       error_mode, rng)
     assert (out.status, out.entering, out.leaving_row, bool(out.ok)) == verdict
     expected = QueryStats(*counters).as_dict()
     for name, value in out.stats.as_dict().items():
@@ -117,6 +129,8 @@ def test_simplex_iter_pinned(gen, m, seed, step, mode, error_mode, verdict, coun
             assert value == pytest.approx(expected[name], rel=1e-12, abs=0), name
         else:
             assert value == expected[name], name
+    if mode == "sampling":
+        assert float(rng.random()).hex() == NEXT_DRAWS[gen, seed, step, error_mode]
 
 
 @pytest.mark.parametrize("error_mode", sorted(PRICING_CASES))
@@ -282,6 +296,35 @@ def test_sampling_pivot_builds_no_ratio_test_table(monkeypatch):
     verdict = (out.status, out.entering, out.leaving_row, bool(out.ok))
     assert verdict == ("pivot", 13, 2, True)
     assert max(bits, default=0) <= 12
+
+
+def test_sampling_builds_tables_once_per_sweep(monkeypatch):
+    # the pinned sampling/worst pivot of m=16: each sweep maps all its
+    # entries through one set of quantile tables, FindRow builds at most
+    # three (gate, numerators, denominators) and each of FindColumn's
+    # confirmations one; an entry never builds a table of its own
+    import qsimplex.subroutines as subroutines
+
+    builds, sweeps, confirmations = [], [], []
+
+    def counting(calls, function):
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            return function(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(subroutines, "AEQuantiles",
+                        counting(builds, subroutines.AEQuantiles))
+    monkeypatch.setattr(subroutines, "_can_enter_sweep",
+                        counting(sweeps, subroutines._can_enter_sweep))
+    monkeypatch.setattr(subroutines, "can_enter",
+                        counting(confirmations, subroutines.can_enter))
+    inst = random_lp(16, 48, seed=7)
+    out = simplex_iter(inst, dantzig_basis(inst, 6), PrecisionParams(),
+                       "sampling", "worst", np.random.default_rng(6))
+    assert (out.status, out.entering, out.leaving_row) == ("pivot", 13, 2)
+    # pricing sweeps, IsUnbounded's rows, FindRow, confirmations
+    assert len(builds) <= len(sweeps) + 1 + 3 + len(confirmations)
 
 
 def test_find_row_failure_is_named():

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from oracles import (empirical_distribution, grover_operator,
                      pe_circuit_distribution, tv_distance)
-from qsimplex.primitives import (_AE_WINDOW, AllInfinite, QueryStats,
-                                 _charge_pe, _fejer, _kernel_gap_sums,
+from qsimplex.primitives import (_AE_WINDOW, AEQuantiles, AllInfinite,
+                                 QueryStats, _charge_pe, _fejer, _kernel_gap_sums,
                                  ae_distribution, ae_quantile, ae_readout,
                                  ae_sample, amplitude_estimation, extra_qubits,
                                  fold_phase, grover_count_exists, min_finding,
@@ -198,9 +198,11 @@ def sampling_amplitudes(bits: int, rng) -> list[float]:
 @pytest.mark.parametrize("bits", range(1, 21))
 def test_ae_sample_matches_choice(bits):
     # the same index as rng.choice on the full table, and the same
-    # generator state after it, one draw or fifteen at a time
+    # generator state after it, one draw or fifteen at a time, and for all
+    # amplitudes at once: one table set, fifteen uniforms per row
     rng = np.random.default_rng(100 + bits)
-    for a in sampling_amplitudes(bits, rng):
+    amps = sampling_amplitudes(bits, rng)
+    for a in amps:
         dist = ae_distribution(a, bits)
         for size in (None, 15):
             seed = int(rng.integers(2 ** 32))
@@ -210,6 +212,13 @@ def test_ae_sample_matches_choice(bits):
             assert type(got) is type(want), (a, size)
             assert np.array_equal(got, want), (a, size)
             assert drawn.random() == expected.random(), (a, size)
+    seed = int(rng.integers(2 ** 32))
+    drawn, expected = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = AEQuantiles(amps, bits)(drawn.random((len(amps), 15)))
+    for a, row in zip(amps, got):
+        want = expected.choice(2 ** bits, size=15, p=ae_distribution(a, bits))
+        assert np.array_equal(row, want), a
+    assert drawn.random() == expected.random()
 
 
 def assert_quantile_matches(a: float, bits: int, probes) -> None:
@@ -221,14 +230,17 @@ def assert_quantile_matches(a: float, bits: int, probes) -> None:
         assert ae_quantile(a, bits, u) == int(cdf.searchsorted(u, side="right")), (a, u)
 
 
-@pytest.mark.parametrize("bits", (10, 12, 14, 16))
+@pytest.mark.parametrize("bits", (5, 9, 10, 12, 14, 16))
 def test_ae_quantile_on_cdf_boundaries(bits):
     # uniforms on the table's CDF values and one ulp either side, at grid
     # points next to both peaks, at the window ends next to the gaps and
-    # inside the gaps
+    # inside the gaps: one at a time, and in one call for separate windows,
+    # windows that wrap past 0 and that merge at M/2, a = 0 and a = 1,
+    # beside a row of random uniforms
     M = 2 ** bits
     W = _AE_WINDOW
     rng = np.random.default_rng(bits)
+    amps, rows = [0.0, 1.0], [rng.random(64), rng.random(64)]
     for theta in (rng.uniform(0.1, 0.4), 3.3 / M, 0.5 - 2.7 / M):
         a = math.sin(math.pi * theta) ** 2
         cdf = ae_distribution(a, bits).cumsum()
@@ -241,7 +253,19 @@ def test_ae_quantile_on_cdf_boundaries(bits):
         probes = []
         for k in sorted(k % M for k in ks):
             probes += [np.nextafter(cdf[k], 0.0), cdf[k], np.nextafter(cdf[k], 1.0)]
-        assert_quantile_matches(a, bits, [u for u in probes if u < 1.0])
+        probes = [u for u in probes if u < 1.0]
+        assert_quantile_matches(a, bits, probes)
+        amps += [a, a]
+        rows += [np.resize(probes, 64), rng.random(64)]
+    tables = AEQuantiles(amps, bits)
+    got = tables(np.array(rows))
+    for a, u, y in zip(amps, rows, got):
+        cdf = ae_distribution(a, bits).cumsum()
+        cdf /= cdf[-1]
+        assert np.array_equal(y, cdf.searchsorted(u, side="right")), a
+    # a subset of the rows, in another order
+    order = np.arange(len(amps))[::-2]
+    assert np.array_equal(tables(np.array(rows)[order], order), got[order])
 
 
 def test_ae_gap_sums_match_table():

@@ -13,11 +13,13 @@ from qsimplex.instances import (embed_basis_instance, random_bounded_lp,
                                 random_lp, random_unbounded_lp,
                                 ratio_test_triple)
 from qsimplex.lp import LpInstance, slack_identity_basis
-from qsimplex.primitives import amplitude_estimation, bracketing_grid_points
+from qsimplex.primitives import (ae_distribution, amplitude_estimation,
+                                 bracketing_grid_points)
 from qsimplex.qlsa import read_amplitudes
 from qsimplex.subroutines import (SIGN_EST_KINDS, PrecisionParams, ScaledBasis,
                                   _analytic_sign_values, _can_enter_sweep,
-                                  _gadget_phase, _row_votes, boosted_sign_est,
+                                  _gadget_phase, _row_votes, _sign_votes,
+                                  boosted_sign_est,
                                   can_enter, find_column, find_row, is_optimal,
                                   is_unbounded, norm_estimate,
                                   sign_est_prob_one, sign_est_spec,
@@ -155,6 +157,46 @@ def test_boosted_sign_est_majority():
     assert res.ok
     res = boosted_sign_est(-0.9, 0.1, "nfn", reps=15, mode="sampling", rng=rng)
     assert res.value == 0
+
+
+@pytest.mark.parametrize("kind", ["nfn", "nfp"])  # 9 and 12 bits
+@pytest.mark.parametrize("per_run", [False, True], ids=["per-entry", "per-run"])
+def test_sampled_sweep_matches_choice_entry_by_entry(kind, per_run):
+    # a sampled sweep, decided from one draw and one table set, against
+    # rng.choice on each entry's own table, entry by entry (and under
+    # per-run amplitudes, run by run): the same votes and tolerance flags,
+    # and the same generator state after them
+    eps_se, reps = 11 * 0.1 / (10 * math.sqrt(2)), 15
+    spec = sign_est_spec(eps_se, kind)
+    M = 2 ** spec.bits
+    # a = 1 and a = 0, amplitudes near the decision boundary, and many at
+    # Pr[1] = 1/2, where the votes split and handing an entry's uniforms to
+    # another changes them
+    lo, hi = spec.alpha_boundary - 0.05, spec.alpha_boundary + 0.05
+    above_half = lambda x: sign_est_prob_one(x, eps_se, kind) >= 0.5  # noqa: E731
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if above_half(mid) == above_half(lo) else (lo, mid)
+    rng = np.random.default_rng(3)
+    entries = np.concatenate([[1.0, -1.0], spec.alpha_boundary + rng.uniform(-0.02, 0.02, 10),
+                              np.full(20, lo)])
+    alpha = entries[:, None] + rng.uniform(-1e-3, 1e-3, (32, reps)) if per_run else entries
+    alpha = np.clip(alpha, -1.0, 1.0)
+    drawn, expected = np.random.default_rng(9), np.random.default_rng(9)
+    values, oks = _sign_votes(alpha, eps_se, kind, reps, "sampling", drawn)
+    for i, entry in enumerate(alpha.tolist()):
+        runs = entry if per_run else [entry] * reps
+        phases = [_gadget_phase(x, spec) for x in runs]
+        if per_run:
+            y = np.array([expected.choice(M, p=ae_distribution(a, spec.bits))
+                          for a, _ in phases])
+        else:
+            y = expected.choice(M, size=reps, p=ae_distribution(phases[0][0], spec.bits))
+        folds = np.minimum(y, M - y) / M
+        votes = spec.decide(folds).sum()
+        in_tol = (np.abs(folds - [theta for _, theta in phases]) <= spec.tol + 1e-15).sum()
+        assert (values[i], oks[i]) == (votes >= 8, in_tol >= 8), i
+    assert drawn.random() == expected.random()
 
 
 @pytest.mark.parametrize("kind", SIGN_EST_KINDS)
@@ -467,10 +509,9 @@ def test_batched_sweeps_match_per_entry_path(gen, m, seed, step, error_mode):
         u = scaled.direction(k)
         for kind in ("nfn_plus", "nfp_plus"):
             eps_ls, eps_se = SWEEPS[kind]
-            votes = list(_row_votes(scaled, u, eps_ls, eps_se, kind, 15,
-                                    "analytic", None))
-            assert [value for value, _ in votes] == _row_vote_reference(
-                scaled, u, kind), (k, kind)
+            values, _ = _row_votes(scaled, u, eps_ls, eps_se, kind, 15,
+                                   "analytic", None)
+            assert values.tolist() == _row_vote_reference(scaled, u, kind), (k, kind)
 
 
 @pytest.mark.parametrize("gen,m,seed,step", PINNED_BASES)
