@@ -14,8 +14,7 @@ from .costmodel import (CostReport, ThresholdViolation, build_cost_report,
                         quantum_ratio_test_cost)
 from .io import read_instance, read_lp_json, read_mps, write_lp_json
 from .lp import (BasisSingular, BasisState, LpInstance, ZeroColumn,
-                 ZeroVector, estimate_sigma_max, normalize,
-                 slack_identity_basis, sparsity_stats)
+                 normalize, slack_identity_basis)
 from .primitives import (AllInfinite, QueryStats, amplitude_estimation,
                          min_finding, qsearch)
 from .qlsa import IdealQlsa
@@ -30,13 +29,12 @@ __all__ = [
     "AllInfinite", "BasisSingular", "BasisState", "ClassicalPivotReport",
     "ClassicalSolution", "CostReport", "IdealQlsa", "IterationOutcome",
     "LpInstance", "PrecisionParams", "QueryStats", "ScaledBasis",
-    "ThresholdViolation", "ZeroColumn", "ZeroVector", "amplitude_estimation",
+    "ThresholdViolation", "ZeroColumn", "amplitude_estimation",
     "build_cost_report", "can_enter", "classical_pricing_cost", "column_split",
-    "estimate_sigma_max", "find_column", "find_row", "is_optimal",
-    "is_unbounded", "min_finding", "mu", "mu_opt", "norm_estimate",
-    "normalize", "qlsa_query_counts", "qsearch", "quantum_pricing_cost",
-    "quantum_ratio_test_cost", "ratio_test", "read_instance", "read_lp_json",
-    "read_mps", "reduced_cost", "reduced_costs", "simplex_iter",
-    "slack_identity_basis", "solve_classical", "solve_quantum",
-    "sparsity_stats", "write_lp_json",
+    "find_column", "find_row", "is_optimal", "is_unbounded", "min_finding",
+    "mu", "mu_opt", "norm_estimate", "normalize", "qlsa_query_counts",
+    "qsearch", "quantum_pricing_cost", "quantum_ratio_test_cost", "ratio_test",
+    "read_instance", "read_lp_json", "read_mps", "reduced_cost",
+    "reduced_costs", "simplex_iter", "slack_identity_basis", "solve_classical",
+    "solve_quantum", "write_lp_json",
 ]

@@ -308,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t", type=float, default=100.0,
                        help="ratio-test precision multiplier (default 100)")
         p.add_argument("--eps-prime", type=float, default=1e-4,
-                       help="spectral-norm estimation slack (default 1e-4)")
+                       help="spectral-norm margin: bases are scaled to "
+                            "|A_B| = 1 - eps' (default 1e-4)")
         p.add_argument("--reps", type=int, default=15,
                        help="majority-vote repetitions (odd, default 15)")
         p.add_argument("--seed", type=int, default=None,

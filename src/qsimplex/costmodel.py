@@ -208,9 +208,7 @@ COST_REPORT_SCHEMA = {
 def build_cost_report(instance, state, eps: float = 0.1, delta: float = 0.1,
                       t: float = 100.0, measured: dict | None = None) -> CostReport:
     """Evaluate every cost formula for one (instance, basis) pair."""
-    from .lp import scaled_basis_matrix  # local import avoids a cycle
-
-    AB = scaled_basis_matrix(instance, state)
+    AB = state.matrix_scale * instance.dense()[:, list(state.basis)]
     m, n = instance.m, instance.n
     d_c, d, kappa = instance.col_nnz_max, state.sparsity, state.kappa
     mu_ab = mu_opt(AB)

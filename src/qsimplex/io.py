@@ -7,14 +7,18 @@ JSON layout::
      "b": [1.0, 2.0],
      "c": [0.0, -1.0, 0.5]}
 
-``A.cols[j]`` lists ``[row, value]`` pairs for column j.  The MPS reader
+``A.cols[j]`` lists ``[row, value]`` pairs for column j: finite numbers,
+with an integral row in ``[0, m)``; anything else raises
+``InstanceFormatError`` naming the column.  The MPS reader
 accepts the NAME/ROWS/COLUMNS/RHS/ENDATA sections with equality rows and
 one objective row only (whitespace-delimited fields).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,17 +54,48 @@ def instance_from_dict(doc: dict) -> LpInstance:
         raise InstanceFormatError(f"missing or malformed field: {exc}") from exc
     if len(cols) != n:
         raise InstanceFormatError(f"A.cols has {len(cols)} columns, expected n={n}")
-    rows_idx, cols_idx, vals = [], [], []
+    # all entries in one array pass; only a malformed file walks them one by
+    # one, to name the column at fault
+    try:
+        counts = [len(entries) for entries in cols]
+        flat = list(itertools.chain.from_iterable(cols))
+        pairs = np.fromiter(itertools.chain.from_iterable(flat), float, 2 * len(flat))
+        well_formed = set(map(len, flat)) <= {2} and bool(np.isfinite(pairs).all())
+    except (TypeError, ValueError):
+        well_formed = False
+    if not well_formed:
+        raise InstanceFormatError(_malformed_entry(cols))
+    rows, vals = pairs[0::2], pairs[1::2]
+    cols_idx = np.repeat(np.arange(n), counts)
+    bad = np.flatnonzero((rows != np.floor(rows)) | (rows < 0) | (rows >= m))
+    if bad.size:
+        i = rows[bad[0]]
+        why = "is not an integer" if i != math.floor(i) else f"out of range [0, {m})"
+        raise InstanceFormatError(f"row index {i:g} {why} in column {cols_idx[bad[0]]}")
+    try:
+        b, c = np.asarray(b, dtype=float), np.asarray(c, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"b and c must be lists of numbers: {exc}") from exc
+    A = sp.csc_matrix((vals, (rows.astype(np.int64), cols_idx)), shape=(m, n))
+    return LpInstance(A, b, c)
+
+
+def _malformed_entry(cols) -> str:
+    """Where and how ``A.cols`` breaks the layout of ``[row, value]`` pairs
+    of finite numbers."""
     for j, entries in enumerate(cols):
+        if not isinstance(entries, (list, tuple)):
+            return f"column {j} is not a list of [row, value] pairs"
         for entry in entries:
-            i, v = int(entry[0]), float(entry[1])
-            if not 0 <= i < m:
-                raise InstanceFormatError(f"row index {i} out of range in column {j}")
-            rows_idx.append(i)
-            cols_idx.append(j)
-            vals.append(v)
-    A = sp.csc_matrix((vals, (rows_idx, cols_idx)), shape=(m, n))
-    return LpInstance(A, np.asarray(b, dtype=float), np.asarray(c, dtype=float))
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+                return f"entry {entry!r} in column {j} is not a [row, value] pair"
+            try:
+                finite = all(math.isfinite(float(x)) for x in entry)
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                return f"entry {entry!r} in column {j} is not a pair of finite numbers"
+    return "A.cols is not a list of columns of [row, value] pairs"
 
 
 def write_lp_json(instance: LpInstance, path) -> None:

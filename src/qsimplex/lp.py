@@ -7,6 +7,8 @@ with column-major sparse storage; a ``BasisState`` records an ordered
 basis together with the scale factors that put the basis submatrix into
 the form the quantum linear-system oracle requires (``|c_B| = 1``,
 spectrum of the symmetrized basis inside ``[-1,-1/kappa] u [1/kappa,1]``).
+Both the scale and kappa come from one dense SVD of the basis, so they are
+exact rather than estimated.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ import scipy.sparse as sp
 
 class BasisSingular(ValueError):
     """Selected basis columns are (numerically) linearly dependent."""
-
-
-class ZeroVector(ValueError):
-    """A vector that must be nonzero is zero."""
 
 
 class ZeroColumn(ValueError):
@@ -109,8 +107,9 @@ class BasisState:
     """An ordered basis plus the scaling the quantum subroutines assume.
 
     After scaling (``A_B <- matrix_scale * A_B``, ``c <- cost_scale * c``)
-    the basis satisfies ``|A_B| <= 1`` with singular values in
-    ``[1/kappa, 1]`` and ``|c_B| = 1`` (unless ``cost_degenerate``).
+    the basis has spectral norm ``|A_B| = 1 - eps_prime`` exactly, singular
+    values in ``[1/kappa, 1 - eps_prime]``, and ``|c_B| = 1`` (unless
+    ``cost_degenerate``).
     ``row_nnz_max`` is the max nonzeros per row of A_B and
     ``sparsity = max(col_nnz_max, row_nnz_max)``.
     """
@@ -134,85 +133,22 @@ def basis_matrix(instance: LpInstance, basis) -> np.ndarray:
     cols = list(basis)
     if len(cols) != instance.m or len(set(cols)) != instance.m:
         raise ValueError("basis must list m distinct column indices")
-    return np.asarray(instance.A[:, cols].todense())
+    return instance.dense()[:, cols]
 
 
-def estimate_sigma_max(matrix, eps_prime: float, seed: int = 0,
-                       max_iterations: int = 20000) -> tuple[float, int, bool]:
-    """Leading singular value via power iteration on ``A'A``.
-
-    Returns ``(sigma_hat, iterations, cap_hit)`` with
-    ``sigma_hat in [(1 - eps_prime) * sigma_max, sigma_max]`` whenever the
-    iteration converges (always from below, since ``|Av| <= sigma_max``
-    for unit v).  ``cap_hit`` reports non-convergence within the
-    iteration cap; the best estimate so far is still returned.
-    """
-    A = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
-    if not np.any(A):
-        raise ZeroVector("matrix is zero")
-    if not 0 < eps_prime < 0.5:
-        raise ValueError("eps_prime must lie in (0, 1/2)")
-    # independent restarts guard against a start vector nearly orthogonal
-    # to the dominant singular vector (where the iterate plateaus at
-    # sigma_2 long enough to fool any change-based stopping rule)
-    starts = 3
-    rng = np.random.default_rng([seed, 0x51EE7])
-    sigma = 0.0
-    total_iters = 0
-    cap_hit = False
-    per_start = max(max_iterations // starts, 32)
-    for _ in range(starts):
-        v = rng.standard_normal(A.shape[1])
-        v /= np.linalg.norm(v)
-        best = float(np.linalg.norm(A @ v))
-        prev_delta = None
-        stable = 0
-        converged = False
-        for it in range(1, per_start + 1):
-            total_iters += 1
-            w = A.T @ (A @ v)
-            wn = np.linalg.norm(w)
-            if wn == 0.0:  # v fell in the nullspace; restart
-                v = rng.standard_normal(A.shape[1])
-                v /= np.linalg.norm(v)
-                continue
-            v = w / wn
-            new = float(np.linalg.norm(A @ v))
-            delta = max(new - best, 0.0)
-            best = max(best, new)
-            # the Rayleigh iterates grow monotonically; extrapolate the
-            # geometric tail delta * r / (1 - r) so slow convergence is not
-            # mistaken for arrival
-            budget = eps_prime * best / 4.0
-            if prev_delta is not None and it >= 16:
-                if delta <= 1e-300:
-                    ok = True
-                elif prev_delta > 0 and delta < prev_delta:
-                    r = delta / prev_delta
-                    ok = delta * r / (1.0 - r) <= budget and delta <= budget
-                else:
-                    ok = False
-                stable = stable + 1 if ok else 0
-                if stable >= 3:
-                    converged = True
-                    break
-            prev_delta = delta
-        sigma = max(sigma, best)
-        cap_hit = cap_hit or not converged
-    return sigma, total_iters, cap_hit
-
-
-def normalize(instance: LpInstance, basis, eps_prime: float = 1e-4,
-              seed: int = 0) -> BasisState:
+def normalize(instance: LpInstance, basis, eps_prime: float = 1e-4) -> BasisState:
     """Build the scaled ``BasisState`` for ``basis`` (the per-iteration
     normalization step).
 
-    ``cost_scale = 1/|c_B|`` and ``matrix_scale = (1 - eps_prime)/sigma_hat``
-    where ``sigma_hat`` is the power-method estimate of ``|A_B|``; kappa is
-    then computed exactly from a dense SVD of the scaled basis (desk scale),
-    which inflates the true condition number by at most ``1/(1-eps_prime)``.
+    One dense SVD of the basis gives its singular values sigma_max >= ...
+    >= sigma_min, the singularity check, and both scale factors:
+    ``cost_scale = 1/|c_B|``, ``matrix_scale = (1 - eps_prime)/sigma_max``,
+    so ``kappa = 1/(matrix_scale sigma_min) = sigma_max/((1 - eps_prime)
+    sigma_min)``, the true condition number inflated by ``1/(1 - eps_prime)``.
     A zero ``c_B`` skips cost normalization and sets ``cost_degenerate``.
     """
+    if not 0 < eps_prime < 0.5:
+        raise ValueError("eps_prime must lie in (0, 1/2)")
     if isinstance(basis, BasisState):
         basis = basis.basis
     cols = tuple(int(j) for j in basis)
@@ -221,8 +157,7 @@ def normalize(instance: LpInstance, basis, eps_prime: float = 1e-4,
     if svals[-1] <= _SINGULAR_RTOL * svals[0]:
         raise BasisSingular(f"basis {cols} is singular")
 
-    sigma_hat, _, _ = estimate_sigma_max(B, eps_prime, seed=seed)
-    matrix_scale = (1.0 - eps_prime) / sigma_hat
+    matrix_scale = (1.0 - eps_prime) / float(svals[0])
 
     c_B = instance.c[list(cols)]
     c_B_norm = float(np.linalg.norm(c_B))
@@ -243,27 +178,6 @@ def normalize(instance: LpInstance, basis, eps_prime: float = 1e-4,
         sparsity=max(instance.col_nnz_max, d_r),
         cost_degenerate=degenerate,
     )
-
-
-def sparsity_stats(instance: LpInstance, basis) -> tuple[int, int, int, float]:
-    """Exact ``(d_c, d_r, d, kappa)`` for the given basis.
-
-    kappa is the ratio of largest to smallest nonzero singular value of the
-    unscaled basis, computed by dense SVD.
-    """
-    if isinstance(basis, BasisState):
-        basis = basis.basis
-    B = basis_matrix(instance, basis)
-    svals = np.linalg.svd(B, compute_uv=False)
-    nonzero = svals[svals > _SINGULAR_RTOL * svals[0]]
-    kappa = float(nonzero[0] / nonzero[-1])
-    d_c = instance.col_nnz_max
-    d_r = int(max((np.count_nonzero(row) for row in B), default=0))
-    return d_c, d_r, max(d_c, d_r), kappa
-
-
-def scaled_basis_matrix(instance: LpInstance, state: BasisState) -> np.ndarray:
-    return state.matrix_scale * basis_matrix(instance, state.basis)
 
 
 def slack_identity_basis(instance: LpInstance) -> tuple[int, ...] | None:

@@ -54,8 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import (BasisSingular, BasisState, LpInstance, ZeroColumn,
-                 ZeroVector, normalize)
+from .lp import BasisSingular, BasisState, LpInstance, ZeroColumn, normalize
 from .primitives import (AEOutcome, AEQuantiles, AllInfinite, QueryStats,
                          _charge_pe, ae_distribution, amplitude_estimation,
                          grover_count_exists, min_finding, qsearch,
@@ -203,13 +202,15 @@ def boosted_sign_est(alpha: float | list[float], eps: float, kind: str, reps: in
 
 @dataclass
 class ScaledBasis:
-    """Scaled data bundle one iteration works with: ``|A_B| <= 1`` with
-    spectrum in [1/kappa, 1], ``|c_B| = 1`` (the column scales in
+    """Scaled data bundle one iteration works with: ``|A_B| = 1 - eps'``
+    with spectrum in [1/kappa, 1 - eps'], ``|c_B| = 1`` (the column scales in
     ``A_B^-1 A_k`` cancel, so directions are scale-free).
 
-    ``solutions`` holds every exact solution the iteration can read, from
-    one multi-right-hand-side dense solve: column k is ``A_B^-1 (s A_k)``
-    and the last column is ``A_B^-1 (s b)``, for the matrix scale s.  Every
+    ``solutions`` holds every exact solution the iteration can read: column
+    k is ``A_B^-1 (s A_k)`` and the last column is ``A_B^-1 (s b)``, for
+    the matrix scale s.  The nonbasic columns and b come from one
+    multi-right-hand-side dense solve; a basic column ``B_i`` is the unit
+    vector ``e_i``, set exactly.  Every
     read of a solver state comes from these through ``read``; the oracles
     charge, and draw random error: ``qlsa`` for the m x m system,
     ``qlsa_ext`` for the reduced-cost system extended by the cost row.
@@ -234,13 +235,19 @@ class ScaledBasis:
         state = basis if isinstance(basis, BasisState) else \
             normalize(instance, basis, eps_prime)
         dense = instance.dense()
-        AB = state.matrix_scale * dense[:, list(state.basis)]
-        rhs = state.matrix_scale * np.column_stack([dense, instance.b])
+        basic, nonbasic = list(state.basis), list(state.nonbasic)
+        m, n, s = instance.m, instance.n, state.matrix_scale
+        AB = s * dense[:, basic]
+        # A_B^-1 A_{B_i} = e_i exactly, so only the nonbasic columns and b
+        # need the solve
+        solutions = np.zeros((m, n + 1))
+        solutions[np.arange(m), basic] = 1.0
+        solutions[:, nonbasic + [n]] = np.linalg.solve(
+            AB, s * np.column_stack([dense[:, nonbasic], instance.b]))
         nonempty = np.diff(instance.A.indptr) > 0
-        m = instance.m
         return cls(instance=instance, state=state, AB=AB,
                    c=state.cost_scale * instance.c,
-                   solutions=np.linalg.solve(AB, rhs),
+                   solutions=solutions,
                    domain=tuple(k for k in state.nonbasic if nonempty[k]),
                    error_mode=error_mode, rng=rng,
                    qlsa=IdealQlsa(m, state.kappa, state.sparsity, error_mode, rng),
@@ -831,8 +838,7 @@ class QuantumSolveResult:
 
 # the numerical dead ends a solve reports as a failure; anything else is a
 # programming error and propagates
-NUMERICAL_DEAD_ENDS = (BasisSingular, ZeroColumn, ZeroVector, AllInfinite,
-                       np.linalg.LinAlgError)
+NUMERICAL_DEAD_ENDS = (BasisSingular, ZeroColumn, AllInfinite, np.linalg.LinAlgError)
 
 
 def solve_quantum(instance: LpInstance, start_basis, params: PrecisionParams,

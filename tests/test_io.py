@@ -92,3 +92,46 @@ def test_mps_rejects_unknown_section(tmp_path):
     path.write_text("NAME x\nROWS\n N COST\n E R1\nRANGES\nENDATA\n")
     with pytest.raises(InstanceFormatError, match="unsupported section"):
         read_mps(path)
+
+
+def _one_column(entries, m=2):
+    return {"m": m, "n": 2, "A": {"cols": [[[0, 1.0]], entries]},
+            "b": [1.0] * m, "c": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("entries,message", [
+    ([[1.5, 2.0]], r"row index 1.5 is not an integer in column 1"),
+    ([[-1, 2.0]], r"row index -1 out of range \[0, 2\) in column 1"),
+    ([[float("nan"), 2.0]], r"in column 1 is not a pair of finite numbers"),
+    ([[1]], r"entry \[1\] in column 1 is not a \[row, value\] pair"),
+    ([[0, 1.0, 2.0]], r"in column 1 is not a \[row, value\] pair"),
+    ([[1, "x"]], r"entry \[1, 'x'\] in column 1 is not a pair of finite numbers"),
+    ([[1, None]], r"in column 1 is not a pair of finite numbers"),
+    ([[1, [2.0]]], r"in column 1 is not a pair of finite numbers"),
+    ([[1, float("inf")]], r"in column 1 is not a pair of finite numbers"),
+    (7, r"column 1 is not a list of \[row, value\] pairs"),
+])
+def test_dict_rejects_malformed_entries(entries, message):
+    # every malformed entry names its column; none is truncated or coerced
+    with pytest.raises(InstanceFormatError, match=message):
+        instance_from_dict(_one_column(entries))
+
+
+def test_dict_rejects_non_numeric_rhs():
+    doc = _one_column([[1, 2.0]])
+    doc["b"] = [1.0, "x"]
+    with pytest.raises(InstanceFormatError, match="lists of numbers"):
+        instance_from_dict(doc)
+
+
+def test_dict_builds_the_same_matrix_as_the_entries():
+    # integer and float entries, an empty column, unsorted rows, a duplicate
+    # (summed, as COO input is)
+    doc = {"m": 3, "n": 3,
+           "A": {"cols": [[[2, 1], [0, 0.5]], [], [[1, -2.0], [1, 1.0]]]},
+           "b": [1, 2, 3], "c": [0, 1, 0]}
+    inst = instance_from_dict(doc)
+    assert np.array_equal(inst.dense(), [[0.5, 0.0, 0.0],
+                                         [0.0, 0.0, -1.0],
+                                         [1.0, 0.0, 0.0]])
+    assert inst.col_nnz_max == 2

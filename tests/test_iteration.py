@@ -31,56 +31,56 @@ CASES = [
       20712964.78472883, 195.0, 3529216.0, 9555480763653.348)),
     ("random_lp", 8, 3, 5, "analytic", "zero",
      ("pivot", 1, 0, True),
-     (7058432.0, 3529216.0, 7059186.0, 2269814501106.7656,
-      203399154.58900166, 195.0, 3529216.0, 1970904530585904.5)),
+     (7058432.0, 3529216.0, 7059186.0, 2269814707661.749,
+      203399163.25343278, 195.0, 3529216.0, 1970904725231963.5)),
     ("random_lp", 8, 3, 9, "analytic", "zero",
      ("unbounded", 5, None, True),
-     (4838400.0, 2419200.0, 4839030.0, 6.552265911209431e+16,
-      23755612233.5201, 41.0, 2419200.0, 7.86656054123444e+19)),
+     (4838400.0, 2419200.0, 4839030.0, 6.552265911373858e+16,
+      23755612233.80104, 41.0, 2419200.0, 7.866560541450677e+19)),
     ("random_lp", 12, 5, 0, "analytic", "worst",
      ("pivot", 0, 1, True),
      (9217024.0, 4608512.0, 9217842.0, 40152071234.84595,
       28678902.48143784, 233.0, 4608512.0, 25489670421859.71)),
     ("random_lp", 12, 5, 3, "analytic", "worst",
      ("pivot", 7, 5, True),
-     (9217024.0, 4608512.0, 9217842.0, 5390883071522.053,
-      285402402.0499288, 233.0, 4608512.0, 5398327642279424.0)),
+     (9217024.0, 4608512.0, 9217842.0, 5390925645568.586,
+      285403462.43283594, 233.0, 4608512.0, 5398374000724735.0)),
     ("random_lp", 16, 7, 0, "sampling", "worst",
      ("pivot", 2, 12, False),
      (7954432.0, 3977216.0, 7954836.0, 86534436387.1052,
       28918822.014506873, 235.0, 3977216.0, 62947419813030.85)),
     ("random_lp", 16, 7, 6, "sampling", "worst",
      ("pivot", 13, 2, True),
-     (5085184.0, 2542592.0, 5085537.0, 332820245901062.9,
-      1130792080.3185847, 234.0, 2542592.0, 5.4992246043896416e+17)),
+     (5085184.0, 2542592.0, 5085537.0, 332822203546152.8,
+      1130795239.2343888, 234.0, 2542592.0, 5.4992596111511104e+17)),
     ("random_lp", 16, 7, 12, "sampling", "worst",
      ("unbounded", 42, None, True),
-     (5560320.0, 2780160.0, 5561130.0, 1720031597431494.5,
-      3376180378.676744, 49.0, 2780160.0, 1.272989083270852e+18)),
+     (5560320.0, 2780160.0, 5561130.0, 1720038824204074.5,
+      3376186986.0219216, 49.0, 2780160.0, 1.272995037346191e+18)),
     ("random_lp", 10, 11, 0, "sampling", "random",
      ("pivot", 2, 4, True),
      (4624384.0, 2312192.0, 4624602.0, 27889321035.94723,
       16723322.5833495, 180.0, 2312192.0, 20223089545015.76)),
     ("random_lp", 10, 11, 1, "sampling", "random",
      ("pivot", 13, 5, True),
-     (3325952.0, 1662976.0, 3326316.0, 192746545906.79623,
-      36348664.89292285, 188.0, 1662976.0, 170539219399182.56)),
+     (3325952.0, 1662976.0, 3326316.0, 192746545906.80057,
+      36348664.892923236, 188.0, 1662976.0, 170539219399186.78)),
     ("random_bounded_lp", 12, 0, 18, "analytic", "worst",
      ("optimal", None, None, True),
-     (1966080.0, 983040.0, 1966320.0, 45351066642100.16,
-      399075911.2679328, 16.0, 983040.0, 2.763963822932068e+16)),
+     (1966080.0, 983040.0, 1966320.0, 45351067588265.13,
+      399075915.1258262, 16.0, 983040.0, 2.763963887586132e+16)),
     ("random_bounded_lp", 8, 2, 9, "sampling", "random",
      ("optimal", None, None, True),
-     (9461760.0, 4730880.0, 9462915.0, 18396174590099.86,
-      786113168.0928284, 58.0, 4730880.0, 8770344049116210.0)),
+     (9461760.0, 4730880.0, 9462915.0, 18396751344886.1,
+      786124506.774232, 58.0, 4730880.0, 8770655300773396.0)),
     ("random_lp", 64, 0, 24, "analytic", "zero",
      ("pivot", 1, 53, True),
-     (23034880.0, 11517440.0, 23037390.0, 7102335409311443.0,
-      6545797792.602453, 563.0, 11517440.0, 1.0530947639657554e+19)),
+     (23034880.0, 11517440.0, 23037390.0, 7102514701477301.0,
+      6545876082.717612, 563.0, 11517440.0, 1.053123426792949e+19)),
     ("random_lp", 64, 0, 24, "analytic", "worst",
      ("pivot", 1, 53, True),
-     (24083456.0, 12041728.0, 24085968.0, 7614695616974303.0,
-      6880931986.954368, 563.0, 12041728.0, 1.1464956284075305e+19)),
+     (24083456.0, 12041728.0, 24085968.0, 7614887676786708.0,
+      6881014246.612802, 563.0, 12041728.0, 1.1465268094322227e+19)),
 ]
 
 # the generator's next draw after each sampling case, as float hex: a
@@ -100,11 +100,11 @@ NEXT_DRAWS = {
 # columns), reduced_cost_scaled at the pick); the counters are the same in
 # both error modes
 PRICING_CASES = {
-    "zero": ((0, True, 82, 11114), (4, "nfp", True, 82, 11114), -0.09375880074742036),
+    "zero": ((0, True, 82, 11114), (4, "nfp", True, 82, 11114), -0.09375880074742034),
     "worst": ((0, True, 83, 11120), (2, "nfp", True, 83, 11120), -0.06867627114269194),
 }
-PRICING_COUNTERS = (5360640.0, 2680320.0, 5361465.0, 1632612141277243.0,
-                    1299714411.698587, 54.0, 2680320.0, 1.0473346561704454e+18)
+PRICING_COUNTERS = (5360640.0, 2680320.0, 5361465.0, 1632662988805272.8,
+                    1299733191.981296, 54.0, 2680320.0, 1.0473711461648663e+18)
 
 
 def dantzig_basis(instance, steps: int) -> tuple[int, ...]:
@@ -222,21 +222,42 @@ def test_analytic_random_error_reads_each_sweep_at_once(monkeypatch):
 @pytest.mark.parametrize("mode,error_mode", [("analytic", "worst"),
                                              ("sampling", "random")])
 def test_simplex_iter_solves_once(monkeypatch, mode, error_mode):
-    # every exact solution an iteration reads comes from one dense solve
+    # one dense factorization per basis: normalize's SVD, then one solve of
+    # the nonbasic columns and b; every exact solution an iteration reads
+    # comes from these
     inst = random_lp(8, 24, seed=3)
     basis = dantzig_basis(inst, 5)
-    calls = []
-    solve = np.linalg.solve
+    svds, solved, built = [], [], []
+    svd, solve, build = np.linalg.svd, np.linalg.solve, ScaledBasis.build
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counting_svd(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    def counting_solve(a, b):
+        solved.append(np.shape(b))
+        return solve(a, b)
+
+    def recording_build(cls, *args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(ScaledBasis, "build", classmethod(recording_build))
     out = simplex_iter(inst, basis, PrecisionParams(), mode, error_mode,
                        np.random.default_rng(0))
     assert out.status == "pivot"
-    assert len(calls) == 1
+    m, n = inst.m, inst.n
+    assert len(svds) == 1
+    assert solved == [(m, n - m + 1)]
+    (scaled,) = built
+    nonbasic = list(scaled.state.nonbasic)
+    assert np.array_equal(scaled.solutions[:, list(basis)], np.eye(m))
+    full = solve(scaled.AB, scaled.state.matrix_scale
+                 * np.column_stack([inst.dense(), inst.b]))
+    assert np.allclose(scaled.solutions[:, nonbasic + [n]], full[:, nonbasic + [n]],
+                       rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode,error_mode",

@@ -1,4 +1,5 @@
-"""LP data model, normalization, and spectral statistics."""
+"""LP data model, normalization, and the spectral and sparsity data of a
+basis."""
 
 import math
 
@@ -7,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsimplex.lp import (BasisSingular, LpInstance, basis_matrix,
-                         estimate_sigma_max, normalize, slack_identity_basis,
-                         sparsity_stats)
+from qsimplex.lp import (BasisSingular, LpInstance, basis_matrix, normalize,
+                         slack_identity_basis)
 
 
 def small_instance():
@@ -62,6 +62,12 @@ def test_normalize_flags_degenerate_cost():
     assert state.cost_scale == 1.0
 
 
+@pytest.mark.parametrize("eps_prime", [0.0, 0.5, -1e-4])
+def test_normalize_rejects_eps_prime_out_of_range(eps_prime):
+    with pytest.raises(ValueError, match="eps_prime"):
+        normalize(small_instance(), (0, 1), eps_prime=eps_prime)
+
+
 def test_normalize_singular_basis_raises():
     A = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]])
     inst = LpInstance.from_dense(A, [1.0, 1.0], [1.0, 1.0, 1.0])
@@ -99,16 +105,49 @@ def test_normalize_idempotent():
     assert again.cost_scale == pytest.approx(first.cost_scale, rel=1e-12)
 
 
+def within_ulps(x: float, y: float, ulps: int) -> bool:
+    return abs(x - y) <= ulps * np.spacing(max(abs(x), abs(y)))
+
+
+def assert_exact_scale(inst, basis, B, eps_prime=1e-4):
+    """``matrix_scale * sigma_max(A_B) = 1 - eps'`` to 2 ulp and ``kappa =
+    sigma_max / ((1 - eps') sigma_min)`` to 1e-12, from the dense SVD."""
+    state = normalize(inst, basis, eps_prime=eps_prime)
+    svals = np.linalg.svd(B, compute_uv=False)
+    assert within_ulps(state.matrix_scale * svals[0], 1 - eps_prime, 2)
+    assert state.kappa == pytest.approx(svals[0] / ((1 - eps_prime) * svals[-1]),
+                                        rel=1e-12)
+    return state
+
+
 def test_normalize_matches_dense_svd():
-    # matrix_scale * sigma_max(A_B) = 1 - eps' within 1e-3 relative
     rng = np.random.default_rng(0)
     B = rng.standard_normal((4, 4)) + 2 * np.eye(4)
     inst = LpInstance.from_dense(np.hstack([B, np.eye(4)]), np.ones(4),
                                  rng.standard_normal(8))
-    eps_prime = 1e-4
-    state = normalize(inst, tuple(range(4)), eps_prime=eps_prime)
-    sigma_max = np.linalg.svd(B, compute_uv=False)[0]
-    assert state.matrix_scale * sigma_max == pytest.approx(1 - eps_prime, rel=1e-3)
+    assert_exact_scale(inst, tuple(range(4)), B)
+
+
+@pytest.mark.parametrize("B", [np.diag([3.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])],
+                         ids=["diagonal", "permutation"])
+def test_normalize_exact_scale(B):
+    inst = LpInstance.from_dense(np.hstack([B, np.eye(2)]), np.ones(2), np.ones(4))
+    state = assert_exact_scale(inst, (0, 1), B)
+    assert within_ulps(state.matrix_scale, (1 - 1e-4) / abs(B).max(), 2)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_normalize_scale_matches_svd(seed):
+    # random sparse bases, about 40% zeros
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((6, 6))
+    B[rng.random((6, 6)) < 0.4] = 0.0
+    svals = np.linalg.svd(B, compute_uv=False)
+    if svals[-1] <= 1e-6 * svals[0]:
+        return
+    inst = LpInstance.from_dense(np.hstack([B, np.eye(6)]), np.ones(6), np.ones(12))
+    assert_exact_scale(inst, tuple(range(6)), B, eps_prime=1e-3)
 
 
 def test_rescaling_preserves_reduced_cost_signs_and_ratio():
@@ -141,49 +180,19 @@ def test_rescaling_preserves_reduced_cost_signs_and_ratio():
             ratio_raw * np.linalg.norm(scaled_inst.c[list(basis)]), rel=1e-10)
 
 
-def test_estimate_sigma_max_diagonal():
-    sigma, iters, cap = estimate_sigma_max(np.diag([3.0, 1.0]), 1e-4)
-    assert 3 * (1 - 1e-4) <= sigma <= 3.0
-    assert not cap
-
-
-def test_estimate_sigma_max_permutation():
-    sigma, _, _ = estimate_sigma_max(np.array([[0.0, 1.0], [1.0, 0.0]]), 1e-4)
-    assert sigma == pytest.approx(1.0, abs=1e-9)
-
-
-@given(st.integers(0, 10 ** 6))
-@settings(max_examples=25, deadline=None)
-def test_estimate_sigma_max_vs_svd(seed):
-    rng = np.random.default_rng(seed)
-    M = rng.standard_normal((6, 6))
-    M[rng.random((6, 6)) < 0.4] = 0.0
-    if not np.any(M):
-        return
-    eps_prime = 1e-3
-    sigma, _, cap = estimate_sigma_max(M, eps_prime, seed=seed)
-    truth = np.linalg.svd(M, compute_uv=False)[0]
-    assert sigma <= truth + 1e-9
-    if not cap:
-        assert sigma >= (1 - eps_prime) * truth - 1e-9
-
-
-def test_sparsity_stats_identity():
+def test_normalize_sparsity_identity():
     A = np.hstack([np.eye(4), np.ones((4, 1))])
     inst = LpInstance.from_dense(A, np.ones(4), np.zeros(5))
-    d_c, d_r, d, kappa = sparsity_stats(inst, tuple(range(4)))
-    assert (d_r, kappa) == (1, 1.0)
-    assert d_c == 4  # the dense appended column dominates
-    assert d == 4
+    state = assert_exact_scale(inst, tuple(range(4)), np.eye(4))
+    assert state.row_nnz_max == 1
+    assert state.sparsity == 4  # the dense appended column dominates
 
 
-def test_sparsity_stats_triangular():
+def test_normalize_sparsity_triangular():
     A = np.array([[1.0, 1.0, 0.3], [0.0, 1.0, 0.4]])
     inst = LpInstance.from_dense(A, [1.0, 1.0], [0.0, 0.0, 1.0])
-    d_c, d_r, d, kappa = sparsity_stats(inst, (0, 1))
-    assert (d_c, d_r, d) == (2, 2, 2)
-    svals = np.linalg.svd(np.array([[1.0, 1.0], [0.0, 1.0]]), compute_uv=False)
-    assert kappa == pytest.approx(svals[0] / svals[-1], rel=1e-12)
+    state = assert_exact_scale(inst, (0, 1), A[:, :2])
+    assert (inst.col_nnz_max, state.row_nnz_max, state.sparsity) == (2, 2, 2)
 
 
 def test_dense_column_count():
