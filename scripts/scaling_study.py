@@ -49,7 +49,7 @@ def acceptance_curves(eps_values, grid_points):
     curves = {}
     for eps in eps_values:
         curves[str(eps)] = {
-            kind: [sign_est_prob_one(float(a), float(eps), kind) for a in grid]
+            kind: sign_est_prob_one(grid, float(eps), kind).tolist()
             for kind in ("nfn", "nfp", "nfn_plus", "nfp_plus")}
     return {"alpha_grid": grid.tolist(), "curves": curves}
 

@@ -8,10 +8,10 @@ deliberate so runs are reproducible and comparable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .lp import BasisSingular, LpInstance, basis_matrix
 
@@ -43,6 +43,9 @@ class ClassicalSolution:
 
 
 def _lu(instance: LpInstance, basis):
+    """``solve(rhs, trans=0)`` with the LU factors of the basis matrix."""
+    import scipy.linalg  # imported late: only the classical reference factorizes
+
     B = basis_matrix(instance, basis)
     try:
         lu, piv = scipy.linalg.lu_factor(B)
@@ -50,13 +53,12 @@ def _lu(instance: LpInstance, basis):
         raise BasisSingular(str(exc)) from exc
     if np.any(np.abs(np.diag(lu)) < 1e-12 * max(1.0, np.abs(lu).max())):
         raise BasisSingular(f"basis {tuple(basis)} is numerically singular")
-    return lu, piv
+    return functools.partial(scipy.linalg.lu_solve, (lu, piv))
 
 
 def basic_solution(instance: LpInstance, basis) -> np.ndarray:
     """x_B = A_B^{-1} b in basis order."""
-    lu, piv = _lu(instance, basis)
-    return scipy.linalg.lu_solve((lu, piv), instance.b)
+    return _lu(instance, basis)(instance.b)
 
 
 def reduced_costs(instance: LpInstance, basis, nonbasic=None) -> np.ndarray:
@@ -70,8 +72,7 @@ def reduced_costs(instance: LpInstance, basis, nonbasic=None) -> np.ndarray:
     if nonbasic is None:
         inside = set(basis)
         nonbasic = tuple(j for j in range(instance.n) if j not in inside)
-    lu, piv = _lu(instance, basis)
-    y = scipy.linalg.lu_solve((lu, piv), instance.c[list(basis)], trans=1)
+    y = _lu(instance, basis)(instance.c[list(basis)], trans=1)
     cols = list(nonbasic)
     return instance.c[cols] - np.asarray((y @ instance.A[:, cols])).reshape(-1)
 
@@ -82,8 +83,7 @@ def reduced_cost(instance: LpInstance, basis, k: int) -> float:
 
 def direction(instance: LpInstance, basis, k: int) -> np.ndarray:
     """u = A_B^{-1} A_k."""
-    lu, piv = _lu(instance, basis)
-    return scipy.linalg.lu_solve((lu, piv), instance.column(k))
+    return _lu(instance, basis)(instance.column(k))
 
 
 def scaled_pricing_norm(instance: LpInstance, basis, k: int) -> float:

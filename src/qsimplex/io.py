@@ -7,9 +7,10 @@ JSON layout::
      "b": [1.0, 2.0],
      "c": [0.0, -1.0, 0.5]}
 
+``m`` and ``n`` are positive integers and ``A.cols`` a list of n columns;
 ``A.cols[j]`` lists ``[row, value]`` pairs for column j: finite numbers,
 with an integral row in ``[0, m)``; anything else raises
-``InstanceFormatError`` naming the column.  The MPS reader
+``InstanceFormatError`` naming the field or the column.  The MPS reader
 accepts the NAME/ROWS/COLUMNS/RHS/ENDATA sections with equality rows and
 one objective row only (whitespace-delimited fields).
 """
@@ -47,11 +48,16 @@ def instance_to_dict(instance: LpInstance) -> dict:
 
 def instance_from_dict(doc: dict) -> LpInstance:
     try:
-        m, n = int(doc["m"]), int(doc["n"])
+        m, n = doc["m"], doc["n"]
         cols = doc["A"]["cols"]
         b, c = doc["b"], doc["c"]
     except (KeyError, TypeError) as exc:
         raise InstanceFormatError(f"missing or malformed field: {exc}") from exc
+    for name, size in (("m", m), ("n", n)):
+        if type(size) is not int or size < 1:
+            raise InstanceFormatError(f"{name} must be a positive integer, got {size!r}")
+    if not isinstance(cols, list):
+        raise InstanceFormatError(f"A.cols must be a list of columns, got {cols!r}")
     if len(cols) != n:
         raise InstanceFormatError(f"A.cols has {len(cols)} columns, expected n={n}")
     # all entries in one array pass; only a malformed file walks them one by

@@ -1,14 +1,17 @@
 """Quantum primitive simulations: phase estimation, amplitude estimation,
 Grover QSearch, and minimum finding, with exact outcome distributions.
 
-Two execution modes run through everything:
+Every kernel table comes from one builder, ``ae_distribution``: a vector
+of probabilities gives one table row per probability from one kernel
+pass, each row bit-identical to the table of its probability alone.  Two
+execution modes run through everything:
 
 * analytic -- outcome distributions are evaluated in closed form from the
   simulated state (the standard phase-estimation kernel), so tests are
-  deterministic; an amplitude-estimation readout is the most likely grid
-  point, read from the kernel at the two grid points bracketing the true
-  phase (``ae_readout``), with the full 2^bits table built only when those
-  two tie;
+  deterministic; amplitude-estimation readouts are the most likely grid
+  points, read for a whole vector of probabilities from the kernel at the
+  two grid points bracketing each true phase (``ae_readout``), with tables
+  built only for the rows where those two tie;
 * sampling -- outcomes are drawn from those same distributions with a
   seeded generator, which is statistically identical to measuring the
   full statevector circuit (the circuit simulation in the test suite's
@@ -16,10 +19,10 @@ Two execution modes run through everything:
   cross-checks); amplitude-estimation draws invert the same uniforms
   through the same cumulative distributions as ``rng.choice`` on the
   tables, for a whole vector of probabilities in one array pass
-  (``AEQuantiles``; ``ae_sample`` is its one-row case): up to 9 bits from
-  the tables themselves, above that from the kernel near its two peaks plus
-  closed-form sums of the tails between them, building a row's table only
-  when one of its uniforms lies too close to an interval end to decide.
+  (``AEQuantiles``): up to 9 bits from the tables themselves, above that
+  from the kernel near its two peaks plus closed-form sums of the tails
+  between them, building tables only for the rows with a uniform too
+  close to an interval end to decide.
 
 Query accounting conventions (one call of phase estimation on ``t`` bits,
 ``M = 2^t``): ``M`` controlled powers of the walk/Grover operator are
@@ -134,47 +137,50 @@ def theta_of_amplitude(a: float) -> float:
     return math.asin(math.sqrt(a)) / math.pi
 
 
-def ae_distribution(a: float, bits: int) -> np.ndarray:
+def _phases(a) -> np.ndarray:
+    """``theta_of_amplitude`` of each probability of ``a``, shaped like it."""
+    return np.reshape([theta_of_amplitude(x) for x in np.ravel(a).tolist()], np.shape(a))
+
+
+def ae_distribution(a, bits: int) -> np.ndarray:
     """Exact amplitude-estimation outcome distribution for target
     probability ``a``: the equal mixture of the phase-estimation kernels at
-    ``theta`` and ``1 - theta``."""
-    theta = theta_of_amplitude(a)
-    return 0.5 * (pe_outcome_distribution(theta, bits)
-                  + pe_outcome_distribution(-theta, bits))
-
-
-def bracketing_grid_points(theta: float, bits: int) -> tuple[int, int]:
-    """The grid points ``floor(theta M)`` and ``ceil(theta M)`` (M = 2^bits)
-    of a phase theta in [0, 1/2]; both lie in [0, M/2].
-
-    Together they carry at least 8/pi^2 > 1/2 of the phase-estimation
-    kernel at theta (Brassard-Hoyer-Mosca-Tapp), and the nearer one alone
-    at least 4/pi^2.
-    """
+    ``theta`` and ``1 - theta``.  A vector of probabilities gives one row
+    per probability from one kernel pass; each row is the table of its
+    probability alone, bit for bit (sums and running sums along a row of a
+    C-ordered array round as they do on one row)."""
     M = 2 ** bits
-    return math.floor(theta * M), math.ceil(theta * M)
+    theta = _phases(a)
+    p = _fejer(np.stack([theta, -theta])[..., None], np.arange(M), M)
+    p /= p.sum(axis=-1, keepdims=True)
+    return 0.5 * (p[0] + p[1])
 
 
-def ae_readout(a: float, bits: int) -> int:
+def ae_readout(a, bits: int) -> np.ndarray:
     """Most likely readout of ``ae_distribution(a, bits)``, folded to
-    [0, M/2] (M = 2^bits), from the two grid points bracketing ``theta M``.
+    [0, M/2] (M = 2^bits), from the two grid points bracketing ``theta M``;
+    one readout per probability of ``a``, shaped like it.
 
-    The nearer of them carries at least 4/pi^2 of the kernel at theta
-    (``bracketing_grid_points``); every other point of [0, M/2] lies at
-    least one step from both kernel peaks (theta and -theta), where each
-    kernel is below 1/8, so the maximum is one of the two.  When their
-    values agree to 1e-9 relative (``theta M`` a half-integer, say),
-    rounding decides the argmax, which is then read off the full table.
+    Together they carry at least 8/pi^2 of the kernel at theta, and the
+    nearer one alone at least 4/pi^2 (Brassard-Hoyer-Mosca-Tapp); every
+    other point of [0, M/2] lies at least one step from both kernel peaks
+    (theta and -theta), where each kernel is below 1/8, so the maximum is
+    one of the two.  When two
+    distinct points agree to 1e-9 relative (``theta M`` a half-integer,
+    say), rounding decides the argmax, which is then read off the tables
+    of those probabilities.
     """
     M = 2 ** bits
-    theta = theta_of_amplitude(a)
-    lo, hi = bracketing_grid_points(theta, bits)
-    y = np.arange(lo, hi + 1)
+    theta = _phases(a)[..., None]
+    y = np.concatenate([np.floor(theta * M), np.ceil(theta * M)], axis=-1).astype(np.int64)
     p = _fejer(theta, y, M) + _fejer(-theta, y, M)
-    if y.size > 1 and p.min() >= p.max() * (1.0 - 1e-9):
-        exact = int(np.argmax(ae_distribution(a, bits)))
-        return min(exact, M - exact)
-    return int(y[np.argmax(p)])
+    lo, hi = p[..., 0], p[..., 1]
+    read = np.where(hi > lo, y[..., 1], y[..., 0])
+    tied = (y[..., 0] < y[..., 1]) & (np.minimum(lo, hi) >= np.maximum(lo, hi) * (1.0 - 1e-9))
+    if tied.any():
+        exact = ae_distribution(np.asarray(a, dtype=float)[tied], bits).argmax(axis=-1)
+        read[tied] = np.minimum(exact, M - exact)
+    return read
 
 
 # Sampled readouts (``AEQuantiles``).  Above _AE_POINTS grid points the
@@ -229,13 +235,6 @@ def _kernel_gap_sums(peaks, starts, ends, M: int, s2) -> np.ndarray:
     return s2 / M ** 2 * ((1.0 + c2).sum(axis=0) / 2.0 + odd_part[0] - odd_part[1])
 
 
-def _table_quantile(a: float, bits: int, u: np.ndarray) -> np.ndarray:
-    """``rng.choice``'s inverse-CDF map on the full table."""
-    cdf = ae_distribution(a, bits).cumsum()
-    cdf /= cdf[-1]
-    return cdf.searchsorted(u, side="right")
-
-
 class AEQuantiles:
     """Readouts of ``ae_distribution(a[i], bits)`` for uniforms in [0, 1),
     for every probability of a vector ``a`` at one ``bits``, under the map
@@ -245,9 +244,9 @@ class AEQuantiles:
     ``a[rows[i]]``).
 
     Up to ``_AE_POINTS`` grid points (M = 2^bits) the tables themselves are
-    built, all rows in one kernel pass; their sums and cumulative sums run
-    along the last axis, as a single table's do.  Above that, each row holds
-    the kernel (bit-identically to the table) on the windows of
+    built, all rows in one ``ae_distribution`` pass; their cumulative sums
+    run along the last axis, as a single table's do.  Above that, each row
+    holds the kernel (bit-identically to the table) on the windows of
     +-``_AE_WINDOW`` grid points around theta M and M - theta M, merged
     where they overlap or wrap past 0 or M, padded to ``_AE_POINTS``, and
     its sums in closed form over the gaps between them
@@ -269,24 +268,22 @@ class AEQuantiles:
     least ``_AE_MARGIN`` from both ends of the window interval holding it
     gets that interval's grid point.  A row with a uniform within the
     margin of an interval end or in a gap, and every row when ``M 2^-51``
-    exceeds the margin, is mapped through its table (``_table_quantile``).
+    exceeds the margin, is mapped through its table.
     """
 
     def __init__(self, a, bits: int):
         self.a = np.array(a, dtype=float).ravel()
         self.bits = bits
         M = 2 ** bits
-        theta = np.array([theta_of_amplitude(x) for x in self.a.tolist()])
         if M <= _AE_POINTS:
-            p = _fejer(np.stack([theta, -theta])[:, :, None], np.arange(M), M)
-            p /= p.sum(axis=-1, keepdims=True)
-            self.mass = 0.5 * (p[0] + p[1])
+            self.mass = ae_distribution(self.a, bits)
             self.cum = self.mass.cumsum(axis=-1)
             self.cum /= self.cum[:, -1:]
             self.points = np.broadcast_to(np.arange(M), self.mass.shape)
-            self.sizes = np.full(theta.size, M)
+            self.sizes = np.full(self.a.size, M)
             self.margin = -math.inf  # the tables decide every uniform
             return
+        theta = _phases(self.a)
         W = _AE_WINDOW
         c = np.round(theta * M).astype(int)  # the peaks' nearest grid points are c and M - c
         wrap = c <= W  # both windows wrap past 0 and M, where they merge
@@ -334,27 +331,10 @@ class AEQuantiles:
         y = self.points[rows][r, k]
         # undecided: u beyond the last window point, in a gap, or near an end
         decided = (u - start >= self.margin) & (end - u >= self.margin)
-        a = self.a[rows]
-        for i in np.flatnonzero(~decided.all(axis=-1)):
-            y[i] = _table_quantile(float(a[i]), self.bits, u[i])
+        for i in np.flatnonzero(~decided.all(axis=-1)):  # rng.choice's map on row i's table
+            cdf = ae_distribution(self.a[rows][i], self.bits).cumsum()
+            y[i] = (cdf / cdf[-1]).searchsorted(u[i], side="right")
         return y
-
-
-def ae_quantile(a: float, bits: int, u):
-    """Readout(s) of ``ae_distribution(a, bits)`` for uniform(s) ``u`` in
-    [0, 1), as ``rng.choice`` maps them on the table: the one-row case of
-    ``AEQuantiles``."""
-    y = AEQuantiles([a], bits)(np.reshape(u, (1, -1)))[0]
-    return int(y[0]) if np.ndim(u) == 0 else y
-
-
-def ae_sample(a: float, bits: int, rng: np.random.Generator, size=None):
-    """Sampled readout(s) of ``ae_distribution(a, bits)``: the index, and
-    the generator state after it, that ``rng.choice(2**bits, size=size,
-    p=ae_distribution(a, bits))`` gives, without building the table unless
-    ``AEQuantiles`` cannot decide.  Draws the uniforms ``rng.random(size)``,
-    as ``choice`` does."""
-    return ae_quantile(a, bits, rng.random(size))
 
 
 @dataclass(frozen=True)
@@ -388,15 +368,16 @@ def amplitude_estimation(a: float, bits: int, mode: str = "analytic",
     Analytic mode reads out the most likely grid point of the exact
     outcome distribution with ``ae_readout``, so ``y`` is folded to
     [0, M/2] (the fold, and with it ``theta_est``, is the table's argmax);
-    sampling mode draws ``y`` with ``ae_sample``, which returns what
-    ``rng.choice`` on the table returns while building the table only for
-    the rare undecided draw.
+    sampling mode maps one uniform, ``rng.random((1, 1))``, through
+    ``AEQuantiles``: the index, and the generator state after it, that
+    ``rng.choice`` on the table gives, building the table only for the rare
+    undecided draw.
     """
     theta = theta_of_amplitude(a)
     if mode == "analytic":
-        y = ae_readout(a, bits)
+        y = int(ae_readout(a, bits))
     elif mode == "sampling":
-        y = ae_sample(a, bits, rng)
+        y = int(AEQuantiles([a], bits)(rng.random((1, 1)))[0, 0])
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return AEOutcome(bits=bits, theta_true=theta, y=y)

@@ -34,12 +34,14 @@ and FindRow's AE numerators and denominators -- comes from
 ``ScaledBasis.solutions`` through ``ScaledBasis.read``, the one place that
 picks the error model: a closed form under zero or worst error, one fresh
 draw per prepared state under random error.  Each sweep is decided in one
-array pass: analytic mode from the grid points bracketing each phase
-(``_analytic_sign_values``), sampling mode by drawing all its uniforms in
-one ``rng.random`` call and mapping them through one set of quantile
-tables (``AEQuantiles``), which is the same generator stream as drawing
-entry by entry.  FindRow alone draws row by row, since whether a row draws
-its AE uniforms depends on its gate; its tables are built outside the loop.
+array pass: analytic mode from the grid points bracketing each phase and
+one ``ae_distribution`` call for the entries straddling the threshold,
+sampling mode by mapping one ``rng.random`` draw through one set of
+quantile tables (``_SampledVotes``), the same generator stream as drawing
+entry by entry; a FindColumn confirmation whose state reads alike again
+draws through its sweep's tables.  FindRow's gate draws row by row, since
+whether a row draws AE uniforms depends on its gate; its AE values are
+then read as one array (``ae_readout`` or ``AEQuantiles``).
 
 Each subroutine run owns its generator and counters; inputs are immutable,
 so independent runs are safe to parallelize from the caller's side.
@@ -56,9 +58,9 @@ import numpy as np
 
 from .lp import BasisSingular, BasisState, LpInstance, ZeroColumn, normalize
 from .primitives import (AEOutcome, AEQuantiles, AllInfinite, QueryStats,
-                         _charge_pe, ae_distribution, amplitude_estimation,
-                         grover_count_exists, min_finding, qsearch,
-                         qsearch_analytic, theta_of_amplitude)
+                         _charge_pe, ae_distribution, ae_readout,
+                         amplitude_estimation, grover_count_exists, min_finding,
+                         qsearch, qsearch_analytic, theta_of_amplitude)
 from .qlsa import IdealQlsa, read_amplitudes
 
 SQRT3PI = math.sqrt(3.0) * math.pi
@@ -150,28 +152,25 @@ def _gadget_phase(alpha: float, spec: SignEstSpec) -> tuple[float, float]:
     return a, theta_of_amplitude(a)
 
 
-def _readout_flags(y, theta: float, spec: SignEstSpec):
-    """Decision and in-tolerance flags of AE readout(s) ``y``, from their
-    folds to [0, 1/2]."""
-    m_size = 2 ** spec.bits
-    folds = np.minimum(y, m_size - y) / m_size
-    return spec.decide(folds), np.abs(folds - theta) <= spec.tol + 1e-15
+def _prob_one(alpha: np.ndarray, spec: SignEstSpec) -> np.ndarray:
+    """Exact Pr[routine returns 1] of each amplitude of ``alpha`` (any
+    shape), summed over the tables of all of them from one
+    ``ae_distribution`` call."""
+    a = [_gadget_phase(x, spec)[0] for x in alpha.ravel().tolist()]
+    y = np.arange(2 ** spec.bits)
+    ones = spec.decide(np.minimum(y, y.size - y) / y.size)
+    # the masked columns come back F-ordered; a C-ordered copy sums each
+    # row as the table of its amplitude alone sums dist[ones]
+    tables = np.ascontiguousarray(ae_distribution(a, spec.bits)[:, ones])
+    return tables.sum(axis=-1).reshape(alpha.shape)
 
 
-def _gadget_tables(alpha: float, spec: SignEstSpec):
-    """Distribution plus decision mask over the AE readout grid."""
-    a, theta = _gadget_phase(alpha, spec)
-    dist = ae_distribution(a, spec.bits)
-    ones, _ = _readout_flags(np.arange(2 ** spec.bits), theta, spec)
-    return dist, ones
-
-
-def sign_est_prob_one(alpha: float, eps: float, kind: str,
-                      threshold_shift: float = 0.0) -> float:
-    """Exact Pr[routine returns 1] from the analytic AE distribution."""
+def sign_est_prob_one(alpha, eps: float, kind: str,
+                      threshold_shift: float = 0.0) -> np.ndarray:
+    """Exact Pr[routine returns 1] of each amplitude of ``alpha``, shaped
+    like it, from the analytic AE distributions."""
     spec = sign_est_spec(eps, kind, threshold_shift)
-    dist, ones = _gadget_tables(alpha, spec)
-    return float(dist[ones].sum())
+    return _prob_one(np.asarray(alpha, dtype=float), spec)
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ def boosted_sign_est(alpha: float | list[float], eps: float, kind: str, reps: in
     the single-run certificate for v transfers to the boosted output.
     Uncharged: the caller prices the runs with ``estimation_cost``.
     """
-    values, oks = _sign_votes(np.array([alpha], dtype=float), eps, kind, reps, mode, rng)
+    values, oks, _ = _sign_votes(np.array([alpha], dtype=float), eps, kind, reps, mode, rng)
     return BoostedResult(value=int(values[0]), ok=bool(oks[0]))
 
 
@@ -324,55 +323,61 @@ def _analytic_sign_values(alpha: np.ndarray, spec: SignEstSpec) -> np.ndarray:
     """Analytic ``boosted_sign_est`` values of the amplitudes ``alpha``, in
     one array pass: the decision at the two grid points bracketing each
     ``theta M``, and where they straddle the threshold, ``Pr[1] >= 1/2``
-    summed over the table of that same amplitude."""
+    summed over the tables of all the straddling amplitudes at once
+    (``_prob_one``)."""
     m_size = 2 ** spec.bits
     amp = (1.0 - alpha) / 2.0 if spec.flipped else (1.0 + alpha) / 2.0
     theta_m = np.arcsin(np.sqrt(np.clip(amp, 0.0, 1.0) ** 2)) / math.pi * m_size
     values = spec.decide(np.floor(theta_m) / m_size).astype(int)
-    for i in np.flatnonzero(values != spec.decide(np.ceil(theta_m) / m_size)):
-        dist, ones = _gadget_tables(float(alpha[i]), spec)
-        values[i] = int(dist[ones].sum() >= 0.5)
+    straddling = values != spec.decide(np.ceil(theta_m) / m_size)
+    if straddling.any():
+        values[straddling] = _prob_one(alpha[straddling], spec) >= 0.5
     return values
 
 
-def _sampled_phases(alpha: np.ndarray, spec: SignEstSpec):
-    """Gadget probabilities and phases of the amplitudes ``alpha`` (any
-    shape), each from ``_gadget_phase``."""
-    phases = [_gadget_phase(x, spec) for x in alpha.ravel().tolist()]
-    a, theta = np.array(phases, dtype=float).reshape(-1, 2).T
-    return a.reshape(alpha.shape), theta.reshape(alpha.shape)
+class _SampledVotes:
+    """Sampled boosted sign estimation on the amplitudes ``alpha``: their
+    quantile tables, built for all of them in one ``AEQuantiles``, through
+    which every run on those same states is drawn.  A 2-D ``alpha`` lists
+    one amplitude per run, and each run is a row of its own."""
 
+    def __init__(self, alpha: np.ndarray, spec: SignEstSpec):
+        a, theta = np.array([_gadget_phase(x, spec) for x in alpha.ravel().tolist()],
+                            dtype=float).reshape(-1, 2).T
+        self.theta, self.spec = theta.reshape(alpha.shape), spec
+        self.tables = AEQuantiles(a, spec.bits)
 
-def _tally(y: np.ndarray, theta: np.ndarray, spec: SignEstSpec, reps: int):
-    """(values, oks) of the majority votes over each row of AE readouts
-    ``y`` (one column per run) at the phases ``theta``."""
-    votes, in_tol = _readout_flags(y, theta, spec)
-    majority = (reps + 1) // 2
-    return ((votes.sum(axis=-1) >= majority).astype(int),
-            in_tol.sum(axis=-1) >= majority)
+    def __call__(self, rng: np.random.Generator, reps: int, rows=slice(None)):
+        """(values, oks): the majority votes, and whether a majority of runs
+        read within the phase tolerance, of ``reps`` runs on each entry
+        ``rows`` of a 1-D ``alpha`` (on every entry of a 2-D one), from the
+        uniforms ``rng.random((len(rows), reps))``: in C order the same
+        stream as one ``rng.random(reps)`` call per entry."""
+        theta = self.theta[rows]
+        u = rng.random((theta.shape[0], reps))
+        if theta.ndim == 1:
+            y, theta = self.tables(u, rows), theta[:, None]
+        else:
+            y = self.tables(u.reshape(-1, 1)).reshape(u.shape)
+        folds = np.minimum(y, 2 ** self.spec.bits - y) / 2 ** self.spec.bits
+        majority = (reps + 1) // 2
+        return ((self.spec.decide(folds).sum(axis=-1) >= majority).astype(int),
+                (np.abs(folds - theta) <= self.spec.tol + 1e-15).sum(axis=-1) >= majority)
 
 
 def _sign_votes(alpha: np.ndarray, eps_se: float, kind: str, reps: int,
                 mode: str, rng: np.random.Generator | None):
-    """(values, oks): boosted sign estimation on each amplitude of
+    """(values, oks, votes): boosted sign estimation on each amplitude of
     ``alpha``, as arrays in order.  Analytic mode decides them in one array
-    pass (``_analytic_sign_values``).  Sampling mode draws all uniforms at
-    once, ``rng.random((N, reps))`` (in C order, N consecutive
-    ``rng.random(reps)`` calls), and maps row i through the quantile table
-    of amplitude i, built for all rows in one ``AEQuantiles``; a 2-D
-    ``alpha`` lists one amplitude per run, and each run is a row of its
-    own."""
+    pass (``_analytic_sign_values``; ``votes`` is None).  Sampling mode
+    draws them through ``votes``, the entries' ``_SampledVotes``, which
+    later runs on the same states reuse."""
     spec = sign_est_spec(eps_se, kind)
     if mode == "analytic":
         values = _analytic_sign_values(alpha, spec)
-        return values, np.ones(values.shape, dtype=bool)
-    a, theta = _sampled_phases(alpha, spec)
-    u = rng.random((alpha.shape[0], reps))
-    if alpha.ndim == 1:
-        y, theta = AEQuantiles(a, spec.bits)(u), theta[:, None]
-    else:
-        y = AEQuantiles(a, spec.bits)(u.reshape(-1, 1)).reshape(u.shape)
-    return _tally(y, theta, spec, reps)
+        return values, np.ones(values.shape, dtype=bool), None
+    votes = _SampledVotes(alpha, spec)
+    return (*votes(rng, reps), votes)
 
 
 def _row_votes(scaled: ScaledBasis, u: np.ndarray, eps_ls: float, eps_se: float,
@@ -382,7 +387,7 @@ def _row_votes(scaled: ScaledBasis, u: np.ndarray, eps_ls: float, eps_se: float,
     at precision ``eps_ls``, in row order (see ``_sign_votes``)."""
     threshold = sign_est_spec(eps_se, kind).alpha_boundary
     alpha = scaled.read(u / np.linalg.norm(u), eps_ls, threshold)
-    return _sign_votes(alpha, eps_se, kind, reps, mode, rng)
+    return _sign_votes(alpha, eps_se, kind, reps, mode, rng)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +448,14 @@ def can_enter(scaled: ScaledBasis, k: int, eps: float, reps: int = 15,
 def _can_enter_sweep(scaled: ScaledBasis, eps: float, reps: int, variant: str,
                      mode: str, rng: np.random.Generator | None):
     """CanEnter on every column of ``scaled.domain``, in order: the columns
-    it fires on, and whether every decision's tolerance flags held, from
-    one array of reads (``_pricing_reads``)."""
+    it fires on, whether every decision's tolerance flags held, from one
+    array of reads (``_pricing_reads``), and the sweep's ``_SampledVotes``
+    in sampling mode (see ``_sign_votes``)."""
     alpha = _pricing_reads(scaled, eps, variant, reps, mode)
-    values, oks = _sign_votes(alpha, _pricing_precisions(eps)[1], variant, reps, mode, rng)
+    values, oks, votes = _sign_votes(alpha, _pricing_precisions(eps)[1], variant, reps,
+                                     mode, rng)
     marked = tuple(k for k, value in zip(scaled.domain, values.tolist()) if value == 0)
-    return marked, bool(oks.all())
+    return marked, bool(oks.all()), votes
 
 
 def can_enter_cost(scaled: ScaledBasis, eps: float, reps: int,
@@ -488,7 +495,7 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
     stats = stats if stats is not None else QueryStats()
     domain = list(scaled.domain)
 
-    marked, all_ok = _can_enter_sweep(scaled, eps, reps, variant, mode, rng)
+    marked, all_ok, votes = _can_enter_sweep(scaled, eps, reps, variant, mode, rng)
 
     per_call = can_enter_cost(scaled, eps, reps, variant)
     confirm_ok = True
@@ -502,6 +509,10 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
         def confirm(idx: int) -> bool:
             nonlocal confirm_ok, confirms
             confirms += 1
+            if votes.theta.ndim == 1:  # one state per column, which reads alike again
+                values, oks = votes(rng, reps, [domain.index(idx)])
+                confirm_ok = bool(oks[0])
+                return bool(values[0] == 0)
             res = can_enter(scaled, idx, eps, reps, variant, mode, rng)
             confirm_ok = res.ok
             return res.value == 1
@@ -541,7 +552,7 @@ def is_optimal(scaled: ScaledBasis, eps: float, reps: int = 15,
     domain = list(scaled.domain)
     if not domain:
         return IsOptimalResult(value=1, ok=True, marked=())
-    marked, ok = _can_enter_sweep(scaled, eps, reps, "nfp", mode, rng)
+    marked, ok, _ = _can_enter_sweep(scaled, eps, reps, "nfp", mode, rng)
     iters_before = stats.grover_iterations
     exists = grover_count_exists(domain, marked, rng, stats, mode)
     activations = stats.grover_iterations - iters_before
@@ -638,31 +649,25 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
     den_amps = scaled.read(u / u_norm, eps_ls)
     gate_alpha = scaled.read(u / u_norm, gate_eps, gate_spec.alpha_boundary)
     if mode == "analytic":
-        gate_values = _analytic_sign_values(gate_alpha, gate_spec)
-        all_ok = True
-        gated = np.flatnonzero(gate_values == 1).tolist()
-        outcomes = [amplitude_estimation(float(amps[h]) ** 2, ae_bits)
-                    for h in gated for amps in (num_amps, den_amps)]
+        gate_values, all_ok = _analytic_sign_values(gate_alpha, gate_spec), True
     else:
         # each row draws its gate's reps uniforms, then, if gated, one for
         # its numerator and one for its denominator; building a table draws
         # nothing, so the AE tables wait for the gated rows
-        a, theta = _sampled_phases(gate_alpha, gate_spec)
-        gate = AEQuantiles(a, gate_spec.bits)
-        gate_values = np.zeros(m, dtype=int)
-        gated, ae_draws = [], []
-        all_ok = True
+        gate = _SampledVotes(gate_alpha, gate_spec)
+        gate_values, ae_draws, all_ok = np.zeros(m, dtype=int), [], True
         for h in range(m):
-            values, oks = _tally(gate(rng.random((1, reps)), [h]), theta[h], gate_spec, reps)
+            values, oks = gate(rng, reps, [h])
             all_ok = all_ok and bool(oks[0])
             gate_values[h] = values[0]
             if values[0] == 1:
-                gated.append(h)
                 ae_draws.append(rng.random(2))
-        probs = [float(amps[h]) ** 2 for h in gated for amps in (num_amps, den_amps)]
-        ys = AEQuantiles(probs, ae_bits)(np.reshape(ae_draws, (-1, 1)))[:, 0]
-        outcomes = [AEOutcome(bits=ae_bits, theta_true=theta_of_amplitude(p), y=int(y))
-                    for p, y in zip(probs, ys.tolist())]
+    gated = np.flatnonzero(gate_values == 1).tolist()
+    probs = [float(amps[h]) ** 2 for h in gated for amps in (num_amps, den_amps)]
+    ys = (ae_readout(probs, ae_bits) if mode == "analytic"
+          else AEQuantiles(probs, ae_bits)(np.reshape(ae_draws, (-1, 1)))[:, 0])
+    outcomes = [AEOutcome(bits=ae_bits, theta_true=theta_of_amplitude(p), y=int(y))
+                for p, y in zip(probs, ys.tolist())]
     for value in gate_values.tolist():
         stats.add(gate_cost)
         if value == 1:

@@ -99,9 +99,9 @@ def sign_estimation_check(eps: float, grid: np.ndarray, nfn_neg_window: float | 
     checks = {"nfn_accept": True, "nfn_reject": True,
               "nfp_reject": True, "nfp_accept": True}
     worst = {k: 1.0 for k in checks}
-    for alpha in grid:
-        p_nfn = sign_est_prob_one(alpha, eps, "nfn", threshold_shift)
-        p_nfp = sign_est_prob_one(alpha, eps, "nfp", threshold_shift)
+    probs = zip(sign_est_prob_one(grid, eps, "nfn", threshold_shift).tolist(),
+                sign_est_prob_one(grid, eps, "nfp", threshold_shift).tolist())
+    for alpha, (p_nfn, p_nfp) in zip(grid, probs):
         if alpha >= -eps:
             checks["nfn_accept"] &= p_nfn >= 0.75
             worst["nfn_accept"] = min(worst["nfn_accept"], p_nfn)

@@ -117,6 +117,23 @@ def test_dict_rejects_malformed_entries(entries, message):
         instance_from_dict(_one_column(entries))
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("m", 2.5, r"m must be a positive integer, got 2\.5"),
+    ("m", True, r"m must be a positive integer, got True"),
+    ("m", -1, r"m must be a positive integer, got -1"),
+    ("m", 0, r"m must be a positive integer, got 0"),
+    ("n", "2", r"n must be a positive integer, got '2'"),
+    ("A", {"cols": 5}, r"A\.cols must be a list of columns, got 5"),
+])
+def test_dict_rejects_malformed_sizes(field, value, message):
+    # a size is neither truncated nor coerced, and no malformed size or
+    # column list escapes as a bare numpy or len() error
+    doc = _one_column([[1, 2.0]])
+    doc[field] = value
+    with pytest.raises(InstanceFormatError, match=message):
+        instance_from_dict(doc)
+
+
 def test_dict_rejects_non_numeric_rhs():
     doc = _one_column([[1, 2.0]])
     doc["b"] = [1.0, "x"]

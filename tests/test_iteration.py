@@ -154,29 +154,31 @@ def test_pricing_step_pinned(error_mode):
 def test_analytic_pricing_runs_few_columns_alone(monkeypatch, error_mode):
     # the m=64 pivot pinned above decides its 2 x 128 CanEnter calls and its
     # row sweeps in array passes: no entry runs boosted_sign_est on its own,
-    # and only the entries whose bracketing grid points straddle the
-    # threshold build a sign-estimation table
+    # and a sweep builds the sign-estimation tables of all its entries whose
+    # bracketing grid points straddle the threshold in one call, if any
+    import qsimplex.primitives as primitives
     import qsimplex.subroutines as subroutines
 
-    tables, votes = [], []
-    gadget_tables = subroutines._gadget_tables
-    boosted = subroutines.boosted_sign_est
+    tables, sweeps, votes = [], [], []
 
-    def counting_tables(*args, **kwargs):
-        tables.append(1)
-        return gadget_tables(*args, **kwargs)
+    def counting(calls, function):
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            return function(*args, **kwargs)
+        return wrapped
 
-    def counting_votes(*args, **kwargs):
-        votes.append(1)
-        return boosted(*args, **kwargs)
-
-    monkeypatch.setattr(subroutines, "_gadget_tables", counting_tables)
-    monkeypatch.setattr(subroutines, "boosted_sign_est", counting_votes)
+    for module in (primitives, subroutines):
+        monkeypatch.setattr(module, "ae_distribution",
+                            counting(tables, module.ae_distribution))
+    monkeypatch.setattr(subroutines, "_analytic_sign_values",
+                        counting(sweeps, subroutines._analytic_sign_values))
+    monkeypatch.setattr(subroutines, "boosted_sign_est",
+                        counting(votes, subroutines.boosted_sign_est))
     inst = random_lp(64, 192, seed=0)
     out = simplex_iter(inst, dantzig_basis(inst, 24), PrecisionParams(),
                        "analytic", error_mode, np.random.default_rng(24))
     assert (out.status, out.entering, out.leaving_row) == ("pivot", 1, 53)
-    assert 1 <= len(tables) <= 8
+    assert 1 <= len(tables) <= len(sweeps)
     assert not votes
 
 
@@ -279,51 +281,59 @@ def test_one_row_worst_error_pivots(mode, error_mode):
 def test_analytic_pivot_builds_only_small_tables(monkeypatch):
     # the m=64 pivot pinned above: its 18-bit ratio-test readouts come from
     # the grid points next to the true phase, so the only kernel tables
-    # built are sign-estimation fallbacks of at most 12 bits
+    # built are sign-estimation tables of at most 12 bits for the entries
+    # whose bracketing grid points straddle the threshold
     import qsimplex.primitives as primitives
+    import qsimplex.subroutines as subroutines
 
     bits = []
-    kernel = primitives.pe_outcome_distribution
 
-    def recording(phi, t):
-        bits.append(t)
-        return kernel(phi, t)
+    def recording(builder):
+        def wrapped(a, n_bits):
+            bits.append(n_bits)
+            return builder(a, n_bits)
+        return wrapped
 
-    monkeypatch.setattr(primitives, "pe_outcome_distribution", recording)
+    for module in (primitives, subroutines):
+        monkeypatch.setattr(module, "ae_distribution", recording(module.ae_distribution))
     inst = random_lp(64, 192, seed=0)
     out = simplex_iter(inst, dantzig_basis(inst, 24), PrecisionParams(),
                        "analytic", "zero", np.random.default_rng(24))
     assert (out.status, out.entering, out.leaving_row) == ("pivot", 1, 53)
-    assert max(bits, default=0) <= 12
+    assert bits and max(bits) <= 12
 
 
 def test_sampling_pivot_builds_no_ratio_test_table(monkeypatch):
     # the pinned sampling/worst pivot of m=16: its 18-bit ratio-test draws
     # are decided near the kernel peaks, so no 2^18 table is built; the only
-    # tables allowed are sign-estimation fallbacks of at most 12 bits
+    # tables built are the sweeps' sign-estimation tables of at most 12 bits
     import qsimplex.primitives as primitives
+    import qsimplex.subroutines as subroutines
 
     bits = []
-    kernel = primitives.pe_outcome_distribution
 
-    def recording(phi, t):
-        bits.append(t)
-        return kernel(phi, t)
+    def recording(builder):
+        def wrapped(a, n_bits):
+            bits.append(n_bits)
+            return builder(a, n_bits)
+        return wrapped
 
-    monkeypatch.setattr(primitives, "pe_outcome_distribution", recording)
+    for module in (primitives, subroutines):
+        monkeypatch.setattr(module, "ae_distribution", recording(module.ae_distribution))
     inst = random_lp(16, 48, seed=7)
     out = simplex_iter(inst, dantzig_basis(inst, 6), PrecisionParams(),
                        "sampling", "worst", np.random.default_rng(6))
     verdict = (out.status, out.entering, out.leaving_row, bool(out.ok))
     assert verdict == ("pivot", 13, 2, True)
-    assert max(bits, default=0) <= 12
+    assert bits and max(bits) <= 12
 
 
 def test_sampling_builds_tables_once_per_sweep(monkeypatch):
     # the pinned sampling/worst pivot of m=16: each sweep maps all its
     # entries through one set of quantile tables, FindRow builds at most
-    # three (gate, numerators, denominators) and each of FindColumn's
-    # confirmations one; an entry never builds a table of its own
+    # three (gate, numerators and denominators together, and one spare),
+    # and FindColumn's confirmations draw through their sweep's tables; an
+    # entry never builds a table of its own
     import qsimplex.subroutines as subroutines
 
     builds, sweeps, confirmations = [], [], []
@@ -344,8 +354,10 @@ def test_sampling_builds_tables_once_per_sweep(monkeypatch):
     out = simplex_iter(inst, dantzig_basis(inst, 6), PrecisionParams(),
                        "sampling", "worst", np.random.default_rng(6))
     assert (out.status, out.entering, out.leaving_row) == ("pivot", 13, 2)
-    # pricing sweeps, IsUnbounded's rows, FindRow, confirmations
-    assert len(builds) <= len(sweeps) + 1 + 3 + len(confirmations)
+    # pricing sweeps, IsUnbounded's rows, FindRow; the sampled QSearch
+    # returns only a confirmed column, yet no confirmation read afresh
+    assert len(builds) <= len(sweeps) + 1 + 3
+    assert not confirmations
 
 
 def test_find_row_failure_is_named():

@@ -17,8 +17,8 @@ from oracles import (empirical_distribution, grover_operator,
                      pe_circuit_distribution, tv_distance)
 from qsimplex.primitives import (_AE_WINDOW, AEQuantiles, AllInfinite,
                                  QueryStats, _charge_pe, _fejer, _kernel_gap_sums,
-                                 ae_distribution, ae_quantile, ae_readout,
-                                 ae_sample, amplitude_estimation, extra_qubits,
+                                 ae_distribution, ae_readout,
+                                 amplitude_estimation, extra_qubits,
                                  fold_phase, grover_count_exists, min_finding,
                                  pe_outcome_distribution, qsearch,
                                  qsearch_analytic, theta_of_amplitude)
@@ -179,7 +179,7 @@ def test_analytic_ae_builds_no_table(monkeypatch):
 
     a = 0.6 ** 2
     y = int(np.argmax(ae_distribution(a, 18)))
-    monkeypatch.setattr(primitives, "pe_outcome_distribution", None)
+    monkeypatch.setattr(primitives, "ae_distribution", None)
     assert amplitude_estimation(a, 18).y == min(y, 2 ** 18 - y)
 
 
@@ -198,8 +198,9 @@ def sampling_amplitudes(bits: int, rng) -> list[float]:
 @pytest.mark.parametrize("bits", range(1, 21))
 def test_ae_sample_matches_choice(bits):
     # the same index as rng.choice on the full table, and the same
-    # generator state after it, one draw or fifteen at a time, and for all
-    # amplitudes at once: one table set, fifteen uniforms per row
+    # generator state after it, one draw (as sampled amplitude estimation
+    # makes it) or fifteen at a time, and for all amplitudes at once: one
+    # table set, fifteen uniforms per row
     rng = np.random.default_rng(100 + bits)
     amps = sampling_amplitudes(bits, rng)
     for a in amps:
@@ -207,9 +208,12 @@ def test_ae_sample_matches_choice(bits):
         for size in (None, 15):
             seed = int(rng.integers(2 ** 32))
             drawn, expected = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = ae_sample(a, bits, drawn, size=size)
+            if size is None:
+                got = amplitude_estimation(a, bits, "sampling", drawn).y
+                assert type(got) is int, a
+            else:
+                got = AEQuantiles([a], bits)(drawn.random((1, size)))[0]
             want = expected.choice(2 ** bits, size=size, p=dist)
-            assert type(got) is type(want), (a, size)
             assert np.array_equal(got, want), (a, size)
             assert drawn.random() == expected.random(), (a, size)
     seed = int(rng.integers(2 ** 32))
@@ -222,12 +226,14 @@ def test_ae_sample_matches_choice(bits):
 
 
 def assert_quantile_matches(a: float, bits: int, probes) -> None:
-    """``ae_quantile`` against the table's inverse-CDF map, one uniform at a
-    time, so that each probe is decided on its own."""
+    """One-row ``AEQuantiles`` against the table's inverse-CDF map, one
+    uniform at a time, so that each probe is decided on its own."""
     cdf = ae_distribution(a, bits).cumsum()
     cdf /= cdf[-1]
+    tables = AEQuantiles([a], bits)
     for u in probes:
-        assert ae_quantile(a, bits, u) == int(cdf.searchsorted(u, side="right")), (a, u)
+        got = tables(np.full((1, 1), u))[0, 0]
+        assert got == int(cdf.searchsorted(u, side="right")), (a, u)
 
 
 @pytest.mark.parametrize("bits", (5, 9, 10, 12, 14, 16))
@@ -311,7 +317,7 @@ def test_sampled_ae_far_from_boundaries_builds_no_table(monkeypatch):
     y = int(cdf.searchsorted(u, side="right"))
     assert min(u - cdf[y - 1], cdf[y] - u) > 1e-6
     assert dist[y] > 1e-3  # next to a peak, so inside its window
-    monkeypatch.setattr(primitives, "pe_outcome_distribution", None)
+    monkeypatch.setattr(primitives, "ae_distribution", None)
     out = amplitude_estimation(0.6 ** 2, 18, mode="sampling",
                                rng=np.random.default_rng(3))
     assert out.y == y

@@ -13,8 +13,8 @@ from qsimplex.instances import (embed_basis_instance, random_bounded_lp,
                                 random_lp, random_unbounded_lp,
                                 ratio_test_triple)
 from qsimplex.lp import LpInstance, slack_identity_basis
-from qsimplex.primitives import (ae_distribution, amplitude_estimation,
-                                 bracketing_grid_points)
+from qsimplex.primitives import (ae_distribution, ae_readout,
+                                 amplitude_estimation, pe_outcome_distribution)
 from qsimplex.qlsa import read_amplitudes
 from qsimplex.subroutines import (SIGN_EST_KINDS, PrecisionParams, ScaledBasis,
                                   _analytic_sign_values, _can_enter_sweep,
@@ -183,7 +183,7 @@ def test_sampled_sweep_matches_choice_entry_by_entry(kind, per_run):
     alpha = entries[:, None] + rng.uniform(-1e-3, 1e-3, (32, reps)) if per_run else entries
     alpha = np.clip(alpha, -1.0, 1.0)
     drawn, expected = np.random.default_rng(9), np.random.default_rng(9)
-    values, oks = _sign_votes(alpha, eps_se, kind, reps, "sampling", drawn)
+    values, oks, _ = _sign_votes(alpha, eps_se, kind, reps, "sampling", drawn)
     for i, entry in enumerate(alpha.tolist()):
         runs = entry if per_run else [entry] * reps
         phases = [_gadget_phase(x, spec) for x in runs]
@@ -501,7 +501,7 @@ def test_batched_sweeps_match_per_entry_path(gen, m, seed, step, error_mode):
     inst = ITERATION_GENERATORS[gen](m, 3 * m, seed=seed)
     scaled = ScaledBasis.build(inst, dantzig_basis(inst, step), error_mode=error_mode)
     for variant in ("nfp", "nfn"):
-        marked, ok = _can_enter_sweep(scaled, 0.1, 15, variant, "analytic", None)
+        marked, ok, _ = _can_enter_sweep(scaled, 0.1, 15, variant, "analytic", None)
         assert (marked, ok) == (_pricing_reference(scaled, variant), True), variant
         assert marked == tuple(k for k in scaled.domain
                                if can_enter(scaled, k, 0.1, 15, variant).value == 1)
@@ -588,10 +588,60 @@ def test_batched_decisions_on_planted_boundary_entries(kind, error_mode):
     for i, a in enumerate(alpha.tolist()):
         assert values[i] == boosted_sign_est(a, eps_se, kind, 15).value, (i, alpha0[i])
         assert values[i] == int(sign_est_prob_one(a, eps_se, kind) >= 0.5), (i, alpha0[i])
-        lo, hi = bracketing_grid_points(_gadget_phase(a, spec)[1], spec.bits)
+        theta_m = _gadget_phase(a, spec)[1] * 2 ** spec.bits
+        lo, hi = math.floor(theta_m), math.ceil(theta_m)
         straddling += spec.decide(lo / 2 ** spec.bits) != spec.decide(hi / 2 ** spec.bits)
     # the table sum is exercised: at least the planted straddling pair
     assert straddling >= 2
+
+
+# sign-estimation precisions at which each kind runs on 9 and on 12 bits
+TABLE_EPS = {(kind, bits): eps for kind in SIGN_EST_KINDS
+             for eps in (0.45, 0.0778, 0.09, 0.008)
+             for bits in [sign_est_spec(eps, kind).bits] if bits in (9, 12)}
+
+
+@pytest.mark.parametrize("bits", [9, 12])
+@pytest.mark.parametrize("kind", SIGN_EST_KINDS)
+def test_vector_tables_match_one_row_tables(kind, bits):
+    # the vector builder, and Pr[1] and the AE readouts taken from it, bit
+    # for bit against one table per amplitude: random amplitudes, and
+    # amplitudes near the threshold with theta M on, next to and halfway
+    # between the grid points around it
+    eps = TABLE_EPS[kind, bits]
+    spec = sign_est_spec(eps, kind)
+    assert spec.bits == bits
+    M = 2 ** bits
+    rng = np.random.default_rng(bits)
+    planted = _planted_overlaps(spec, 0.0, "zero")
+    j = math.floor(spec.threshold * M)
+    for theta_m in [g + 0.5 for g in range(j - 2, j + 3)]:
+        amp = math.sin(math.pi * theta_m / M)
+        planted.append(1.0 - 2.0 * amp if spec.flipped else 2.0 * amp - 1.0)
+    alpha = np.concatenate([rng.uniform(-1.0, 1.0, 40), planted,
+                            spec.alpha_boundary + rng.uniform(-3e-3, 3e-3, 20)])
+    a = np.array([_gadget_phase(x, spec)[0] for x in alpha.tolist()])
+    y = np.arange(M)
+    ones = spec.decide(np.minimum(y, M - y) / M)
+    tables = ae_distribution(a, bits)
+    prob_one = sign_est_prob_one(alpha, eps, kind)
+    readouts = ae_readout(a, bits)
+    ties = 0
+    for i, (x, p) in enumerate(zip(alpha.tolist(), a.tolist())):
+        theta = _gadget_phase(x, spec)[1]
+        table = 0.5 * (pe_outcome_distribution(theta, bits)
+                       + pe_outcome_distribution(-theta, bits))
+        assert np.array_equal(ae_distribution(p, bits), table), i
+        assert np.array_equal(tables[i], table), i
+        assert prob_one[i] == table[ones].sum(), i
+        assert prob_one[i] == sign_est_prob_one(x, eps, kind), i
+        peak = int(np.argmax(table))
+        assert readouts[i] == ae_readout(p, bits) == min(peak, M - peak), i
+        lo, hi = math.floor(theta * M), math.ceil(theta * M)
+        ties += lo < hi and math.isclose(table[lo], table[hi], rel_tol=1e-9)
+    # at 12 bits the half-integer plants tie to 1e-9, so the readouts' table
+    # fallback runs; at 9 bits the mirror kernel at -theta parts them more
+    assert ties >= 1 or bits == 9
 
 
 # ---------------------------------------------------------------------------
