@@ -56,7 +56,7 @@ class RunConfig:
     """Everything one run depends on; the seed fully determines
     sampling-mode outputs."""
 
-    instance: str
+    instance: str = ""
     eps: float = 0.1
     delta: float = 0.1
     t: float = 100.0
@@ -267,9 +267,7 @@ def cmd_analyze(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     suites = run_all(error_mode=config.qlsa_error,
-                     quick=bool(config.extra.get("quick")),
-                     threshold_shift=float(config.extra.get("nfn_threshold_shift", 0.0)),
-                     seed=config.seed)
+                     quick=bool(config.extra.get("quick")), seed=config.seed)
     all_ok = True
     for suite in suites:
         print(f"== {suite.name}: {'PASS' if suite.passed else 'FAIL'}")
@@ -291,80 +289,78 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if all_ok else 1
 
 
+def _basis(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(","))
+
+
+# every option, under the RunConfig field it sets (``extra`` for the rest)
+OPTIONS = {
+    "--instance": dict(required=True, help="LP JSON (or .mps) instance path"),
+    "--start-basis": dict(type=_basis,
+                          help="comma-separated column indices of a feasible basis"),
+    "--epsilon": dict(dest="eps", type=float, default=0.1,
+                      help="pricing tolerance (default 0.1)"),
+    "--delta": dict(type=float, default=0.1,
+                    help="ratio-test feasibility tolerance (default 0.1)"),
+    "--t": dict(type=float, default=100.0,
+                help="ratio-test precision multiplier (default 100)"),
+    "--eps-prime": dict(type=float, default=1e-4,
+                        help="spectral-norm margin: bases are scaled to "
+                             "|A_B| = 1 - eps' (default 1e-4)"),
+    "--reps": dict(type=int, default=15,
+                   help="majority-vote repetitions (odd, default 15)"),
+    "--seed": dict(type=int, help="RNG seed (default: QSIMPLEX_SEED or 0)"),
+    "--mode": dict(choices=("analytic", "sampling"), default="analytic"),
+    "--qlsa-error": dict(choices=("zero", "worst", "random"), default="zero"),
+    "--max-iters": dict(type=int),
+    "--out-trace": dict(),
+    "--out-summary": dict(),
+    "--timings": dict(action="store_true",
+                      help="include wall-clock timings in the trace "
+                           "(breaks byte-for-byte reproducibility)"),
+    "--trace": dict(help="solve trace CSV for measured-vs-predicted comparison"),
+    "--quick": dict(action="store_true",
+                    help="reduced suite sizes for a fast sanity pass"),
+}
+
+# subcommand -> (help, the options it reads)
+COMMANDS = {
+    "solve": ("run the quantum-simulated loop",
+              ("--instance", "--start-basis", "--epsilon", "--delta", "--t",
+               "--eps-prime", "--reps", "--seed", "--mode", "--qlsa-error",
+               "--max-iters", "--out-trace", "--out-summary", "--timings")),
+    "classical": ("run the classical reference solver",
+                  ("--instance", "--start-basis", "--seed", "--max-iters",
+                   "--out-trace", "--out-summary")),
+    "analyze": ("evaluate the cost formulas",
+                ("--instance", "--start-basis", "--epsilon", "--delta", "--t",
+                 "--eps-prime", "--out-summary", "--trace")),
+    "verify": ("run the proposition suites",
+               ("--qlsa-error", "--seed", "--out-summary", "--quick")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsimplex",
         description="Quantum simplex subroutine simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_instance=True):
-        if needs_instance:
-            p.add_argument("--instance", required=True,
-                           help="LP JSON (or .mps) instance path")
-        p.add_argument("--epsilon", type=float, default=0.1,
-                       help="pricing tolerance (default 0.1)")
-        p.add_argument("--delta", type=float, default=0.1,
-                       help="ratio-test feasibility tolerance (default 0.1)")
-        p.add_argument("--t", type=float, default=100.0,
-                       help="ratio-test precision multiplier (default 100)")
-        p.add_argument("--eps-prime", type=float, default=1e-4,
-                       help="spectral-norm margin: bases are scaled to "
-                            "|A_B| = 1 - eps' (default 1e-4)")
-        p.add_argument("--reps", type=int, default=15,
-                       help="majority-vote repetitions (odd, default 15)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: QSIMPLEX_SEED or 0)")
-        p.add_argument("--mode", choices=("analytic", "sampling"),
-                       default="analytic")
-        p.add_argument("--qlsa-error", choices=("zero", "worst", "random"),
-                       default=None)
-        p.add_argument("--max-iters", type=int, default=None)
-        p.add_argument("--out-trace", default=None)
-        p.add_argument("--out-summary", default=None)
-        p.add_argument("--start-basis", default=None,
-                       help="comma-separated column indices of a feasible basis")
-        p.add_argument("--timings", action="store_true",
-                       help="include wall-clock timings in the trace "
-                            "(breaks byte-for-byte reproducibility)")
-
-    common(sub.add_parser("solve", help="run the quantum-simulated loop"))
-    common(sub.add_parser("classical", help="run the classical reference solver"))
-    pa = sub.add_parser("analyze", help="evaluate the cost formulas")
-    common(pa)
-    pa.add_argument("--trace", default=None,
-                    help="solve trace CSV for measured-vs-predicted comparison")
-    pv = sub.add_parser("verify", help="run the proposition suites")
-    common(pv, needs_instance=False)
-    pv.add_argument("--quick", action="store_true",
-                    help="reduced suite sizes for a fast sanity pass")
-    pv.add_argument("--nfn-threshold-shift", type=float, default=0.0,
-                    help="test hook: shift the sign-estimation thresholds "
-                         "(mutation checks only)")
+    for command, (text, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag in options:
+            p.add_argument(flag, **OPTIONS[flag])
+    # verify runs under worst-case solver error unless told otherwise
+    sub.choices["verify"].set_defaults(qlsa_error="worst")
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    basis = None
-    if getattr(args, "start_basis", None):
-        basis = tuple(int(tok) for tok in args.start_basis.split(","))
-    extra = {}
-    if hasattr(args, "trace"):
-        extra["trace"] = args.trace
-    if hasattr(args, "quick"):
-        extra["quick"] = args.quick
-    if hasattr(args, "nfn_threshold_shift"):
-        extra["nfn_threshold_shift"] = args.nfn_threshold_shift
-    default_error = "worst" if args.command == "verify" else "zero"
-    return RunConfig(
-        instance=getattr(args, "instance", ""),
-        eps=args.epsilon, delta=args.delta, t=args.t,
-        eps_prime=args.eps_prime, reps=args.reps,
-        mode=args.mode,
-        qlsa_error=args.qlsa_error or default_error,
-        seed=args.seed if args.seed is not None else _env_seed(),
-        max_iters=args.max_iters, out_trace=args.out_trace,
-        out_summary=args.out_summary, start_basis=basis,
-        timings=args.timings, extra=extra)
+    given = {k: v for k, v in vars(args).items() if k != "command"}
+    if "seed" in given and given["seed"] is None:
+        given["seed"] = _env_seed()
+    names = {f.name for f in fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in given.items() if k in names},
+                     extra={k: v for k, v in given.items() if k not in names})
 
 
 def main(argv=None) -> int:

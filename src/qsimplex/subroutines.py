@@ -32,16 +32,21 @@ IsUnbounded and the FindRow gate a sign estimation to every row.  Every
 amplitude an iteration reads -- the sweeps', FindColumn's confirmations
 and FindRow's AE numerators and denominators -- comes from
 ``ScaledBasis.solutions`` through ``ScaledBasis.read``, the one place that
-picks the error model: a closed form under zero or worst error, one fresh
-draw per prepared state under random error.  Each sweep is decided in one
-array pass: analytic mode from the grid points bracketing each phase and
-one ``ae_distribution`` call for the entries straddling the threshold,
-sampling mode by mapping one ``rng.random`` draw through one set of
-quantile tables (``_SampledVotes``), the same generator stream as drawing
-entry by entry; a FindColumn confirmation whose state reads alike again
-draws through its sweep's tables.  FindRow's gate draws row by row, since
-whether a row draws AE uniforms depends on its gate; its AE values are
-then read as one array (``ae_readout`` or ``AEQuantiles``).
+picks the error model of a solver read: a closed form under zero or worst
+error, one fresh draw per prepared state under random error.  (The one
+exception is ``norm_estimate``, which shifts the norms it reads itself.)
+Every boosted sign estimation is a ``_sign_votes`` call on an array of
+amplitudes, decided in one array pass: analytic mode from the grid points
+bracketing each phase and one ``ae_distribution`` call for the entries
+straddling the threshold, sampling mode by mapping one ``rng.random`` draw
+through one set of quantile tables (``_SampledVotes``), the same generator
+stream as drawing entry by entry.  ``can_enter`` is the one pricing read
+and vote: a sweep is its call on every column, a FindColumn confirmation
+under random error its call on one column; a confirmation whose state
+reads alike again draws through its sweep's tables instead.  FindRow's
+gate draws row by row through its ``_SampledVotes``, since whether a row
+draws AE uniforms depends on its gate; its AE values are then read as one
+array (``ae_readout`` or ``AEQuantiles``).
 
 Each subroutine run owns its generator and counters; inputs are immutable,
 so independent runs are safe to parallelize from the caller's side.
@@ -105,10 +110,9 @@ class SignEstSpec:
     rule: str             # comparison of the folded readout with threshold
 
     def decide(self, fold):
-        """1 when a folded readout lies on the accepting side of the
-        threshold; an array of readouts gives a boolean mask."""
-        ones = _RULES[self.rule](fold, self.threshold)
-        return ones if isinstance(ones, np.ndarray) else int(ones)
+        """Mask of the folded readouts that lie on the accepting side of
+        the threshold."""
+        return _RULES[self.rule](fold, self.threshold)
 
     @property
     def alpha_boundary(self) -> float:
@@ -118,13 +122,12 @@ class SignEstSpec:
 
 
 @functools.lru_cache(maxsize=64)
-def sign_est_spec(eps: float, kind: str, threshold_shift: float = 0.0) -> SignEstSpec:
+def sign_est_spec(eps: float, kind: str) -> SignEstSpec:
     """Bits/threshold table for the four routines.
 
     coarse: ``ceil(log2(sqrt(3) pi / eps)) + 2`` bits, threshold
     ``1/6 - 2 eps/(sqrt(3) pi)``; fine: ``ceil(log2(9 sqrt(3) pi/eps)) + 2``
-    bits, threshold ``1/6 - 2 eps/(3 sqrt(3) pi)``.  ``threshold_shift`` is
-    a test hook for mutation checks and must stay 0 in real runs.
+    bits, threshold ``1/6 - 2 eps/(3 sqrt(3) pi)``.
     """
     if kind not in SIGN_EST_KINDS:
         raise ValueError(f"kind must be one of {SIGN_EST_KINDS}")
@@ -140,23 +143,23 @@ def sign_est_spec(eps: float, kind: str, threshold_shift: float = 0.0) -> SignEs
         threshold = 1.0 / 6.0 - 2.0 * eps / (3.0 * SQRT3PI)
         tol = eps / (9.0 * SQRT3PI)
     rule = {"nfn": "geq", "nfp": "gt", "nfn_plus": "leq", "nfp_plus": "leq"}[kind]
-    return SignEstSpec(kind=kind, bits=bits, threshold=threshold + threshold_shift,
+    return SignEstSpec(kind=kind, bits=bits, threshold=threshold,
                        tol=tol, flipped=kind.endswith("_plus"), rule=rule)
 
 
-def _gadget_phase(alpha: float, spec: SignEstSpec) -> tuple[float, float]:
-    """Probability ``a`` the gadget hands to amplitude estimation, and its
-    phase theta in [0, 1/2]."""
+def _gadget_phase(alpha: np.ndarray, spec: SignEstSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Probability ``a`` the gadget hands to amplitude estimation for each
+    amplitude of ``alpha``, and its phase theta in [0, 1/2]."""
     amp = (1.0 - alpha) / 2.0 if spec.flipped else (1.0 + alpha) / 2.0
-    a = min(max(amp, 0.0), 1.0) ** 2
-    return a, theta_of_amplitude(a)
+    a = np.clip(amp, 0.0, 1.0) ** 2
+    return a, np.arcsin(np.sqrt(a)) / math.pi
 
 
 def _prob_one(alpha: np.ndarray, spec: SignEstSpec) -> np.ndarray:
     """Exact Pr[routine returns 1] of each amplitude of ``alpha`` (any
     shape), summed over the tables of all of them from one
     ``ae_distribution`` call."""
-    a = [_gadget_phase(x, spec)[0] for x in alpha.ravel().tolist()]
+    a = _gadget_phase(alpha, spec)[0].ravel()
     y = np.arange(2 ** spec.bits)
     ones = spec.decide(np.minimum(y, y.size - y) / y.size)
     # the masked columns come back F-ordered; a C-ordered copy sums each
@@ -165,34 +168,10 @@ def _prob_one(alpha: np.ndarray, spec: SignEstSpec) -> np.ndarray:
     return tables.sum(axis=-1).reshape(alpha.shape)
 
 
-def sign_est_prob_one(alpha, eps: float, kind: str,
-                      threshold_shift: float = 0.0) -> np.ndarray:
+def sign_est_prob_one(alpha, eps: float, kind: str) -> np.ndarray:
     """Exact Pr[routine returns 1] of each amplitude of ``alpha``, shaped
     like it, from the analytic AE distributions."""
-    spec = sign_est_spec(eps, kind, threshold_shift)
-    return _prob_one(np.asarray(alpha, dtype=float), spec)
-
-
-@dataclass(frozen=True)
-class BoostedResult:
-    value: int
-    ok: bool                # majority of the votes were within tolerance
-
-
-def boosted_sign_est(alpha: float | list[float], eps: float, kind: str, reps: int,
-                     mode: str = "analytic",
-                     rng: np.random.Generator | None = None) -> BoostedResult:
-    """reps-fold majority vote over independent sign-estimation runs: the
-    one-entry case of ``_sign_votes``.  In sampling mode ``alpha`` may also
-    list one amplitude per run, for runs that each prepare their own state.
-
-    When at least ``(reps + 1)/2`` runs landed within the phase tolerance
-    and the majority decision is v, some in-tolerance run also voted v, so
-    the single-run certificate for v transfers to the boosted output.
-    Uncharged: the caller prices the runs with ``estimation_cost``.
-    """
-    values, oks, _ = _sign_votes(np.array([alpha], dtype=float), eps, kind, reps, mode, rng)
-    return BoostedResult(value=int(values[0]), ok=bool(oks[0]))
+    return _prob_one(np.asarray(alpha, dtype=float), sign_est_spec(eps, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +197,6 @@ class ScaledBasis:
 
     instance: LpInstance
     state: BasisState
-    AB: np.ndarray
     c: np.ndarray
     solutions: np.ndarray
     domain: tuple[int, ...]
@@ -244,8 +222,7 @@ class ScaledBasis:
         solutions[:, nonbasic + [n]] = np.linalg.solve(
             AB, s * np.column_stack([dense[:, nonbasic], instance.b]))
         nonempty = np.diff(instance.A.indptr) > 0
-        return cls(instance=instance, state=state, AB=AB,
-                   c=state.cost_scale * instance.c,
+        return cls(instance=instance, state=state, c=state.cost_scale * instance.c,
                    solutions=solutions,
                    domain=tuple(k for k in state.nonbasic if nonempty[k]),
                    error_mode=error_mode, rng=rng,
@@ -320,14 +297,13 @@ def estimation_cost(qlsa: IdealQlsa, eps_ls: float, bits: int) -> QueryStats:
 
 
 def _analytic_sign_values(alpha: np.ndarray, spec: SignEstSpec) -> np.ndarray:
-    """Analytic ``boosted_sign_est`` values of the amplitudes ``alpha``, in
-    one array pass: the decision at the two grid points bracketing each
+    """Analytic boosted sign-estimation values of the amplitudes ``alpha``,
+    in one array pass: the decision at the two grid points bracketing each
     ``theta M``, and where they straddle the threshold, ``Pr[1] >= 1/2``
     summed over the tables of all the straddling amplitudes at once
     (``_prob_one``)."""
     m_size = 2 ** spec.bits
-    amp = (1.0 - alpha) / 2.0 if spec.flipped else (1.0 + alpha) / 2.0
-    theta_m = np.arcsin(np.sqrt(np.clip(amp, 0.0, 1.0) ** 2)) / math.pi * m_size
+    theta_m = _gadget_phase(alpha, spec)[1] * m_size
     values = spec.decide(np.floor(theta_m) / m_size).astype(int)
     straddling = values != spec.decide(np.ceil(theta_m) / m_size)
     if straddling.any():
@@ -342,9 +318,8 @@ class _SampledVotes:
     one amplitude per run, and each run is a row of its own."""
 
     def __init__(self, alpha: np.ndarray, spec: SignEstSpec):
-        a, theta = np.array([_gadget_phase(x, spec) for x in alpha.ravel().tolist()],
-                            dtype=float).reshape(-1, 2).T
-        self.theta, self.spec = theta.reshape(alpha.shape), spec
+        a, self.theta = _gadget_phase(alpha, spec)
+        self.spec = spec
         self.tables = AEQuantiles(a, spec.bits)
 
     def __call__(self, rng: np.random.Generator, reps: int, rows=slice(None)):
@@ -367,27 +342,25 @@ class _SampledVotes:
 
 def _sign_votes(alpha: np.ndarray, eps_se: float, kind: str, reps: int,
                 mode: str, rng: np.random.Generator | None):
-    """(values, oks, votes): boosted sign estimation on each amplitude of
-    ``alpha``, as arrays in order.  Analytic mode decides them in one array
-    pass (``_analytic_sign_values``; ``votes`` is None).  Sampling mode
-    draws them through ``votes``, the entries' ``_SampledVotes``, which
-    later runs on the same states reuse."""
+    """(values, oks, votes): boosted sign estimation -- a reps-fold
+    majority vote over independent runs -- on each amplitude of ``alpha``,
+    as arrays in order; a 2-D ``alpha`` lists one amplitude per run, for
+    runs that each prepare their own state.  Analytic mode decides them in
+    one array pass (``_analytic_sign_values``; ``votes`` is None).
+    Sampling mode draws them through ``votes``, the entries'
+    ``_SampledVotes``, which later runs on the same states reuse.
+
+    When at least ``(reps + 1)/2`` runs landed within the phase tolerance
+    (``oks``) and the majority decision is v, some in-tolerance run also
+    voted v, so the single-run certificate for v transfers to the boosted
+    output.  Uncharged: the caller prices the runs with
+    ``estimation_cost``."""
     spec = sign_est_spec(eps_se, kind)
     if mode == "analytic":
         values = _analytic_sign_values(alpha, spec)
         return values, np.ones(values.shape, dtype=bool), None
     votes = _SampledVotes(alpha, spec)
     return (*votes(rng, reps), votes)
-
-
-def _row_votes(scaled: ScaledBasis, u: np.ndarray, eps_ls: float, eps_se: float,
-               kind: str, reps: int, mode: str, rng: np.random.Generator | None):
-    """(values, oks) of boosted sign estimation on every component
-    ``u_h/|u|`` of a direction, each read from a state prepared for its row
-    at precision ``eps_ls``, in row order (see ``_sign_votes``)."""
-    threshold = sign_est_spec(eps_se, kind).alpha_boundary
-    alpha = scaled.read(u / np.linalg.norm(u), eps_ls, threshold)
-    return _sign_votes(alpha, eps_se, kind, reps, mode, rng)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -400,61 +373,38 @@ def _pricing_precisions(eps: float) -> tuple[float, float]:
     return eps / (10.0 * math.sqrt(2.0)), 11.0 * eps / (10.0 * math.sqrt(2.0))
 
 
-def _pricing_reads(scaled: ScaledBasis, eps: float, variant: str, reps: int,
-                   mode: str, columns=slice(None)) -> np.ndarray:
-    """The amplitudes CanEnter reads of the columns ``scaled.domain[columns]``:
-    ``scaled.reduced_cost_amplitudes`` read from the reduced-cost system's
-    states, pushed toward the variant's boundary under worst error.  A
-    column prepares one state for its ``reps`` runs in analytic mode and
-    one per run in sampling mode (``ScaledBasis.read``)."""
-    eps_ls, eps_se = _pricing_precisions(eps)
-    return scaled.read(scaled.reduced_cost_amplitudes[columns], eps_ls,
-                       sign_est_spec(eps_se, variant).alpha_boundary, extended=True,
-                       runs=reps if mode == "sampling" else 1)
-
-
-@dataclass(frozen=True)
-class CanEnterResult:
-    value: int
-    ok: bool
-    reduced_cost_scaled: float  # c_bar / |(u, c_k)| truth
-
-
-def can_enter(scaled: ScaledBasis, k: int, eps: float, reps: int = 15,
-              variant: str = "nfn", mode: str = "analytic",
-              rng: np.random.Generator | None = None) -> CanEnterResult:
-    """1 when the (rescaled) reduced cost of column k of ``scaled.domain``
-    is certified ``< -eps |(A_B^-1 A_k, c_k)|``: the sign estimation at
-    precision ``11 eps / (10 sqrt(2))`` must return 0.  Uncharged: the
-    caller prices each application with ``can_enter_cost``.
+def can_enter(scaled: ScaledBasis, eps: float, reps: int = 15, variant: str = "nfn",
+              mode: str = "analytic", rng: np.random.Generator | None = None,
+              columns=slice(None)):
+    """CanEnter on the columns ``scaled.domain[columns]`` (a slice or a
+    list of positions), in order: the columns it fires on, whether every
+    decision's tolerance flags held, and the columns' ``_SampledVotes`` in
+    sampling mode (see ``_sign_votes``).  A column fires when its
+    (rescaled) reduced cost is certified ``< -eps |(A_B^-1 A_k, c_k)|``:
+    the sign estimation at precision ``11 eps / (10 sqrt(2))`` returns 0.
+    Uncharged: the caller prices each application with ``can_enter_cost``.
 
     The oracle solves the extended system ``diag(A_B, 1)(x, y) = (A_k,
     c_k)`` at precision ``eps/(10 sqrt(2))`` and reads off the all-zeros
     amplitude after un-preparing ``|(-c_B, 1)>``; that amplitude equals
-    ``c_bar_k / (sqrt(2) |(A_B^-1 A_k, c_k)|)`` up to the solver error,
-    read as the sweeps read it (``_pricing_reads``).
+    ``c_bar_k / (sqrt(2) |(A_B^-1 A_k, c_k)|)``
+    (``scaled.reduced_cost_amplitudes``) up to the solver error, pushed
+    toward the variant's boundary under worst error.  A column prepares
+    one state for its ``reps`` runs in analytic mode and one per run in
+    sampling mode (``ScaledBasis.read``).
 
     variant "nfn" is the pricing default; "nfp" is the optimality-check
     variant (fires on everything at most ``-eps``, may fire inside the
     indecision window, which is exactly what IsOptimal needs).
     """
-    kind = {"nfn": "nfn", "nfp": "nfp"}[variant]
-    alpha = _pricing_reads(scaled, eps, kind, reps, mode, scaled.domain.index(k))
-    boost = boosted_sign_est(alpha, _pricing_precisions(eps)[1], kind, reps, mode, rng)
-    return CanEnterResult(value=int(boost.value == 0), ok=boost.ok,
-                          reduced_cost_scaled=scaled.reduced_cost_scaled(k))
-
-
-def _can_enter_sweep(scaled: ScaledBasis, eps: float, reps: int, variant: str,
-                     mode: str, rng: np.random.Generator | None):
-    """CanEnter on every column of ``scaled.domain``, in order: the columns
-    it fires on, whether every decision's tolerance flags held, from one
-    array of reads (``_pricing_reads``), and the sweep's ``_SampledVotes``
-    in sampling mode (see ``_sign_votes``)."""
-    alpha = _pricing_reads(scaled, eps, variant, reps, mode)
-    values, oks, votes = _sign_votes(alpha, _pricing_precisions(eps)[1], variant, reps,
-                                     mode, rng)
-    marked = tuple(k for k, value in zip(scaled.domain, values.tolist()) if value == 0)
+    eps_ls, eps_se = _pricing_precisions(eps)
+    variant = {"nfn": "nfn", "nfp": "nfp"}[variant]
+    alpha = scaled.read(scaled.reduced_cost_amplitudes[columns], eps_ls,
+                        sign_est_spec(eps_se, variant).alpha_boundary, extended=True,
+                        runs=reps if mode == "sampling" else 1)
+    values, oks, votes = _sign_votes(alpha, eps_se, variant, reps, mode, rng)
+    domain = np.array(scaled.domain, dtype=int)[columns].tolist()
+    marked = tuple(k for k, value in zip(domain, values.tolist()) if value == 0)
     return marked, bool(oks.all()), votes
 
 
@@ -495,7 +445,7 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
     stats = stats if stats is not None else QueryStats()
     domain = list(scaled.domain)
 
-    marked, all_ok, votes = _can_enter_sweep(scaled, eps, reps, variant, mode, rng)
+    marked, all_ok, votes = can_enter(scaled, eps, reps, variant, mode, rng)
 
     per_call = can_enter_cost(scaled, eps, reps, variant)
     confirm_ok = True
@@ -513,9 +463,9 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
                 values, oks = votes(rng, reps, [domain.index(idx)])
                 confirm_ok = bool(oks[0])
                 return bool(values[0] == 0)
-            res = can_enter(scaled, idx, eps, reps, variant, mode, rng)
-            confirm_ok = res.ok
-            return res.value == 1
+            fired, confirm_ok, _ = can_enter(scaled, eps, reps, variant, mode, rng,
+                                             columns=[domain.index(idx)])
+            return bool(fired)
 
         found = qsearch(domain, marked, rng, stats, confirm=confirm)
     activations = (stats.grover_iterations - iters_before) + confirms
@@ -552,7 +502,7 @@ def is_optimal(scaled: ScaledBasis, eps: float, reps: int = 15,
     domain = list(scaled.domain)
     if not domain:
         return IsOptimalResult(value=1, ok=True, marked=())
-    marked, ok, _ = _can_enter_sweep(scaled, eps, reps, "nfp", mode, rng)
+    marked, ok, _ = can_enter(scaled, eps, reps, "nfp", mode, rng)
     iters_before = stats.grover_iterations
     exists = grover_count_exists(domain, marked, rng, stats, mode)
     activations = stats.grover_iterations - iters_before
@@ -585,7 +535,9 @@ def is_unbounded(scaled: ScaledBasis, k: int, delta: float, reps: int = 15,
     eps_se = 9.0 * delta / 10.0
     spec = sign_est_spec(eps_se, "nfn_plus")
     m = scaled.instance.m
-    values, oks = _row_votes(scaled, u, eps_ls, eps_se, "nfn_plus", reps, mode, rng)
+    # each component u_h/|u| is read from a state prepared for its row
+    alpha = scaled.read(u / np.linalg.norm(u), eps_ls, spec.alpha_boundary)
+    values, oks, _ = _sign_votes(alpha, eps_se, "nfn_plus", reps, mode, rng)
     marked = tuple(np.flatnonzero(values == 1).tolist())
     ok = bool(oks.all())
     iters_before = stats.grover_iterations
@@ -649,7 +601,8 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
     den_amps = scaled.read(u / u_norm, eps_ls)
     gate_alpha = scaled.read(u / u_norm, gate_eps, gate_spec.alpha_boundary)
     if mode == "analytic":
-        gate_values, all_ok = _analytic_sign_values(gate_alpha, gate_spec), True
+        gate_values, _, _ = _sign_votes(gate_alpha, gate_eps, "nfp_plus", reps, mode, rng)
+        all_ok = True
     else:
         # each row draws its gate's reps uniforms, then, if gated, one for
         # its numerator and one for its denominator; building a table draws
@@ -706,8 +659,7 @@ class NormEstimateResult:
 
 def norm_estimate(scaled: ScaledBasis, eps: float, mode: str = "analytic",
                   rng: np.random.Generator | None = None,
-                  stats: QueryStats | None = None,
-                  column: int | None = None) -> NormEstimateResult:
+                  stats: QueryStats | None = None) -> NormEstimateResult:
     """Estimate ``|A_B^-1 A_N|_F^2`` (scaled basis) to relative error eps.
 
     The right-hand-side oracle prepares the Frobenius-weighted column
@@ -716,17 +668,14 @@ def norm_estimate(scaled: ScaledBasis, eps: float, mode: str = "analytic",
     amplitude estimation reads out at phase precision ``eps/(4 pi alpha^2)``.
     ``alpha`` is the solver's internal normalization, here kappa (an upper
     bound on ``|A_B^-1|`` after scaling, so the success amplitude stays
-    <= 1).  Per-column variant: pass ``column`` to estimate
-    ``|A_B^-1 A_k|^2``.
+    <= 1).  The solver error shifts each column's norm by ``eps_ls`` times
+    the column norm: outward under worst error, by a fair sign under
+    random error (not through ``ScaledBasis.read``).
     """
     stats = stats if stats is not None else QueryStats()
     alpha = scaled.state.kappa
-    if column is not None:
-        cols = [column]
-        eps_ls = eps / 2.0
-    else:
-        cols = list(scaled.domain)
-        eps_ls = eps / (2.0 * scaled.instance.n)
+    cols = list(scaled.domain)
+    eps_ls = eps / (2.0 * scaled.instance.n)
     if not cols:
         raise ZeroColumn("no nonzero column to estimate over")
 

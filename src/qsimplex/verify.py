@@ -3,10 +3,10 @@
 Each suite checks one family of claims (phase-estimation accuracy, the
 sign-estimation classifier bounds, pricing soundness, the ratio-test
 error bound, unboundedness soundness, norm estimation, query-count
-scaling, end-to-end optimality, column splitting) and returns a
-``SuiteResult`` with one printable line per sub-check.  ``cmd_verify``
-runs them with its defaults; the acceptance tests call them with the
-pinned acceptance parameters.
+scaling, end-to-end optimality, the column-splitting formulas) and
+returns a ``SuiteResult`` with one printable line per sub-check.
+``cmd_verify`` runs them with its defaults; the acceptance tests call them
+with the pinned acceptance parameters.
 
 Success conditioning: the probabilistic guarantees are proved on the
 event that every amplitude-estimation readout lands within its phase
@@ -89,8 +89,8 @@ def nfn_certified_window(eps: float) -> float:
     return 1.0 - 2.0 * math.sin(math.pi / 6.0 - math.sqrt(3.0) * eps)
 
 
-def sign_estimation_check(eps: float, grid: np.ndarray, nfn_neg_window: float | None = None,
-                 threshold_shift: float = 0.0) -> dict:
+def sign_estimation_check(eps: float, grid: np.ndarray,
+                          nfn_neg_window: float | None = None) -> dict:
     """The four classifier implications on the analytic distributions.
 
     ``nfn_neg_window`` is the alpha threshold for the second NFN
@@ -99,8 +99,8 @@ def sign_estimation_check(eps: float, grid: np.ndarray, nfn_neg_window: float | 
     checks = {"nfn_accept": True, "nfn_reject": True,
               "nfp_reject": True, "nfp_accept": True}
     worst = {k: 1.0 for k in checks}
-    probs = zip(sign_est_prob_one(grid, eps, "nfn", threshold_shift).tolist(),
-                sign_est_prob_one(grid, eps, "nfp", threshold_shift).tolist())
+    probs = zip(sign_est_prob_one(grid, eps, "nfn").tolist(),
+                sign_est_prob_one(grid, eps, "nfp").tolist())
     for alpha, (p_nfn, p_nfp) in zip(grid, probs):
         if alpha >= -eps:
             checks["nfn_accept"] &= p_nfn >= 0.75
@@ -118,7 +118,7 @@ def sign_estimation_check(eps: float, grid: np.ndarray, nfn_neg_window: float | 
 
 
 def sign_estimation_suite(eps_values=(0.05, 0.1, 0.2), grid_points: int = 101,
-                 as_stated_eps=(0.05, 0.1), threshold_shift: float = 0.0) -> SuiteResult:
+                          as_stated_eps=(0.05, 0.1)) -> SuiteResult:
     """NFN/NFP asymmetry on the alpha grid.
 
     The three implications other than `nfn_reject` use the stated windows
@@ -135,10 +135,9 @@ def sign_estimation_suite(eps_values=(0.05, 0.1, 0.2), grid_points: int = 101,
     for eps in eps_values:
         stated = eps in as_stated_eps
         if stated:
-            res = sign_estimation_check(eps, grid, threshold_shift=threshold_shift)
+            res = sign_estimation_check(eps, grid)
         else:
-            res = sign_estimation_check(eps, wide, nfn_neg_window=-nfn_certified_window(eps),
-                               threshold_shift=threshold_shift)
+            res = sign_estimation_check(eps, wide, nfn_neg_window=-nfn_certified_window(eps))
         for name, ok in res["checks"].items():
             tag = "stated" if stated or name != "nfn_reject" else "certified window"
             out.line(ok, f"eps={eps} {name} ({tag}): worst margin "
@@ -458,7 +457,9 @@ def end_to_end_suite(count: int = 20, seed: int = 20_260_606,
 def column_split_suite() -> SuiteResult:
     """Split formula beats the no-split formula exactly on the admissible
     side of the threshold ``n/m >= 2 kappa d^2 / d_c`` (unit constants);
-    the grid includes exact-boundary points."""
+    the grid includes exact-boundary points.  Formula-only: no subroutine
+    runs split pricing, so this compares one ``costmodel`` formula with
+    another, not a measured counter."""
     out = SuiteResult("column_split", True)
     eps = 0.1
     mismatches = []
@@ -482,7 +483,7 @@ def column_split_suite() -> SuiteResult:
                     if (h is not None) != admissible or below != admissible:
                         mismatches.append((m, n, d_c, d, kappa))
     out.line(not mismatches,
-             f"split beats no-split exactly on the admissible side "
+             f"formula-only: split beats no-split exactly on the admissible side "
              f"({checked} grid points, {len(mismatches)} mismatches)")
     spec_h = column_split(4096, 16, 2, 2, 2.0)
     out.line(spec_h == 64, f"reference point n=4096 m=16 d_c=d=kappa=2: h={spec_h}")
@@ -494,14 +495,14 @@ def column_split_suite() -> SuiteResult:
 
 
 def run_all(error_mode: str = "worst", quick: bool = False,
-            threshold_shift: float = 0.0, seed: int = 0) -> list[SuiteResult]:
+            seed: int = 0) -> list[SuiteResult]:
     """The cmd_verify battery (worst-case solver error by default)."""
     runs = 60 if quick else 200
     triples = 30 if quick else 100
     count = 20 if quick else 50
     return [
         phase_estimation_suite(),
-        sign_estimation_suite(threshold_shift=threshold_shift),
+        sign_estimation_suite(),
         pricing_suite(runs=runs, error_mode=error_mode, seed=seed + 20_260_101),
         ratio_test_suite(triples=triples, error_mode=error_mode,
                          seed=seed + 20_260_202),

@@ -165,11 +165,26 @@ def test_verify_quick_passes(capsys):
     assert code == 0
 
 
-def test_verify_threshold_mutation_fails(capsys):
-    # deliberately mis-set sign-estimation thresholds: the classifier
-    # suite must catch the mutation
-    code = main(["verify", "--quick", "--nfn-threshold-shift", "0.08",
-                 "--seed", "1"])
+def test_verify_threshold_mutation_fails(monkeypatch, capsys):
+    # deliberately mis-set sign-estimation thresholds (+0.08) while the
+    # classifier suite runs: it must catch the mutation.  Shifted for the
+    # whole battery, the end-to-end solves would run to their iteration cap.
+    import dataclasses
+
+    from qsimplex import subroutines, verify
+
+    spec, suite = subroutines.sign_est_spec, verify.sign_estimation_suite
+
+    def shifted(eps, kind):
+        return dataclasses.replace(spec(eps, kind), threshold=spec(eps, kind).threshold + 0.08)
+
+    def mutated_suite(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(subroutines, "sign_est_spec", shifted)
+            return suite(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "sign_estimation_suite", mutated_suite)
+    code = main(["verify", "--quick", "--seed", "1"])
     out = capsys.readouterr().out
     assert code == 1
     assert "sign_estimation_classifier: FAIL" in out
@@ -212,7 +227,32 @@ def test_analyze_identity_basis_mu_one(tmp_path):
 
 
 def test_verify_rejects_out_of_range_epsilon():
+    # verify reads no epsilon: the flag is an unknown option
     assert main(["verify", "--epsilon", "0.6"]) == 2
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("verify", "--reps"), ("verify", "--mode"), ("verify", "--timings"),
+    ("classical", "--epsilon"), ("classical", "--qlsa-error"),
+    ("analyze", "--seed"), ("analyze", "--out-trace"),
+])
+def test_subcommands_reject_options_they_do_not_read(demo, command, flag, capsys):
+    args = [command] + (["--instance", demo] if command != "verify" else [])
+    args += [flag] if flag == "--timings" else [flag, "1"]
+    assert main(args) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_classical_reads_seed_and_max_iters(tmp_path):
+    # the random rule takes 13 pivots here at seed 3; a cap of 1 ends the
+    # run after 3 (the cap, then Bland's rule up to twice the cap)
+    path = tmp_path / "b8.json"
+    write_lp_json(random_bounded_lp(8, 24, seed=2), path)
+    summary = tmp_path / "s.json"
+    assert main(["classical", "--instance", str(path), "--seed", "3", "--max-iters", "1",
+                 "--out-summary", str(summary)]) == 1
+    doc = json.loads(summary.read_text())
+    assert (doc["status"], doc["pivots"], doc["seed"]) == ("cap", 3, 3)
 
 
 def test_verify_summary_json_serializable(tmp_path, capsys):

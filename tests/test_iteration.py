@@ -152,10 +152,12 @@ def test_pricing_step_pinned(error_mode):
 
 @pytest.mark.parametrize("error_mode", ["zero", "worst"])
 def test_analytic_pricing_runs_few_columns_alone(monkeypatch, error_mode):
-    # the m=64 pivot pinned above decides its 2 x 128 CanEnter calls and its
-    # row sweeps in array passes: no entry runs boosted_sign_est on its own,
-    # and a sweep builds the sign-estimation tables of all its entries whose
-    # bracketing grid points straddle the threshold in one call, if any
+    # the m=64 pivot pinned above decides its CanEnter sweeps and its row
+    # sweeps in array passes: every boosted vote is a _sign_votes call
+    # on a whole sweep (every nonbasic column or every row), none on an
+    # entry of its own, and a sweep builds the sign-estimation tables of all
+    # its entries whose bracketing grid points straddle the threshold in one
+    # call, if any
     import qsimplex.primitives as primitives
     import qsimplex.subroutines as subroutines
 
@@ -163,7 +165,7 @@ def test_analytic_pricing_runs_few_columns_alone(monkeypatch, error_mode):
 
     def counting(calls, function):
         def wrapped(*args, **kwargs):
-            calls.append(1)
+            calls.append(args[0])
             return function(*args, **kwargs)
         return wrapped
 
@@ -172,14 +174,16 @@ def test_analytic_pricing_runs_few_columns_alone(monkeypatch, error_mode):
                             counting(tables, module.ae_distribution))
     monkeypatch.setattr(subroutines, "_analytic_sign_values",
                         counting(sweeps, subroutines._analytic_sign_values))
-    monkeypatch.setattr(subroutines, "boosted_sign_est",
-                        counting(votes, subroutines.boosted_sign_est))
+    monkeypatch.setattr(subroutines, "_sign_votes",
+                        counting(votes, subroutines._sign_votes))
     inst = random_lp(64, 192, seed=0)
     out = simplex_iter(inst, dantzig_basis(inst, 24), PrecisionParams(),
                        "analytic", error_mode, np.random.default_rng(24))
     assert (out.status, out.entering, out.leaving_row) == ("pivot", 1, 53)
-    assert 1 <= len(tables) <= len(sweeps)
-    assert not votes
+    assert 1 <= len(tables) <= len(sweeps) == len(votes)
+    # IsUnbounded's rows and FindRow's gate; IsOptimal's sweep, FindColumn's
+    # and its "nfp" retry over the 128 nonbasic columns
+    assert sorted(alpha.size for alpha in votes) == [64, 64, 128, 128, 128]
 
 
 @pytest.mark.parametrize("mode", ["analytic", "sampling"])
@@ -256,8 +260,9 @@ def test_simplex_iter_solves_once(monkeypatch, mode, error_mode):
     (scaled,) = built
     nonbasic = list(scaled.state.nonbasic)
     assert np.array_equal(scaled.solutions[:, list(basis)], np.eye(m))
-    full = solve(scaled.AB, scaled.state.matrix_scale
-                 * np.column_stack([inst.dense(), inst.b]))
+    s = scaled.state.matrix_scale
+    full = solve(s * inst.dense()[:, list(scaled.state.basis)],
+                 s * np.column_stack([inst.dense(), inst.b]))
     assert np.allclose(scaled.solutions[:, nonbasic + [n]], full[:, nonbasic + [n]],
                        rtol=0, atol=1e-12)
 
@@ -346,18 +351,48 @@ def test_sampling_builds_tables_once_per_sweep(monkeypatch):
 
     monkeypatch.setattr(subroutines, "AEQuantiles",
                         counting(builds, subroutines.AEQuantiles))
-    monkeypatch.setattr(subroutines, "_can_enter_sweep",
-                        counting(sweeps, subroutines._can_enter_sweep))
     monkeypatch.setattr(subroutines, "can_enter",
-                        counting(confirmations, subroutines.can_enter))
+                        _counting_can_enter(sweeps, confirmations))
     inst = random_lp(16, 48, seed=7)
     out = simplex_iter(inst, dantzig_basis(inst, 6), PrecisionParams(),
                        "sampling", "worst", np.random.default_rng(6))
     assert (out.status, out.entering, out.leaving_row) == ("pivot", 13, 2)
     # pricing sweeps, IsUnbounded's rows, FindRow; the sampled QSearch
     # returns only a confirmed column, yet no confirmation read afresh
-    assert len(builds) <= len(sweeps) + 1 + 3
+    assert sweeps and len(builds) <= len(sweeps) + 1 + 3
     assert not confirmations
+
+
+def test_sampling_random_error_confirms_through_can_enter(monkeypatch):
+    # the pinned sampling/random optimum of m=8: under random error each
+    # FindColumn confirmation prepares fresh states, read and voted by
+    # CanEnter on its one column, the same function as the sweeps
+    import qsimplex.subroutines as subroutines
+
+    sweeps, confirmations = [], []
+    monkeypatch.setattr(subroutines, "can_enter",
+                        _counting_can_enter(sweeps, confirmations))
+    inst = random_bounded_lp(8, 24, seed=2)
+    rng = np.random.default_rng(9)
+    out = simplex_iter(inst, dantzig_basis(inst, 9), PrecisionParams(),
+                       "sampling", "random", rng)
+    assert (out.status, bool(out.ok)) == ("optimal", True)
+    assert float(rng.random()).hex() == NEXT_DRAWS["random_bounded_lp", 2, 9, "random"]
+    assert len(confirmations) == 19
+    assert all(len(columns) == 1 for columns in confirmations)
+
+
+def _counting_can_enter(sweeps, confirmations):
+    """``subroutines.can_enter``, recording the columns of each call: a
+    sweep's in ``sweeps``, a one-column confirmation's in ``confirmations``."""
+    import qsimplex.subroutines as subroutines
+
+    can_enter = subroutines.can_enter
+
+    def wrapped(*args, columns=slice(None), **kwargs):
+        (sweeps if isinstance(columns, slice) else confirmations).append(columns)
+        return can_enter(*args, columns=columns, **kwargs)
+    return wrapped
 
 
 def test_find_row_failure_is_named():

@@ -14,12 +14,11 @@ from qsimplex.instances import (embed_basis_instance, random_bounded_lp,
                                 ratio_test_triple)
 from qsimplex.lp import LpInstance, slack_identity_basis
 from qsimplex.primitives import (ae_distribution, ae_readout,
-                                 amplitude_estimation, pe_outcome_distribution)
+                                 amplitude_estimation, pe_outcome_distribution,
+                                 theta_of_amplitude)
 from qsimplex.qlsa import read_amplitudes
 from qsimplex.subroutines import (SIGN_EST_KINDS, PrecisionParams, ScaledBasis,
-                                  _analytic_sign_values, _can_enter_sweep,
-                                  _gadget_phase, _row_votes, _sign_votes,
-                                  boosted_sign_est,
+                                  _analytic_sign_values, _gadget_phase, _sign_votes,
                                   can_enter, find_column, find_row, is_optimal,
                                   is_unbounded, norm_estimate,
                                   sign_est_prob_one, sign_est_spec,
@@ -29,6 +28,12 @@ from test_iteration import CASES, dantzig_basis
 from test_iteration import GENERATORS as ITERATION_GENERATORS
 
 SQRT3PI = math.sqrt(3.0) * math.pi
+
+
+def _votes(alphas, eps, kind, reps=1):
+    """Analytic boosted sign-estimation values of the amplitudes ``alphas``."""
+    return _sign_votes(np.array(alphas, dtype=float), eps, kind, reps, "analytic",
+                       None)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +80,7 @@ def test_sign_est_gadget_interference_coefficient():
 
 
 def test_sign_est_nfn_maximal_amplitude():
-    assert boosted_sign_est(1.0, 0.1, "nfn", 1).value == 1
+    assert _votes([1.0], 0.1, "nfn") == [1]
     assert sign_est_prob_one(1.0, 0.1, "nfn") >= 0.75
 
 
@@ -83,7 +88,7 @@ def test_sign_est_nfn_strongly_negative():
     # alpha = -3 eps is outside the certified window: returns 0 w.h.p.
     eps = 0.1
     assert sign_est_prob_one(-0.9, eps, "nfn") <= 0.25
-    assert boosted_sign_est(-0.9, eps, "nfn", 1).value == 0
+    assert _votes([-0.9], eps, "nfn") == [0]
 
 
 def test_sign_est_nfp_boundary_points():
@@ -120,8 +125,7 @@ def test_sign_est_plus_trivial_points():
     eps = 0.1
     # alpha = 1: the |1>|k> coefficient vanishes, both variants return 1
     for kind in ("nfn_plus", "nfp_plus"):
-        assert boosted_sign_est(1.0, eps, kind, 1).value == 1, kind
-        assert boosted_sign_est(-1.0, eps, kind, 1).value == 0, kind
+        assert _votes([1.0, -1.0], eps, kind) == [1, 0], kind
 
 
 def test_sign_est_plus_mirror_identities():
@@ -152,11 +156,25 @@ def test_sign_est_plus_certificates():
 
 def test_boosted_sign_est_majority():
     rng = np.random.default_rng(0)
-    res = boosted_sign_est(0.5, 0.1, "nfn", reps=15, mode="sampling", rng=rng)
-    assert res.value == 1
-    assert res.ok
-    res = boosted_sign_est(-0.9, 0.1, "nfn", reps=15, mode="sampling", rng=rng)
-    assert res.value == 0
+    values, oks, _ = _sign_votes(np.array([0.5, -0.9]), 0.1, "nfn", 15, "sampling", rng)
+    assert values.tolist() == [1, 0]
+    assert oks[0]
+
+
+@pytest.mark.parametrize("kind", SIGN_EST_KINDS)
+def test_gadget_phase_matches_per_entry_formula(kind):
+    # the array expression against the per-entry formula: Python's x ** 2
+    # (libm pow) and NumPy's square, and math.asin and np.arcsin, may round
+    # differently in the last bit
+    spec = sign_est_spec(0.1, kind)
+    rng = np.random.default_rng(5)
+    alpha = np.concatenate([rng.uniform(-1.0, 1.0, 2000), [-1.0, 0.0, 1.0],
+                            spec.alpha_boundary + rng.uniform(-1e-3, 1e-3, 200)])
+    a, theta = _gadget_phase(alpha, spec)
+    for x, p, t in zip(alpha.tolist(), a.tolist(), theta.tolist()):
+        amp = (1.0 - x) / 2.0 if spec.flipped else (1.0 + x) / 2.0
+        assert p == pytest.approx(min(max(amp, 0.0), 1.0) ** 2, rel=2.0 ** -52, abs=0), x
+        assert t == pytest.approx(theta_of_amplitude(p), rel=2.0 ** -51, abs=0), x
 
 
 @pytest.mark.parametrize("kind", ["nfn", "nfp"])  # 9 and 12 bits
@@ -185,16 +203,15 @@ def test_sampled_sweep_matches_choice_entry_by_entry(kind, per_run):
     drawn, expected = np.random.default_rng(9), np.random.default_rng(9)
     values, oks, _ = _sign_votes(alpha, eps_se, kind, reps, "sampling", drawn)
     for i, entry in enumerate(alpha.tolist()):
-        runs = entry if per_run else [entry] * reps
-        phases = [_gadget_phase(x, spec) for x in runs]
+        a, theta = _gadget_phase(np.array(entry if per_run else [entry] * reps), spec)
         if per_run:
-            y = np.array([expected.choice(M, p=ae_distribution(a, spec.bits))
-                          for a, _ in phases])
+            y = np.array([expected.choice(M, p=ae_distribution(p, spec.bits))
+                          for p in a.tolist()])
         else:
-            y = expected.choice(M, size=reps, p=ae_distribution(phases[0][0], spec.bits))
+            y = expected.choice(M, size=reps, p=ae_distribution(a[0], spec.bits))
         folds = np.minimum(y, M - y) / M
         votes = spec.decide(folds).sum()
-        in_tol = (np.abs(folds - [theta for _, theta in phases]) <= spec.tol + 1e-15).sum()
+        in_tol = (np.abs(folds - theta) <= spec.tol + 1e-15).sum()
         assert (values[i], oks[i]) == (votes >= 8, in_tol >= 8), i
     assert drawn.random() == expected.random()
 
@@ -202,20 +219,15 @@ def test_sampled_sweep_matches_choice_entry_by_entry(kind, per_run):
 @pytest.mark.parametrize("kind", SIGN_EST_KINDS)
 @pytest.mark.parametrize("eps", [0.05, 11 * 0.1 / (10 * math.sqrt(2)), 0.09, 0.1])
 def test_boosted_analytic_decision_matches_table(kind, eps):
-    # the bracketing-point decision equals Pr[1] >= 1/2 summed over the full
-    # table, on random alpha and within 3e-3 of the decision boundary
+    # the bracketing-point decisions of one array pass equal Pr[1] >= 1/2
+    # summed over each amplitude's full table, on random alpha and within
+    # 3e-3 of the decision boundary
     rng = np.random.default_rng(0)
     boundary = sign_est_spec(eps, kind).alpha_boundary
     alphas = np.concatenate([rng.uniform(-1.0, 1.0, 100),
                              boundary + rng.uniform(-3e-3, 3e-3, 100)])
-    for alpha in alphas:
-        expected = int(sign_est_prob_one(float(alpha), eps, kind) >= 0.5)
-        assert boosted_sign_est(float(alpha), eps, kind, 15).value == expected, alpha
-
-
-def test_sign_est_threshold_shift_hook():
-    # shifting the threshold far negative forces constant accept
-    assert sign_est_prob_one(-0.9, 0.1, "nfn", threshold_shift=-0.2) >= 0.75
+    expected = [int(sign_est_prob_one(alpha, eps, kind) >= 0.5) for alpha in alphas.tolist()]
+    assert _votes(alphas, eps, kind, 15) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +277,9 @@ def test_can_enter_module2_example():
     # ratio -0.8855 < -2.2 * 0.1: CanEnter fires
     inst = _module2_instance()
     scaled = ScaledBasis.build(inst, (0, 1), error_mode="zero")
-    res = can_enter(scaled, 2, eps=0.1, mode="analytic")
-    assert res.value == 1
-    assert res.reduced_cost_scaled == pytest.approx(-0.885533, abs=1e-5)
+    marked, ok, _ = can_enter(scaled, 0.1, mode="analytic", columns=[scaled.domain.index(2)])
+    assert (marked, ok) == ((2,), True)
+    assert scaled.reduced_cost_scaled(2) == pytest.approx(-0.885533, abs=1e-5)
 
 
 def test_can_enter_zero_reduced_cost():
@@ -275,8 +287,7 @@ def test_can_enter_zero_reduced_cost():
     A = np.hstack([inst.dense(), inst.dense()[:, [1]]])
     inst2 = LpInstance.from_dense(A, inst.b, np.append(inst.c, inst.c[1]))
     scaled = ScaledBasis.build(inst2, (0, 1), error_mode="zero")
-    res = can_enter(scaled, 3, eps=0.1, mode="analytic")
-    assert res.value == 0
+    assert can_enter(scaled, 0.1, mode="analytic", columns=[scaled.domain.index(3)])[0] == ()
 
 
 def test_can_enter_three_eps_fires():
@@ -301,7 +312,8 @@ def test_can_enter_three_eps_fires():
     hits = 0
     for seed in range(40):
         rng = np.random.default_rng(seed)
-        hits += can_enter(scaled, 2, eps=eps, mode="sampling", rng=rng).value
+        hits += len(can_enter(scaled, eps, mode="sampling", rng=rng,
+                              columns=[scaled.domain.index(2)])[0])
     assert hits >= 30
 
 
@@ -466,9 +478,15 @@ def _vector_read(x, eps_ls, w, threshold, error_mode):
     return float(w @ x)
 
 
+def _full_table_vote(alpha, eps_se, kind):
+    """The analytic boosted vote on one amplitude: Pr[1] >= 1/2 summed over
+    its full outcome table."""
+    return int(sign_est_prob_one(alpha, eps_se, kind) >= 0.5)
+
+
 def _pricing_reference(scaled, variant):
     """The per-column loop: each column's own extended solution state, its
-    worst-case rotation as a vector, and a boosted vote."""
+    worst-case rotation as a vector, and its full-table vote."""
     eps_ls, eps_se = PRICING_EPS
     threshold = sign_est_spec(eps_se, variant).alpha_boundary
     w = scaled.cost_vector_gadget
@@ -477,41 +495,43 @@ def _pricing_reference(scaled, variant):
         x = np.append(scaled.direction(k), scaled.c[k])
         alpha = _vector_read(x / np.linalg.norm(x), eps_ls, w, threshold,
                              scaled.error_mode)
-        if boosted_sign_est(alpha, eps_se, variant, 15).value == 0:
+        if _full_table_vote(alpha, eps_se, variant) == 0:
             marked.append(k)
     return tuple(marked)
 
 
 def _row_vote_reference(scaled, u, kind):
-    """The per-row loop: one solver state and boosted vote per row."""
+    """The per-row loop: one solver state and full-table vote per row; the
+    rows voting 1."""
     eps_ls, eps_se = SWEEPS[kind]
     threshold = sign_est_spec(eps_se, kind).alpha_boundary
     m = u.size
-    return [boosted_sign_est(_vector_read(u / np.linalg.norm(u), eps_ls, np.eye(m)[h],
-                                          threshold, scaled.error_mode),
-                             eps_se, kind, 15).value for h in range(m)]
+    return tuple(h for h in range(m) if _full_table_vote(
+        _vector_read(u / np.linalg.norm(u), eps_ls, np.eye(m)[h], threshold,
+                     scaled.error_mode), eps_se, kind) == 1)
 
 
 @pytest.mark.parametrize("error_mode", ["zero", "worst"])
 @pytest.mark.parametrize("gen,m,seed,step", PINNED_BASES)
 def test_batched_sweeps_match_per_entry_path(gen, m, seed, step, error_mode):
-    # IsOptimal's and FindColumn's pricing sweeps against the per-column
-    # vector path on every column; IsUnbounded's rows and FindRow's gate
-    # against the per-row loop on the directions of up to 8 columns
+    # IsOptimal's and FindColumn's pricing sweeps, and CanEnter on each
+    # column alone, against the per-column vector path on every column;
+    # IsUnbounded's marked rows and FindRow's gate against the per-row loop
+    # on the directions of up to 8 columns
     inst = ITERATION_GENERATORS[gen](m, 3 * m, seed=seed)
     scaled = ScaledBasis.build(inst, dantzig_basis(inst, step), error_mode=error_mode)
     for variant in ("nfp", "nfn"):
-        marked, ok, _ = _can_enter_sweep(scaled, 0.1, 15, variant, "analytic", None)
+        marked, ok, _ = can_enter(scaled, 0.1, 15, variant)
         assert (marked, ok) == (_pricing_reference(scaled, variant), True), variant
-        assert marked == tuple(k for k in scaled.domain
-                               if can_enter(scaled, k, 0.1, 15, variant).value == 1)
+        alone = [can_enter(scaled, 0.1, 15, variant, columns=[i])[0]
+                 for i in range(len(scaled.domain))]
+        assert marked == tuple(k for fired in alone for k in fired)
     for k in scaled.domain[::max(1, len(scaled.domain) // 8)]:
         u = scaled.direction(k)
-        for kind in ("nfn_plus", "nfp_plus"):
-            eps_ls, eps_se = SWEEPS[kind]
-            values, _ = _row_votes(scaled, u, eps_ls, eps_se, kind, 15,
-                                   "analytic", None)
-            assert values.tolist() == _row_vote_reference(scaled, u, kind), (k, kind)
+        assert (is_unbounded(scaled, k, 0.1).marked_rows
+                == _row_vote_reference(scaled, u, "nfn_plus")), k
+        assert find_row(scaled, k, 0.1, 100.0).gated == _row_vote_reference(
+            scaled, u, "nfp_plus"), k
 
 
 @pytest.mark.parametrize("gen,m,seed,step", PINNED_BASES)
@@ -574,9 +594,9 @@ def _planted_overlaps(spec, eps_ls, error_mode):
 @pytest.mark.parametrize("error_mode", ["zero", "worst"])
 @pytest.mark.parametrize("kind", sorted(SWEEPS))
 def test_batched_decisions_on_planted_boundary_entries(kind, error_mode):
-    # the array rule decides every planted entry as boosted_sign_est and
-    # the full table do on the same amplitude, both sides of the grid
-    # points, the straddling pair and the worst-error boundary included
+    # the array rule decides every planted entry as the full table does on
+    # the same amplitude, both sides of the grid points, the straddling pair
+    # and the worst-error boundary included
     eps_ls, eps_se = SWEEPS[kind]
     spec = sign_est_spec(eps_se, kind)
     rng = np.random.default_rng(7)
@@ -584,11 +604,10 @@ def test_batched_decisions_on_planted_boundary_entries(kind, error_mode):
                       + list(rng.uniform(-1.0, 1.0, 50)))
     alpha = read_amplitudes(alpha0, eps_ls, error_mode, spec.alpha_boundary)
     values = _analytic_sign_values(alpha, spec)
+    theta_ms = _gadget_phase(alpha, spec)[1] * 2 ** spec.bits
     straddling = 0
-    for i, a in enumerate(alpha.tolist()):
-        assert values[i] == boosted_sign_est(a, eps_se, kind, 15).value, (i, alpha0[i])
-        assert values[i] == int(sign_est_prob_one(a, eps_se, kind) >= 0.5), (i, alpha0[i])
-        theta_m = _gadget_phase(a, spec)[1] * 2 ** spec.bits
+    for i, (a, theta_m) in enumerate(zip(alpha.tolist(), theta_ms.tolist())):
+        assert values[i] == _full_table_vote(a, eps_se, kind), (i, alpha0[i])
         lo, hi = math.floor(theta_m), math.ceil(theta_m)
         straddling += spec.decide(lo / 2 ** spec.bits) != spec.decide(hi / 2 ** spec.bits)
     # the table sum is exercised: at least the planted straddling pair
@@ -620,7 +639,7 @@ def test_vector_tables_match_one_row_tables(kind, bits):
         planted.append(1.0 - 2.0 * amp if spec.flipped else 2.0 * amp - 1.0)
     alpha = np.concatenate([rng.uniform(-1.0, 1.0, 40), planted,
                             spec.alpha_boundary + rng.uniform(-3e-3, 3e-3, 20)])
-    a = np.array([_gadget_phase(x, spec)[0] for x in alpha.tolist()])
+    a = _gadget_phase(alpha, spec)[0]
     y = np.arange(M)
     ones = spec.decide(np.minimum(y, M - y) / M)
     tables = ae_distribution(a, bits)
@@ -628,7 +647,7 @@ def test_vector_tables_match_one_row_tables(kind, bits):
     readouts = ae_readout(a, bits)
     ties = 0
     for i, (x, p) in enumerate(zip(alpha.tolist(), a.tolist())):
-        theta = _gadget_phase(x, spec)[1]
+        theta = theta_of_amplitude(p)
         table = 0.5 * (pe_outcome_distribution(theta, bits)
                        + pe_outcome_distribution(-theta, bits))
         assert np.array_equal(ae_distribution(p, bits), table), i
@@ -661,7 +680,7 @@ def test_norm_estimate_diagonal_example():
     inst = LpInstance.from_dense(A, [1.0, 1.0], [1.0, 1.0, 0.0, 0.0])
     scaled = ScaledBasis.build(inst, (0, 1), error_mode="zero")
     res = norm_estimate(scaled, eps=0.05, mode="analytic")
-    AB = scaled.AB
+    AB = scaled.state.matrix_scale * inst.dense()[:, [0, 1]]
     AN = inst.dense()[:, [2, 3]]
     truth = np.linalg.norm(np.linalg.solve(AB, AN)) ** 2
     assert res.exact == pytest.approx(truth, rel=1e-9)
@@ -675,16 +694,6 @@ def test_norm_estimate_error_sweep():
     for eps in (0.2, 0.1, 0.05):
         res = norm_estimate(scaled, eps=eps, mode="analytic")
         assert abs(res.rho - res.exact) <= eps * res.exact
-
-
-def test_norm_estimate_single_column():
-    inst = random_lp(3, 6, seed=9)
-    basis = slack_identity_basis(inst)
-    scaled = ScaledBasis.build(inst, basis, error_mode="zero")
-    k = scaled.state.nonbasic[0]
-    res = norm_estimate(scaled, eps=0.1, mode="analytic", column=k)
-    truth = np.linalg.norm(np.linalg.solve(scaled.AB, inst.column(k))) ** 2
-    assert res.rho == pytest.approx(truth, rel=0.1)
 
 
 # ---------------------------------------------------------------------------
