@@ -293,7 +293,8 @@ def _basis(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
-# every option, under the RunConfig field it sets (``extra`` for the rest)
+# every option, under the RunConfig field it sets (``extra`` for the rest);
+# a help that differs per subcommand is a dict keyed by the subcommand
 OPTIONS = {
     "--instance": dict(required=True, help="LP JSON (or .mps) instance path"),
     "--start-basis": dict(type=_basis,
@@ -312,7 +313,11 @@ OPTIONS = {
     "--seed": dict(type=int, help="RNG seed (default: QSIMPLEX_SEED or 0)"),
     "--mode": dict(choices=("analytic", "sampling"), default="analytic"),
     "--qlsa-error": dict(choices=("zero", "worst", "random"), default="zero"),
-    "--max-iters": dict(type=int),
+    "--max-iters": dict(type=int, help={
+        "solve": "iteration cap N (default 50 (m + n))",
+        "classical": "iterations N after which the pivot rule switches to "
+                     "Bland's; the run stops with status cap after 2N + 1 "
+                     "(default N = 50 (m + n))"}),
     "--out-trace": dict(),
     "--out-summary": dict(),
     "--timings": dict(action="store_true",
@@ -348,7 +353,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (text, options) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
         for flag in options:
-            p.add_argument(flag, **OPTIONS[flag])
+            kwargs = dict(OPTIONS[flag])
+            if isinstance(kwargs.get("help"), dict):
+                kwargs["help"] = kwargs["help"][command]
+            p.add_argument(flag, **kwargs)
     # verify runs under worst-case solver error unless told otherwise
     sub.choices["verify"].set_defaults(qlsa_error="worst")
     return parser

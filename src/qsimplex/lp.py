@@ -45,7 +45,9 @@ class LpInstance:
     ``A`` is stored column-major (CSC) with per-column sorted row indices
     and no explicit zeros.  ``col_nnz_max`` is the maximum number of
     nonzeros in any column of A and ``max_abs_entry`` is ``max |A_ij|``
-    rounded up to a power of two.
+    rounded up to a power of two.  ``unit_row[j]`` is the row of column
+    j's single stored nonzero when that nonzero is exactly 1.0 (a unit
+    column ``e_i``), else -1.
     """
 
     A: sp.csc_matrix
@@ -53,6 +55,7 @@ class LpInstance:
     c: np.ndarray
     col_nnz_max: int = field(init=False)
     max_abs_entry: float = field(init=False)
+    unit_row: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         A = sp.csc_matrix(self.A, dtype=float)
@@ -74,8 +77,13 @@ class LpInstance:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "col_nnz_max", int(np.diff(A.indptr).max()))
         object.__setattr__(self, "max_abs_entry", round_up_pow2(float(np.abs(A.data).max())))
-        b.setflags(write=False)
-        c.setflags(write=False)
+        single = np.flatnonzero(np.diff(A.indptr) == 1)
+        unit = single[A.data[A.indptr[single]] == 1.0]
+        unit_row = np.full(n, -1)
+        unit_row[unit] = A.indices[A.indptr[unit]]
+        object.__setattr__(self, "unit_row", unit_row)
+        for array in (b, c, unit_row):
+            array.setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -99,7 +107,7 @@ class LpInstance:
         return out
 
     def dense(self) -> np.ndarray:
-        return np.asarray(self.A.todense())
+        return self.A.toarray()
 
 
 @dataclass(frozen=True)
@@ -166,11 +174,11 @@ def normalize(instance: LpInstance, basis, eps_prime: float = 1e-4) -> BasisStat
 
     kappa = 1.0 / (matrix_scale * float(svals[-1]))
     d_r = int(np.count_nonzero(B, axis=1).max())
-    basic = set(cols)
-    nonbasic = tuple(j for j in range(instance.n) if j not in basic)
+    nonbasic = np.ones(instance.n, dtype=bool)
+    nonbasic[list(cols)] = False
     return BasisState(
         basis=cols,
-        nonbasic=nonbasic,
+        nonbasic=tuple(np.flatnonzero(nonbasic).tolist()),
         cost_scale=cost_scale,
         matrix_scale=matrix_scale,
         kappa=kappa,
@@ -188,12 +196,9 @@ def slack_identity_basis(instance: LpInstance) -> tuple[int, ...] | None:
     feasible start has to come from somewhere; this toolkit supports
     exactly the slack/identity start or a user-supplied basis.
     """
-    A = instance.A
-    hit: dict[int, int] = {}
-    for j in range(instance.n):
-        start, end = A.indptr[j], A.indptr[j + 1]
-        if end - start == 1 and A.data[start] == 1.0:
-            hit.setdefault(int(A.indices[start]), j)
-    if len(hit) < instance.m or np.any(instance.b < 0):
+    unit = np.flatnonzero(instance.unit_row >= 0)
+    # the first unit column of each row, rows ascending
+    rows, first = np.unique(instance.unit_row[unit], return_index=True)
+    if rows.size < instance.m or np.any(instance.b < 0):
         return None
-    return tuple(hit[i] for i in range(instance.m))
+    return tuple(unit[first].tolist())

@@ -186,9 +186,14 @@ class ScaledBasis:
 
     ``solutions`` holds every exact solution the iteration can read: column
     k is ``A_B^-1 (s A_k)`` and the last column is ``A_B^-1 (s b)``, for
-    the matrix scale s.  The nonbasic columns and b come from one
-    multi-right-hand-side dense solve; a basic column ``B_i`` is the unit
-    vector ``e_i``, set exactly.  Every
+    the matrix scale s.  A basic column ``B_i`` is the unit vector ``e_i``,
+    set exactly.  The nonbasic columns and b, ``Z = [A_N | b]``, come from
+    the basis split into its unit columns S (``LpInstance.unit_row``),
+    which cover the rows R, and its k other columns T, which cover the k
+    rows U that no unit column covers: one k x k solve
+    ``x_T = (s A[U, T])^-1 (s Z[U])``, then ``x_S = Z[R] - A[R, T] x_T``.
+    A basis without unit columns (k = m) is one dense m x m solve; the
+    slack basis (k = 0) solves nothing.  Every
     read of a solver state comes from these through ``read``; the oracles
     charge, and draw random error: ``qlsa`` for the m x m system,
     ``qlsa_ext`` for the reduced-cost system extended by the cost row.
@@ -212,19 +217,35 @@ class ScaledBasis:
         state = basis if isinstance(basis, BasisState) else \
             normalize(instance, basis, eps_prime)
         dense = instance.dense()
-        basic, nonbasic = list(state.basis), list(state.nonbasic)
+        basic, nonbasic = np.array(state.basis), list(state.nonbasic)
         m, n, s = instance.m, instance.n, state.matrix_scale
-        AB = s * dense[:, basic]
-        # A_B^-1 A_{B_i} = e_i exactly, so only the nonbasic columns and b
-        # need the solve
+        Z = np.column_stack([dense[:, nonbasic], instance.b])
+        rows = instance.unit_row[basic]
+        S, T = np.flatnonzero(rows >= 0), np.flatnonzero(rows < 0)
+        R = rows[S]
+        covered = np.zeros(m, dtype=bool)
+        covered[R] = True
+        U = np.flatnonzero(~covered)
+        if U.size != T.size:
+            raise BasisSingular(f"basis {state.basis} holds two unit columns "
+                                "on one row")
+        # row r_i of a unit column B_i reads x_i + A[r_i, T] x_T = Z[r_i],
+        # and a row of U sees no unit column
+        x = np.empty((m, n - m + 1))
+        x[S] = Z[R]
+        if T.size:
+            AT = dense[:, basic[T]]
+            x[T] = np.linalg.solve(s * AT[U], s * Z[U])
+            x[S] -= AT[R] @ x[T]
+        # A_B^-1 A_{B_i} = e_i exactly
         solutions = np.zeros((m, n + 1))
         solutions[np.arange(m), basic] = 1.0
-        solutions[:, nonbasic + [n]] = np.linalg.solve(
-            AB, s * np.column_stack([dense[:, nonbasic], instance.b]))
-        nonempty = np.diff(instance.A.indptr) > 0
+        solutions[:, nonbasic + [n]] = x
+        domain = np.diff(instance.A.indptr) > 0
+        domain[basic] = False
         return cls(instance=instance, state=state, c=state.cost_scale * instance.c,
                    solutions=solutions,
-                   domain=tuple(k for k in state.nonbasic if nonempty[k]),
+                   domain=tuple(np.flatnonzero(domain).tolist()),
                    error_mode=error_mode, rng=rng,
                    qlsa=IdealQlsa(m, state.kappa, state.sparsity, error_mode, rng),
                    qlsa_ext=IdealQlsa(m + 1, state.kappa, state.sparsity,
@@ -403,9 +424,8 @@ def can_enter(scaled: ScaledBasis, eps: float, reps: int = 15, variant: str = "n
                         sign_est_spec(eps_se, variant).alpha_boundary, extended=True,
                         runs=reps if mode == "sampling" else 1)
     values, oks, votes = _sign_votes(alpha, eps_se, variant, reps, mode, rng)
-    domain = np.array(scaled.domain, dtype=int)[columns].tolist()
-    marked = tuple(k for k, value in zip(domain, values.tolist()) if value == 0)
-    return marked, bool(oks.all()), votes
+    domain = np.array(scaled.domain, dtype=int)[columns]
+    return tuple(domain[values == 0].tolist()), bool(oks.all()), votes
 
 
 def can_enter_cost(scaled: ScaledBasis, eps: float, reps: int,

@@ -255,6 +255,18 @@ def test_classical_reads_seed_and_max_iters(tmp_path):
     assert (doc["status"], doc["pivots"], doc["seed"]) == ("cap", 3, 3)
 
 
+def test_max_iters_help_per_subcommand(capsys):
+    # classical switches to Bland's rule at N and stops at 2N + 1; solve
+    # stops at N
+    helps = {}
+    for command in ("solve", "classical"):
+        assert main([command, "--help"]) == 0
+        helps[command] = " ".join(capsys.readouterr().out.split())
+    assert "iteration cap N" in helps["solve"] and "Bland" not in helps["solve"]
+    assert "switches to Bland's" in helps["classical"]
+    assert "after 2N + 1" in helps["classical"]
+
+
 def test_verify_summary_json_serializable(tmp_path, capsys):
     summary = tmp_path / "verify.json"
     code = main(["verify", "--quick", "--seed", "1",

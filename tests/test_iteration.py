@@ -5,7 +5,7 @@ Verdict, entering column, leaving row, ``ok`` flag and all eight
 algebra or of the cost charging shows up here.  Integer-valued counters
 must match exactly; the formula-charged float counters may move by at
 most 1e-12 relative, where a regrouped float sum rounds differently.  The
-remaining tests check that an iteration solves densely once and that
+remaining tests check that an iteration makes one SVD and one solve and that
 failures carry a named reason.
 """
 
@@ -98,9 +98,10 @@ NEXT_DRAWS = {
 # random_lp(128, 384, seed=0): error mode -> ((IsOptimal value, ok, number
 # and sum of marked columns), (column, variant, ok, number and sum of marked
 # columns), reduced_cost_scaled at the pick); the counters are the same in
-# both error modes
+# both error modes.  The basis holds 5 non-unit columns, so its solutions
+# come from a 5 x 5 solve (ScaledBasis.build)
 PRICING_CASES = {
-    "zero": ((0, True, 82, 11114), (4, "nfp", True, 82, 11114), -0.09375880074742034),
+    "zero": ((0, True, 82, 11114), (4, "nfp", True, 82, 11114), -0.09375880074742038),
     "worst": ((0, True, 83, 11120), (2, "nfp", True, 83, 11120), -0.06867627114269194),
 }
 PRICING_COUNTERS = (5360640.0, 2680320.0, 5361465.0, 1632662988805272.8,
@@ -229,8 +230,8 @@ def test_analytic_random_error_reads_each_sweep_at_once(monkeypatch):
                                              ("sampling", "random")])
 def test_simplex_iter_solves_once(monkeypatch, mode, error_mode):
     # one dense factorization per basis: normalize's SVD, then one solve of
-    # the nonbasic columns and b; every exact solution an iteration reads
-    # comes from these
+    # the nonbasic columns and b on the k x k block of the k non-unit basic
+    # columns; every exact solution an iteration reads comes from these
     inst = random_lp(8, 24, seed=3)
     basis = dantzig_basis(inst, 5)
     svds, solved, built = [], [], []
@@ -256,7 +257,9 @@ def test_simplex_iter_solves_once(monkeypatch, mode, error_mode):
     assert out.status == "pivot"
     m, n = inst.m, inst.n
     assert len(svds) == 1
-    assert solved == [(m, n - m + 1)]
+    k = int(np.count_nonzero(inst.unit_row[list(basis)] < 0))
+    assert 0 < k < m
+    assert solved == [(k, n - m + 1)]
     (scaled,) = built
     nonbasic = list(scaled.state.nonbasic)
     assert np.array_equal(scaled.solutions[:, list(basis)], np.eye(m))

@@ -209,9 +209,26 @@ def test_dense_column_count():
         inst.column(4)
 
 
+def test_unit_row_marks_exact_unit_columns():
+    # only a single stored nonzero equal to 1.0 makes a unit column; a
+    # scaled singleton, a -1 and a column with two entries do not
+    A = np.array([[1.0, 2.0, 1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, -1.0, 1.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
+    inst = LpInstance.from_dense(A, np.ones(3), np.zeros(6))
+    assert inst.unit_row.tolist() == [0, -1, -1, -1, 1, 2]
+    with pytest.raises(ValueError):
+        inst.unit_row[0] = 1
+
+
 def test_slack_identity_basis_detection():
     inst = small_instance()
     assert slack_identity_basis(inst) == (0, 1)
+    # the first unit column of each row, in row order
+    A = np.array([[0.0, 1.0, 0.0, 1.0],
+                  [1.0, 0.0, 1.0, 0.0]])
+    assert slack_identity_basis(LpInstance.from_dense(A, np.ones(2), np.zeros(4))) == (1, 0)
+    assert slack_identity_basis(LpInstance.from_dense(A[:, :1], [1.0, 1.0], [0.0])) is None
     neg_b = LpInstance.from_dense(np.eye(2), [-1.0, 1.0], [0.0, 0.0])
     assert slack_identity_basis(neg_b) is None
 

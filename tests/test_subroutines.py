@@ -12,7 +12,7 @@ from qsimplex.classical import (basic_solution, direction, ratio_test,
 from qsimplex.instances import (embed_basis_instance, random_bounded_lp,
                                 random_lp, random_unbounded_lp,
                                 ratio_test_triple)
-from qsimplex.lp import LpInstance, slack_identity_basis
+from qsimplex.lp import BasisSingular, BasisState, LpInstance, slack_identity_basis
 from qsimplex.primitives import (ae_distribution, ae_readout,
                                  amplitude_estimation, pe_outcome_distribution,
                                  theta_of_amplitude)
@@ -232,6 +232,99 @@ def test_boosted_analytic_decision_matches_table(kind, eps):
 
 # ---------------------------------------------------------------------------
 # reduced cost oracle / CanEnter
+
+
+# ---------------------------------------------------------------------------
+# exact solutions: the unit-column split of a basis
+
+
+def _full_solve(scaled, rhs):
+    """``(s B)^-1 (s rhs)``: one dense m x m solve on the whole basis."""
+    s = scaled.state.matrix_scale
+    B = scaled.instance.dense()[:, list(scaled.state.basis)]
+    return np.linalg.solve(s * B, s * rhs)
+
+
+def _recording_solve(monkeypatch):
+    shapes, solve = [], np.linalg.solve
+
+    def recording(a, b):
+        shapes.append((np.shape(a), np.shape(b)))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scaled_basis_split_matches_full_solve(monkeypatch, seed):
+    # k structural columns and m - k slacks, in shuffled basis order
+    m, n = 24, 72
+    inst = random_lp(m, n, seed=seed)
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, m))
+    rows = rng.choice(m, size=m - k, replace=False)
+    basis = rng.permutation(np.concatenate([rng.choice(n - m, size=k, replace=False),
+                                            n - m + rows])).tolist()
+    shapes = _recording_solve(monkeypatch)
+    scaled = ScaledBasis.build(inst, basis)
+    assert shapes == [((k, k), (k, n - m + 1))]
+    full = _full_solve(scaled, np.column_stack([inst.dense(), inst.b]))
+    assert np.allclose(scaled.solutions, full, rtol=0, atol=1e-12)
+    assert np.array_equal(scaled.solutions[:, basis], np.eye(m))
+
+
+def test_scaled_basis_without_unit_columns_is_one_dense_solve(monkeypatch):
+    # k = m: the same call on the same operands as a solve of the whole
+    # basis, so the same bits
+    rng = np.random.default_rng(4)
+    G = rng.uniform(-1.0, 1.0, size=(6, 15))
+    inst = LpInstance.from_dense(G, rng.uniform(0.5, 2.0, 6), rng.uniform(-1, 1, 15))
+    basis = [7, 2, 11, 0, 5, 9]
+    shapes = _recording_solve(monkeypatch)
+    scaled = ScaledBasis.build(inst, basis)
+    assert shapes == [((6, 6), (6, 10))]
+    cols = list(scaled.state.nonbasic) + [inst.n]
+    expected = _full_solve(scaled, np.column_stack([G[:, scaled.state.nonbasic], inst.b]))
+    assert np.array_equal(scaled.solutions[:, cols], expected)
+
+
+def test_scaled_basis_of_slacks_solves_nothing(monkeypatch):
+    # k = 0: every solution is a row permutation of [A | b], exactly
+    inst = random_lp(12, 36, seed=2)
+    slack = slack_identity_basis(inst)
+    shapes = _recording_solve(monkeypatch)
+    ab = np.column_stack([inst.dense(), inst.b])
+    assert np.array_equal(ScaledBasis.build(inst, slack).solutions, ab)
+    order = np.random.default_rng(0).permutation(12)
+    scaled = ScaledBasis.build(inst, [slack[i] for i in order])
+    assert np.array_equal(scaled.solutions, ab[order])
+    assert shapes == []
+
+
+def test_scaled_basis_counts_scaled_singleton_as_structural(monkeypatch):
+    # 2 e_0 has one stored nonzero but is no unit column: k = 1
+    A = np.array([[2.0, 0.0, 0.6, 1.0],
+                  [0.0, 1.0, 0.8, 0.5]])
+    inst = LpInstance.from_dense(A, [1.0, 1.0], [1.0, 1.0, 0.1, -0.5])
+    assert inst.unit_row.tolist() == [-1, 1, -1, -1]
+    shapes = _recording_solve(monkeypatch)
+    scaled = ScaledBasis.build(inst, (0, 1))
+    assert shapes == [((1, 1), (1, 3))]
+    assert np.allclose(scaled.solutions[:, 2:],
+                       [[0.3, 0.5, 0.5], [0.8, 0.5, 1.0]], rtol=0, atol=1e-15)
+
+
+def test_scaled_basis_two_unit_columns_on_one_row_is_singular():
+    A = np.array([[1.0, 1.0, 0.5],
+                  [0.0, 0.0, 1.0]])
+    inst = LpInstance.from_dense(A, [1.0, 1.0], [0.0, 0.0, -1.0])
+    with pytest.raises(BasisSingular):
+        ScaledBasis.build(inst, (0, 1))
+    state = BasisState(basis=(0, 1), nonbasic=(2,), cost_scale=1.0, matrix_scale=1.0,
+                       kappa=1.0, row_nnz_max=1, sparsity=2, cost_degenerate=True)
+    with pytest.raises(BasisSingular, match="two unit columns"):
+        ScaledBasis.build(inst, state)
 
 
 def _module2_instance():
