@@ -86,13 +86,27 @@ def direction(instance: LpInstance, basis, k: int) -> np.ndarray:
     return _lu(instance, basis)(instance.column(k))
 
 
-def scaled_pricing_norm(instance: LpInstance, basis, k: int) -> float:
-    """|(A_B^{-1} A_k, c_k / |c_B|)| -- the norm the relative optimality
-    criterion of the quantum pricing subroutine is stated against."""
-    u = direction(instance, basis, k)
-    c_B_norm = float(np.linalg.norm(instance.c[list(basis)]))
-    ck = instance.c[k] / c_B_norm if c_B_norm > 0 else instance.c[k]
-    return float(np.hypot(np.linalg.norm(u), ck))
+# in eps * norm: an entering column's cbar lies below PRICING_FACTOR of its
+# variant (the nfp recovery certifies only 11/30 + 1/10), and at an optimal
+# basis no cbar lies below OPTIMAL_FACTOR
+PRICING_FACTOR = {"nfn": -1.0, "nfp": 14.0 / 30.0}
+OPTIMAL_FACTOR = -2.2
+
+
+def pricing_terms(instance: LpInstance, basis, columns=None):
+    """``(cbar, norm)`` of ``columns`` (default: every nonbasic column,
+    ascending) in the units pricing certifies, costs scaled to ``|c_B| = 1``
+    (kept when ``c_B = 0``, as ``lp.normalize`` does): ``c_bar_j/|c_B|``
+    and ``|(A_B^-1 A_j, c_j/|c_B|)|``.  One LU of the basis, one transposed
+    solve for the duals and one solve for all the directions."""
+    basis = list(basis)
+    cols = list(np.setdiff1d(np.arange(instance.n), basis)
+                if columns is None else columns)
+    c = instance.c / (float(np.linalg.norm(instance.c[basis])) or 1.0)
+    solve = _lu(instance, basis)
+    A_cols = instance.A[:, cols].toarray()
+    cbar = c[cols] - solve(c[basis], trans=1) @ A_cols
+    return cbar, np.hypot(np.linalg.norm(solve(A_cols), axis=0), c[cols])
 
 
 def ratio_test(instance: LpInstance, basis, k: int, delta: float = 0.0):

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .classical import (basic_solution, ratio_test, reduced_cost,
-                        scaled_pricing_norm, solve_classical)
+from .classical import (PRICING_FACTOR, basic_solution, pricing_terms,
+                        ratio_test, solve_classical)
 from .costmodel import COST_REPORT_SCHEMA, build_cost_report
 from .io import InstanceFormatError, read_instance
 from .lp import BasisSingular, LpInstance, normalize, slack_identity_basis
@@ -131,17 +131,12 @@ def cmd_solve(config: RunConfig) -> int:
             "ratio_estimate": out.diagnostics.get("ratio_estimate"),
         }
         if out.entering is not None:
-            cbar = reduced_cost(instance, cur, out.entering)
-            norm = scaled_pricing_norm(instance, cur, out.entering)
+            (cbar,), (norm,) = pricing_terms(instance, cur, [out.entering])
             hit = ratio_test(instance, cur, out.entering, config.delta)
-            # nfn-variant pricing certifies c_bar < -eps norm; the nfp
-            # recovery variant only certifies the weaker acceptance bound
-            bound = (-config.eps * norm
-                     if out.diagnostics.get("entering_variant") == "nfn"
-                     else (14.0 / 30.0) * config.eps * norm)
+            factor = PRICING_FACTOR[out.diagnostics["entering_variant"]]
             row.update(classical_cbar_entering=cbar,
                        classical_pricing_norm=norm,
-                       pricing_check_ok=int(cbar < bound),
+                       pricing_check_ok=int(cbar < factor * config.eps * norm),
                        classical_ratio_row=hit[0] if hit else None)
         row.update({k: v for k, v in out.stats.as_dict().items()})
         row["elapsed_ms"] = out.diagnostics.get("elapsed_ms") if config.timings else None

@@ -34,7 +34,7 @@ and FindRow's AE numerators and denominators -- comes from
 ``ScaledBasis.solutions`` through ``ScaledBasis.read``, the one place that
 picks the error model of a solver read: a closed form under zero or worst
 error, one fresh draw per prepared state under random error.  (The one
-exception is ``norm_estimate``, which shifts the norms it reads itself.)
+exception is ``norm_estimate``, which reads norms, not overlaps.)
 Every boosted sign estimation is a ``_sign_votes`` call on an array of
 amplitudes, decided in one array pass: analytic mode from the grid points
 bracketing each phase and one ``ae_distribution`` call for the entries
@@ -295,11 +295,12 @@ class ScaledBasis:
         return (self.cost_vector_gadget @ ext) / np.linalg.norm(ext, axis=0)
 
     def reduced_cost_scaled(self, k: int) -> float:
-        """``c_bar_k / |(u_k, c_k)|`` of column k, i.e. ``sqrt(2)`` times its
-        exact amplitude, from its own solution ``(u_k, c_k)`` of the
-        reduced-cost system ``diag(A_B, 1)(x, y) = (s A_k, c_k)``."""
+        """``c_bar_k / |(u_k, c_k)|`` of column k: ``|(-c_B, 1)|`` (``sqrt(2)``,
+        or 1 when ``c_B = 0``) times its exact amplitude, from its own solution
+        ``(u_k, c_k)`` of ``diag(A_B, 1)(x, y) = (s A_k, c_k)``."""
         x = np.append(self.direction(k), self.c[k])
-        return float(self.cost_vector_gadget @ (x / np.linalg.norm(x))) * math.sqrt(2.0)
+        gadget_norm = 1.0 if self.state.cost_degenerate else math.sqrt(2.0)
+        return float(self.cost_vector_gadget @ (x / np.linalg.norm(x))) * gadget_norm
 
 
 def estimation_cost(qlsa: IdealQlsa, eps_ls: float, bits: int) -> QueryStats:
@@ -401,18 +402,19 @@ def can_enter(scaled: ScaledBasis, eps: float, reps: int = 15, variant: str = "n
     list of positions), in order: the columns it fires on, whether every
     decision's tolerance flags held, and the columns' ``_SampledVotes`` in
     sampling mode (see ``_sign_votes``).  A column fires when its
-    (rescaled) reduced cost is certified ``< -eps |(A_B^-1 A_k, c_k)|``:
-    the sign estimation at precision ``11 eps / (10 sqrt(2))`` returns 0.
-    Uncharged: the caller prices each application with ``can_enter_cost``.
+    (rescaled) reduced cost is certified ``< -eps |(A_B^-1 A_k, c_k)|``
+    (``classical.pricing_terms``): the sign estimation at precision ``11
+    eps / (10 sqrt(2))`` returns 0.  Uncharged: the caller prices each
+    application with ``can_enter_cost``.
 
     The oracle solves the extended system ``diag(A_B, 1)(x, y) = (A_k,
     c_k)`` at precision ``eps/(10 sqrt(2))`` and reads off the all-zeros
     amplitude after un-preparing ``|(-c_B, 1)>``; that amplitude equals
-    ``c_bar_k / (sqrt(2) |(A_B^-1 A_k, c_k)|)``
-    (``scaled.reduced_cost_amplitudes``) up to the solver error, pushed
-    toward the variant's boundary under worst error.  A column prepares
-    one state for its ``reps`` runs in analytic mode and one per run in
-    sampling mode (``ScaledBasis.read``).
+    ``c_bar_k / (sqrt(2) |(A_B^-1 A_k, c_k)|)``, or ``c_bar_k / |(A_B^-1
+    A_k, c_k)|`` when ``c_B = 0`` (``scaled.reduced_cost_amplitudes``), up
+    to the solver error, pushed toward the variant's boundary under worst
+    error.  A column prepares one state for its ``reps`` runs in analytic
+    mode and one per run in sampling mode (``ScaledBasis.read``).
 
     variant "nfn" is the pricing default; "nfp" is the optimality-check
     variant (fires on everything at most ``-eps``, may fire inside the
@@ -579,7 +581,6 @@ class FindRowResult:
     failure: str | None
     gated: tuple[int, ...]
     ratio_estimates: np.ndarray
-    recovery_options: tuple[str, ...] = ()
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -653,9 +654,7 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
     if not gated or not np.any(np.isfinite(ratios)):
         return FindRowResult(
             row=None, ok=all_ok, failure="no_positive_denominator",
-            gated=tuple(gated), ratio_estimates=ratios,
-            recovery_options=("relax the sign-check tolerance slightly",
-                              "flag the instance as numerically unstable"))
+            gated=tuple(gated), ratio_estimates=ratios)
     row = min_finding(ratios, rng=rng, stats=stats, mode=mode)
     all_ok = all_ok and ratios[row] == ratios[np.argmin(ratios)]
     # the AE quotient estimates the normalized ratio (x_h/|x|)/(u_h/|u|);
@@ -690,7 +689,8 @@ def norm_estimate(scaled: ScaledBasis, eps: float, mode: str = "analytic",
     bound on ``|A_B^-1|`` after scaling, so the success amplitude stays
     <= 1).  The solver error shifts each column's norm by ``eps_ls`` times
     the column norm: outward under worst error, by a fair sign under
-    random error (not through ``ScaledBasis.read``).
+    random error.  A norm is no overlap with a unit functional, so
+    ``ScaledBasis.read``'s closed forms do not apply to it.
     """
     stats = stats if stats is not None else QueryStats()
     alpha = scaled.state.kappa
@@ -786,7 +786,6 @@ def simplex_iter(instance: LpInstance, basis, params: PrecisionParams,
     fr = find_row(scaled, k, params.delta, params.t, params.reps, mode, rng, stats)
     if fr.row is None:
         diag["failure"] = fr.failure
-        diag["recovery_options"] = fr.recovery_options
         return IterationOutcome("failure", entering=k,
                                 ok=fc.ok and ub.ok and fr.ok,
                                 kappa=scaled.state.kappa, stats=stats,

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import (basic_solution, direction, ratio_test, reduced_cost,
-                        reduced_costs, scaled_pricing_norm, solve_classical)
+from .classical import (OPTIMAL_FACTOR, PRICING_FACTOR, basic_solution,
+                        direction, pricing_terms, ratio_test, reduced_costs,
+                        solve_classical)
 from .costmodel import column_split, quantum_pricing_cost, split_threshold
 from .instances import (random_bounded_lp, random_lp, random_unbounded_lp,
                         ratio_test_triple)
@@ -156,9 +157,8 @@ def _pricing_instance(m: int, n: int, seed: int, eps: float,
     for attempt in range(100):
         inst = random_lp(m, n, seed=seed * 997 + attempt)
         basis = slack_identity_basis(inst)
-        ratios = [reduced_cost(inst, basis, k) / scaled_pricing_norm(inst, basis, k)
-                  for k in range(n) if k not in basis]
-        if min(ratios) < want_strong:
+        cbar, norm = pricing_terms(inst, basis)
+        if np.min(cbar / norm) < want_strong:
             return inst, basis
     raise RuntimeError("generator failed to produce an eligible column")
 
@@ -184,28 +184,24 @@ def pricing_suite(runs: int = 200, m: int = 4, n: int = 12, eps: float = 0.05,
         rng = np.random.default_rng(seed + 10_000 + i)
         scaled = ScaledBasis.build(inst, basis, error_mode=error_mode, rng=rng)
         fc = find_column(scaled, eps, reps=reps, mode="sampling", rng=rng)
-        cbar = {k: reduced_cost(inst, basis, k) for k in scaled.state.nonbasic}
-        norm = {k: scaled_pricing_norm(inst, basis, k) for k in scaled.state.nonbasic}
+        nonbasic = scaled.state.nonbasic
+        cbar, norm = pricing_terms(inst, basis, nonbasic)
         if fc.column is not None and fc.ok:
             successes += 1
+            j = nonbasic.index(fc.column)
+            certified = int(cbar[j] < PRICING_FACTOR[fc.variant] * eps * norm[j])
             if fc.variant == "nfn":
                 returned += 1
-                if cbar[fc.column] < -eps * norm[fc.column]:
-                    sound += 1
+                sound += certified
             else:
-                # recovery path: the no-false-positive variant only
-                # certifies c_bar <= (11/30 + 1/10) eps |(u, c_k/|c_B|)|
                 recovered += 1
-                if cbar[fc.column] < (14.0 / 30.0) * eps * norm[fc.column]:
-                    recovered_sound += 1
-        for k in scaled.state.nonbasic:
-            if cbar[k] < -2.2 * eps * norm[k]:
-                strong_total += 1
-                if fc.column == k or k in fc.marked:
-                    strong_hits += 1
+                recovered_sound += certified
+        strong = np.array(nonbasic)[cbar < OPTIMAL_FACTOR * eps * norm].tolist()
+        strong_total += len(strong)
+        strong_hits += sum(fc.column == k or k in fc.marked for k in strong)
     out.line(returned == 0 or sound == returned,
              f"soundness: {sound}/{returned} returned columns satisfy "
-             f"c_bar < -eps * |(u, c_k/|c_B|)| classically")
+             f"c_bar/|c_B| < -eps * |(u, c_k/|c_B|)| classically")
     if recovered:
         out.line(recovered_sound == recovered,
                  f"recovery soundness: {recovered_sound}/{recovered} "
@@ -214,8 +210,8 @@ def pricing_suite(runs: int = 200, m: int = 4, n: int = 12, eps: float = 0.05,
              f"success rate: {successes}/{runs} >= {min_success}")
     rate = strong_hits / strong_total if strong_total else 1.0
     out.line(rate >= 0.75,
-             f"coverage of columns below -2.2 eps: {strong_hits}/{strong_total} "
-             f"({rate:.3f}) >= 0.75")
+             f"coverage of columns below {OPTIMAL_FACTOR} eps: "
+             f"{strong_hits}/{strong_total} ({rate:.3f}) >= 0.75")
     out.details.update(sound=sound, returned=returned, successes=successes,
                        recovered=(recovered_sound, recovered),
                        strong=(strong_hits, strong_total))
@@ -294,8 +290,8 @@ def unbounded_suite(count: int = 50, m: int = 4, n: int = 8, delta: float = 0.1,
         basis = slack_identity_basis(inst)
         cbar = reduced_costs(inst, basis)
         nonbasic = [k for k in range(inst.n) if k not in basis]
-        k = min((k for k in nonbasic if ratio_test(inst, basis, k) is None
-                 and reduced_cost(inst, basis, k) < 0), default=None)
+        k = min((k for k, cb in zip(nonbasic, cbar)
+                 if cb < 0 and ratio_test(inst, basis, k) is None), default=None)
         if k is None:
             continue
         rng = np.random.default_rng(seed + 70_000 + i)
@@ -437,15 +433,11 @@ def end_to_end_suite(count: int = 20, seed: int = 20_260_606,
         if res.status != "optimal":
             continue
         terminated += 1
-        certified = all(
-            reduced_cost(inst, res.basis, k)
-            >= -2.2 * params.eps * scaled_pricing_norm(inst, res.basis, k) - 1e-9
-            for k in range(inst.n) if k not in res.basis)
-        if certified:
-            good += 1
+        cbar, norm = pricing_terms(inst, res.basis)
+        good += bool(np.all(cbar >= OPTIMAL_FACTOR * params.eps * norm - 1e-9))
     out.line(good >= 0.75 * count,
-             f"{good}/{count} runs end at a basis with all reduced costs "
-             f">= -2.2 eps |(u, c_k/|c_B|)| (terminated: {terminated})")
+             f"{good}/{count} runs end at a basis with all c_bar/|c_B| "
+             f">= {OPTIMAL_FACTOR} eps |(u, c_k/|c_B|)| (terminated: {terminated})")
     out.details.update(good=good, terminated=terminated, count=count)
     return out
 

@@ -1,16 +1,24 @@
 """Classical simplex reference against independent oracles."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import exhaustive_ratio_test, tableau_simplex
-from qsimplex.classical import (basic_solution, direction, pivot_report,
+from qsimplex.classical import (OPTIMAL_FACTOR, PRICING_FACTOR, basic_solution,
+                                direction, pivot_report, pricing_terms,
                                 ratio_test, reduced_cost, reduced_costs,
                                 solve_classical)
 from qsimplex.instances import random_lp
 from qsimplex.lp import LpInstance, slack_identity_basis
+from qsimplex.subroutines import ScaledBasis
+from test_iteration import dantzig_basis
+
+CHECK = Path(__file__).resolve().parent.parent / "iterbench" / "check.py"
 
 
 def test_reduced_cost_of_basic_column_is_zero():
@@ -145,3 +153,61 @@ def test_feasibility_and_objective_monotone(seed):
         if rep.entering is None or rep.leaving_row is None:
             break
         basis[rep.leaving_row] = rep.entering
+
+
+# ---------------------------------------------------------------------------
+# the pricing certificate
+
+
+def pricing_bases():
+    """random_lp(8, 24, seed=0) with its slack basis (c_B = 0) and its
+    Dantzig basis #4, where |c_B| = 1.43."""
+    inst = random_lp(8, 24, seed=0)
+    slack, later = slack_identity_basis(inst), dantzig_basis(inst, 4)
+    assert not np.any(inst.c[list(slack)])
+    assert np.linalg.norm(inst.c[list(later)]) == pytest.approx(1.43, abs=0.01)
+    return inst, (slack, later)
+
+
+def planted_small_cost_lp() -> LpInstance:
+    """At the basis (0, 1), |c_B| = 0.1 and column 2 prices in at a scaled
+    ratio c_bar/|c_B| over |(u, c_2/|c_B|)| of -0.378, inside the nfn
+    certificate at eps = 0.1, while its unscaled c_bar is only -0.031."""
+    s = 1.0 / np.sqrt(2.0)
+    A = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])
+    return LpInstance.from_dense(A, [1.0, 1.0], np.array([s, s, 0.4]) / 10.0)
+
+
+def test_pricing_terms_match_benchmark_reference():
+    # iterbench/check.py states the certificate independently, with numpy
+    # solves; both must read the same terms and bounds
+    check = runpy.run_path(str(CHECK))
+    assert (PRICING_FACTOR, OPTIMAL_FACTOR) == (check["PRICING_FACTOR"],
+                                                check["OPTIMAL_FACTOR"])
+    inst, bases = pricing_bases()
+    for basis in bases:
+        ref = check["Reference"](inst.dense(), inst.b, inst.c, basis)
+        cbar, norm = pricing_terms(inst, basis)
+        np.testing.assert_allclose(cbar, ref.cbar[ref.nonbasic], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(norm, ref.norm[ref.nonbasic], rtol=0, atol=1e-12)
+
+
+def test_pricing_ratio_matches_scaled_basis():
+    # c_bar/|c_B| over |(u, c_k/|c_B|)| is what ScaledBasis.reduced_cost_scaled
+    # reads from the scaled system, at c_B = 0 as elsewhere
+    inst, bases = pricing_bases()
+    for basis in bases:
+        scaled = ScaledBasis.build(inst, basis)
+        cbar, norm = pricing_terms(inst, basis, scaled.domain)
+        got = [scaled.reduced_cost_scaled(k) for k in scaled.domain]
+        np.testing.assert_allclose(cbar / norm, got, rtol=0, atol=1e-12)
+
+
+def test_pricing_terms_give_scaled_verdict_where_raw_form_disagrees():
+    inst = planted_small_cost_lp()
+    (cbar,), (norm,) = pricing_terms(inst, (0, 1), [2])
+    assert cbar / norm == pytest.approx(-0.378, abs=1e-3)
+    bound = PRICING_FACTOR["nfn"] * 0.1 * norm
+    assert cbar < bound
+    # the unscaled reduced cost against the same norm misses the certificate
+    assert not reduced_cost(inst, (0, 1), 2) < bound

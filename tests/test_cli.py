@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, determinism, trace/summary formats."""
 
+import csv
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from qsimplex.cli import main
 from qsimplex.instances import random_bounded_lp, random_lp
 from qsimplex.io import write_lp_json
 from qsimplex.lp import LpInstance
+from test_classical import planted_small_cost_lp
 from test_iteration import dantzig_basis
 
 
@@ -194,8 +196,7 @@ def test_solve_summary_matches_classical_within_bound(demo, tmp_path, capsys):
     # analytic-mode summary objective vs the exact classical optimum, within
     # the per-instance duality bound max_k(-c_bar_k)+ * |x*|_1 computed from
     # the classical certificate
-    from qsimplex.classical import (reduced_cost, scaled_pricing_norm,
-                                    solve_classical)
+    from qsimplex.classical import reduced_cost, solve_classical
     from qsimplex.io import read_lp_json
     from qsimplex.lp import slack_identity_basis
 
@@ -211,6 +212,25 @@ def test_solve_summary_matches_classical_within_bound(demo, tmp_path, capsys):
     bound = worst * float(np.abs(classical.x).sum()) + 1e-9
     assert doc["objective"] - classical.objective <= bound
     assert doc["objective"] >= classical.objective - 1e-9
+
+
+def test_trace_pricing_check_is_scaled_certificate(tmp_path):
+    # |c_B| = 0.1 at the start basis: the trace's certificate columns are in
+    # the units pricing certifies, where column 2 passes the nfn bound that
+    # its unscaled reduced cost would miss
+    from qsimplex.classical import pricing_terms
+
+    inst = planted_small_cost_lp()
+    path, trace = tmp_path / "planted.json", tmp_path / "t.csv"
+    write_lp_json(inst, path)
+    assert main(["solve", "--instance", str(path), "--start-basis", "0,1",
+                 "--epsilon", "0.1", "--out-trace", str(trace)]) == 0
+    first = next(csv.DictReader(trace.open()))
+    assert (first["entering"], first["variant"]) == ("2", "nfn")
+    (cbar,), (norm,) = pricing_terms(inst, (0, 1), [2])
+    assert float(first["classical_cbar_entering"]) == pytest.approx(cbar, rel=1e-11)
+    assert float(first["classical_pricing_norm"]) == pytest.approx(norm, rel=1e-11)
+    assert first["pricing_check_ok"] == "1"
 
 
 def test_analyze_identity_basis_mu_one(tmp_path):

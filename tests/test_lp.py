@@ -151,10 +151,11 @@ def test_normalize_scale_matches_svd(seed):
 
 
 def test_rescaling_preserves_reduced_cost_signs_and_ratio():
-    # scaling multiplies every reduced cost by cost_scale > 0 and leaves
-    # u = A_B^-1 A_k untouched (the A rescale cancels), so signs are exact
-    # and the relative ratio matches up to the common 1/|c_B| factor
-    from qsimplex.classical import reduced_cost, scaled_pricing_norm
+    # normalize scales A and b by matrix_scale and c by cost_scale = 1/|c_B|:
+    # u = A_B^-1 A_k is untouched (the A rescale cancels) and the pricing
+    # certificate's terms are in units of |c_B|, so cbar, norm and their
+    # ratio read the same on the rescaled instance
+    from qsimplex.classical import pricing_terms
 
     rng = np.random.default_rng(3)
     B = rng.standard_normal((4, 4)) + 2 * np.eye(4)
@@ -166,18 +167,18 @@ def test_rescaling_preserves_reduced_cost_signs_and_ratio():
     scaled_inst = LpInstance.from_dense(
         state.matrix_scale * inst.dense(), state.matrix_scale * inst.b,
         state.cost_scale * inst.c)
+    assert np.linalg.norm(inst.c[list(basis)]) != pytest.approx(1.0, abs=0.1)
     for k in (4, 5, 6):
-        raw = reduced_cost(inst, basis, k)
-        scl = reduced_cost(scaled_inst, basis, k)
-        assert np.sign(raw) == np.sign(scl)
         u_raw = np.linalg.solve(B, inst.column(k))
         u_scl = np.linalg.solve(state.matrix_scale * B,
                                 state.matrix_scale * inst.column(k))
         assert np.allclose(u_raw, u_scl, atol=1e-12)
-        ratio_raw = raw / scaled_pricing_norm(inst, basis, k)
-        ratio_scl = scl / scaled_pricing_norm(scaled_inst, basis, k)
-        assert ratio_scl * np.linalg.norm(inst.c[list(basis)]) == pytest.approx(
-            ratio_raw * np.linalg.norm(scaled_inst.c[list(basis)]), rel=1e-10)
+    cbar_raw, norm_raw = pricing_terms(inst, basis)
+    cbar_scl, norm_scl = pricing_terms(scaled_inst, basis)
+    assert np.array_equal(np.sign(cbar_raw), np.sign(cbar_scl))
+    np.testing.assert_allclose(cbar_scl, cbar_raw, rtol=1e-10)
+    np.testing.assert_allclose(norm_scl, norm_raw, rtol=1e-10)
+    np.testing.assert_allclose(cbar_scl / norm_scl, cbar_raw / norm_raw, rtol=1e-10)
 
 
 def test_normalize_sparsity_identity():
