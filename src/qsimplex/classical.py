@@ -72,7 +72,11 @@ def reduced_costs(instance: LpInstance, basis, nonbasic=None) -> np.ndarray:
     if nonbasic is None:
         inside = set(basis)
         nonbasic = tuple(j for j in range(instance.n) if j not in inside)
-    y = _lu(instance, basis)(instance.c[list(basis)], trans=1)
+    return _reduced_costs(instance, _lu(instance, basis), basis, nonbasic)
+
+
+def _reduced_costs(instance: LpInstance, solve, basis, nonbasic) -> np.ndarray:
+    y = solve(instance.c[list(basis)], trans=1)
     cols = list(nonbasic)
     return instance.c[cols] - np.asarray((y @ instance.A[:, cols])).reshape(-1)
 
@@ -118,8 +122,12 @@ def ratio_test(instance: LpInstance, basis, k: int, delta: float = 0.0):
     index, or None when the denominator set is empty (for ``delta = 0``
     this is exactly the unbounded certificate ``u <= 0``).
     """
-    u = direction(instance, basis, k)
-    x = basic_solution(instance, basis)
+    solve = _lu(instance, basis)
+    return _min_ratio(solve(instance.b), solve(instance.column(k)), delta)
+
+
+def _min_ratio(x: np.ndarray, u: np.ndarray, delta: float):
+    """``ratio_test``'s result for the basic solution x and direction u."""
     # delta = 0 is the textbook u_j > 0 test, with the usual pivot tolerance
     # so floating-point dust cannot be selected as a denominator
     threshold = max(delta * np.linalg.norm(u), 1e-9)
@@ -133,12 +141,14 @@ def ratio_test(instance: LpInstance, basis, k: int, delta: float = 0.0):
 
 def pivot_report(instance: LpInstance, basis, rng=None, rule: str = "dantzig",
                  tol: float = FEAS_TOL) -> ClassicalPivotReport:
-    """Price all nonbasic columns and run the ratio test for one pivot."""
+    """Price all nonbasic columns and run the ratio test for one pivot,
+    from one LU of the basis."""
     basis = tuple(basis)
     inside = set(basis)
     nonbasic = tuple(j for j in range(instance.n) if j not in inside)
-    cbar = reduced_costs(instance, basis, nonbasic)
-    x = basic_solution(instance, basis)
+    solve = _lu(instance, basis)
+    cbar = _reduced_costs(instance, solve, basis, nonbasic)
+    x = solve(instance.b)
     objective = float(instance.c[list(basis)] @ x)
     eligible = tuple(nonbasic[i] for i in np.flatnonzero(cbar < -tol))
     if not eligible:
@@ -151,8 +161,8 @@ def pivot_report(instance: LpInstance, basis, rng=None, rule: str = "dantzig",
         entering = int(rng.choice(eligible))
     else:
         raise ValueError(f"unknown pivot rule {rule!r}")
-    u = direction(instance, basis, entering)
-    hit = ratio_test(instance, basis, entering)
+    u = solve(instance.column(entering))
+    hit = _min_ratio(x, u, 0.0)
     if hit is None:
         return ClassicalPivotReport(cbar, nonbasic, eligible, entering, u, None, None, objective)
     row, rstar = hit

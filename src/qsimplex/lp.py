@@ -7,14 +7,16 @@ with column-major sparse storage; a ``BasisState`` records an ordered
 basis together with the scale factors that put the basis submatrix into
 the form the quantum linear-system oracle requires (``|c_B| = 1``,
 spectrum of the symmetrized basis inside ``[-1,-1/kappa] u [1/kappa,1]``).
-Both the scale and kappa come from one dense SVD of the basis, so they are
-exact rather than estimated.
+Both the scale and kappa come from the extreme singular values of the
+basis, computed rather than estimated: for a basis that is mostly unit
+columns, from an SVD of size twice its number of other columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,6 +112,18 @@ class LpInstance:
         return self.A.toarray()
 
 
+class UnitSplit(NamedTuple):
+    """A basis split by ``LpInstance.unit_row``: the basis positions S of
+    its unit columns and T of its k other columns (both ascending), the
+    rows R the unit columns cover (``R[i]`` by position ``S[i]``) and the k
+    rows U that no unit column covers (ascending)."""
+
+    S: np.ndarray
+    T: np.ndarray
+    R: np.ndarray
+    U: np.ndarray
+
+
 @dataclass(frozen=True)
 class BasisState:
     """An ordered basis plus the scaling the quantum subroutines assume.
@@ -119,7 +133,8 @@ class BasisState:
     values in ``[1/kappa, 1 - eps_prime]``, and ``|c_B| = 1`` (unless
     ``cost_degenerate``).
     ``row_nnz_max`` is the max nonzeros per row of A_B and
-    ``sparsity = max(col_nnz_max, row_nnz_max)``.
+    ``sparsity = max(col_nnz_max, row_nnz_max)``.  ``split`` is the basis's
+    ``UnitSplit``, which ``ScaledBasis.build`` solves through.
     """
 
     basis: tuple[int, ...]
@@ -129,6 +144,7 @@ class BasisState:
     kappa: float
     row_nnz_max: int
     sparsity: int
+    split: UnitSplit = field(compare=False, repr=False)
     cost_degenerate: bool = False
 
     @property
@@ -136,54 +152,98 @@ class BasisState:
         return len(self.basis)
 
 
-def basis_matrix(instance: LpInstance, basis) -> np.ndarray:
-    """Dense m x m submatrix of the columns indexed by ``basis`` (ordered)."""
-    cols = list(basis)
+def _basis_columns(instance: LpInstance, basis) -> list[int]:
+    cols = [int(j) for j in basis]
     if len(cols) != instance.m or len(set(cols)) != instance.m:
         raise ValueError("basis must list m distinct column indices")
-    return instance.dense()[:, cols]
+    return cols
+
+
+def basis_matrix(instance: LpInstance, basis) -> np.ndarray:
+    """Dense m x m submatrix of the columns indexed by ``basis`` (ordered)."""
+    return instance.dense()[:, _basis_columns(instance, basis)]
 
 
 def normalize(instance: LpInstance, basis, eps_prime: float = 1e-4) -> BasisState:
     """Build the scaled ``BasisState`` for ``basis`` (the per-iteration
     normalization step).
 
-    One dense SVD of the basis gives its singular values sigma_max >= ...
-    >= sigma_min, the singularity check, and both scale factors:
-    ``cost_scale = 1/|c_B|``, ``matrix_scale = (1 - eps_prime)/sigma_max``,
-    so ``kappa = 1/(matrix_scale sigma_min) = sigma_max/((1 - eps_prime)
-    sigma_min)``, the true condition number inflated by ``1/(1 - eps_prime)``.
-    A zero ``c_B`` skips cost normalization and sets ``cost_degenerate``.
+    The basis's extreme singular values sigma_max and sigma_min give the
+    singularity check and both scale factors: ``cost_scale = 1/|c_B|``,
+    ``matrix_scale = (1 - eps_prime)/sigma_max``, so ``kappa =
+    1/(matrix_scale sigma_min) = sigma_max/((1 - eps_prime) sigma_min)``,
+    the true condition number inflated by ``1/(1 - eps_prime)``.  A zero
+    ``c_B`` skips cost normalization and sets ``cost_degenerate``.
+
+    The spectrum comes from the basis's ``UnitSplit``.  Ordering its rows
+    as (R, U) and its columns as (S, T) gives ``B = [[I, X], [0, Y]]`` with
+    ``X = A[R, T]`` and ``Y = A[U, T]``.  While 2k < m, a thin QR
+    ``X = Q R_x`` (R_x is k x k) leaves ``sigma(B) = sigma([[I, R_x],
+    [0, Y]])`` and m - 2k ones: one 2k x 2k SVD, none for the slack basis
+    (k = 0).  A basis with 2k >= m takes one dense SVD of B.
     """
     if not 0 < eps_prime < 0.5:
         raise ValueError("eps_prime must lie in (0, 1/2)")
     if isinstance(basis, BasisState):
         basis = basis.basis
-    cols = tuple(int(j) for j in basis)
-    B = basis_matrix(instance, cols)
-    svals = np.linalg.svd(B, compute_uv=False)
-    if svals[-1] <= _SINGULAR_RTOL * svals[0]:
-        raise BasisSingular(f"basis {cols} is singular")
+    cols = _basis_columns(instance, basis)
+    basic, m = np.array(cols), instance.m
+    rows = instance.unit_row[basic]
+    unit = rows >= 0
+    S, T = np.flatnonzero(unit), np.flatnonzero(~unit)
+    R = rows[S]
+    covered = np.zeros(m, dtype=bool)
+    covered[R] = True
+    U = np.flatnonzero(~covered)
+    if U.size != T.size:
+        raise BasisSingular(f"basis {tuple(cols)} holds two unit columns on one row")
+    split = UnitSplit(S, T, R, U)
+    for array in split:
+        array.setflags(write=False)
 
-    matrix_scale = (1.0 - eps_prime) / float(svals[0])
+    k = T.size
+    dense = instance.dense()
+    AT = dense[:, basic[T]]
+    if 2 * k >= m:
+        svals = np.linalg.svd(dense[:, basic], compute_uv=False)
+        sigma_max, sigma_min = float(svals[0]), float(svals[-1])
+    elif k:
+        # R_x is the upper triangle of the first k rows of the transposed
+        # raw QR; the Householder vectors lie below it
+        i = np.arange(k)
+        M = np.zeros((2 * k, 2 * k))
+        M[i, i] = 1.0
+        M[:k, k:] = np.linalg.qr(AT[R], mode="raw")[0].T[:k] * (i[:, None] <= i)
+        M[k:, k:] = AT[U]
+        svals = np.linalg.svd(M, compute_uv=False)
+        # with the m - 2k singular values 1 of the rest
+        sigma_max, sigma_min = max(float(svals[0]), 1.0), min(float(svals[-1]), 1.0)
+    else:
+        sigma_max = sigma_min = 1.0
+    if sigma_min <= _SINGULAR_RTOL * sigma_max:
+        raise BasisSingular(f"basis {tuple(cols)} is singular")
 
-    c_B = instance.c[list(cols)]
+    matrix_scale = (1.0 - eps_prime) / sigma_max
+
+    c_B = instance.c[basic]
     c_B_norm = float(np.linalg.norm(c_B))
     degenerate = c_B_norm == 0.0
     cost_scale = 1.0 if degenerate else 1.0 / c_B_norm
 
-    kappa = 1.0 / (matrix_scale * float(svals[-1]))
-    d_r = int(np.count_nonzero(B, axis=1).max())
+    kappa = 1.0 / (matrix_scale * sigma_min)
+    # a row of R holds one unit-column entry besides its entries in T
+    d_r = int((np.count_nonzero(AT, axis=1) + covered).max())
     nonbasic = np.ones(instance.n, dtype=bool)
-    nonbasic[list(cols)] = False
+    nonbasic[basic] = False
     return BasisState(
-        basis=cols,
+        basis=tuple(cols),
         nonbasic=tuple(np.flatnonzero(nonbasic).tolist()),
         cost_scale=cost_scale,
         matrix_scale=matrix_scale,
         kappa=kappa,
         row_nnz_max=d_r,
         sparsity=max(instance.col_nnz_max, d_r),
+        split=split,
         cost_degenerate=degenerate,
     )
 

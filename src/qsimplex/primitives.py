@@ -35,7 +35,7 @@ the state preparations inside the iterates are charged by the caller
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,21 +62,17 @@ class QueryStats:
     ae_repetitions: float = 0.0
     basic_gates: float = 0.0
 
+    # the instance dict holds exactly the counters, in field order
     def add(self, other: "QueryStats") -> None:
-        for name in _STATS_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        mine, theirs = self.__dict__, other.__dict__
+        for name in mine:
+            mine[name] += theirs[name]
 
     def scaled(self, factor: float) -> "QueryStats":
-        out = QueryStats()
-        for name in _STATS_FIELDS:
-            setattr(out, name, getattr(self, name) * factor)
-        return out
+        return QueryStats(*[value * factor for value in self.__dict__.values()])
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _STATS_FIELDS}
-
-
-_STATS_FIELDS = tuple(f.name for f in fields(QueryStats))
+        return dict(self.__dict__)
 
 
 # ---------------------------------------------------------------------------

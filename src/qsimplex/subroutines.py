@@ -188,9 +188,9 @@ class ScaledBasis:
     k is ``A_B^-1 (s A_k)`` and the last column is ``A_B^-1 (s b)``, for
     the matrix scale s.  A basic column ``B_i`` is the unit vector ``e_i``,
     set exactly.  The nonbasic columns and b, ``Z = [A_N | b]``, come from
-    the basis split into its unit columns S (``LpInstance.unit_row``),
-    which cover the rows R, and its k other columns T, which cover the k
-    rows U that no unit column covers: one k x k solve
+    the basis split the state carries (``BasisState.split``): its unit
+    columns S, which cover the rows R, and its k other columns T, which
+    cover the k rows U that no unit column covers: one k x k solve
     ``x_T = (s A[U, T])^-1 (s Z[U])``, then ``x_S = Z[R] - A[R, T] x_T``.
     A basis without unit columns (k = m) is one dense m x m solve; the
     slack basis (k = 0) solves nothing.  Every
@@ -220,15 +220,7 @@ class ScaledBasis:
         basic, nonbasic = np.array(state.basis), list(state.nonbasic)
         m, n, s = instance.m, instance.n, state.matrix_scale
         Z = np.column_stack([dense[:, nonbasic], instance.b])
-        rows = instance.unit_row[basic]
-        S, T = np.flatnonzero(rows >= 0), np.flatnonzero(rows < 0)
-        R = rows[S]
-        covered = np.zeros(m, dtype=bool)
-        covered[R] = True
-        U = np.flatnonzero(~covered)
-        if U.size != T.size:
-            raise BasisSingular(f"basis {state.basis} holds two unit columns "
-                                "on one row")
+        S, T, R, U = state.split
         # row r_i of a unit column B_i reads x_i + A[r_i, T] x_T = Z[r_i],
         # and a row of U sees no unit column
         x = np.empty((m, n - m + 1))

@@ -155,6 +155,46 @@ def test_feasibility_and_objective_monotone(seed):
         basis[rep.leaving_row] = rep.entering
 
 
+def test_pivot_report_and_ratio_test_factor_once(monkeypatch):
+    import qsimplex.classical as classical
+
+    inst = random_lp(16, 48, seed=0)
+    basis = slack_identity_basis(inst)
+    calls, lu = [], classical._lu
+
+    def counting(*args):
+        calls.append(args)
+        return lu(*args)
+
+    monkeypatch.setattr(classical, "_lu", counting)
+    rep = pivot_report(inst, basis)
+    assert rep.leaving_row is not None and len(calls) == 1
+    calls.clear()
+    assert ratio_test(inst, basis, rep.entering) == (rep.leaving_row, rep.ratio_min)
+    assert len(calls) == 1
+
+
+def test_pivot_reports_match_separate_solves():
+    # every Dantzig report equals the one pieced together from the
+    # one-quantity functions, each of which factors the basis on its own
+    inst = random_lp(16, 48, seed=0)
+    basis = list(slack_identity_basis(inst))
+    sol = solve_classical(inst, basis, rule="dantzig", keep_reports=True)
+    assert sol.status == "unbounded" and len(sol.reports) == sol.pivots + 1 == 15
+    for rep in sol.reports:
+        cbar = reduced_costs(inst, basis, rep.nonbasic)
+        assert np.array_equal(rep.reduced_costs, cbar)
+        assert rep.objective == float(inst.c[basis] @ basic_solution(inst, basis))
+        if rep.entering is None:
+            break
+        assert rep.entering == rep.nonbasic[int(np.argmin(cbar))]
+        assert np.array_equal(rep.direction, direction(inst, basis, rep.entering))
+        hit = ratio_test(inst, basis, rep.entering)
+        assert (rep.leaving_row, rep.ratio_min) == (hit or (None, None))
+        if hit is not None:
+            basis[rep.leaving_row] = rep.entering
+
+
 # ---------------------------------------------------------------------------
 # the pricing certificate
 

@@ -99,13 +99,14 @@ NEXT_DRAWS = {
 # and sum of marked columns), (column, variant, ok, number and sum of marked
 # columns), reduced_cost_scaled at the pick); the counters are the same in
 # both error modes.  The basis holds 5 non-unit columns, so its solutions
-# come from a 5 x 5 solve (ScaledBasis.build)
+# come from a 5 x 5 solve (ScaledBasis.build) and its kappa from a 10 x 10
+# SVD (lp.normalize)
 PRICING_CASES = {
     "zero": ((0, True, 82, 11114), (4, "nfp", True, 82, 11114), -0.09375880074742038),
-    "worst": ((0, True, 83, 11120), (2, "nfp", True, 83, 11120), -0.06867627114269194),
+    "worst": ((0, True, 83, 11120), (2, "nfp", True, 83, 11120), -0.06867627114269195),
 }
-PRICING_COUNTERS = (5360640.0, 2680320.0, 5361465.0, 1632662988805272.8,
-                    1299733191.981296, 54.0, 2680320.0, 1.0473711461648663e+18)
+PRICING_COUNTERS = (5360640.0, 2680320.0, 5361465.0, 1632662988805269.2,
+                    1299733191.9812946, 54.0, 2680320.0, 1.0473711461648635e+18)
 
 
 def dantzig_basis(instance, steps: int) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsimplex.instances import random_lp
 from qsimplex.lp import (BasisSingular, LpInstance, basis_matrix, normalize,
                          slack_identity_basis)
 
@@ -194,6 +195,71 @@ def test_normalize_sparsity_triangular():
     inst = LpInstance.from_dense(A, [1.0, 1.0], [0.0, 0.0, 1.0])
     state = assert_exact_scale(inst, (0, 1), A[:, :2])
     assert (inst.col_nnz_max, state.row_nnz_max, state.sparsity) == (2, 2, 2)
+
+
+def _mixed_basis(inst, k: int, rng) -> list[int]:
+    """k structural columns of a slack-form instance and m - k slacks, in
+    shuffled basis order, drawn again until the basis is nonsingular."""
+    m, n = inst.m, inst.n
+    while True:
+        rows = rng.choice(m, size=m - k, replace=False)
+        basis = rng.permutation(np.concatenate([rng.choice(n - m, size=k, replace=False),
+                                                n - m + rows])).tolist()
+        if np.linalg.matrix_rank(basis_matrix(inst, basis)) == m:
+            return basis
+
+
+@pytest.mark.parametrize("k", [0, 1, 11, 12, 24])
+@pytest.mark.parametrize("seed", range(3))
+def test_normalize_reduced_spectrum_matches_dense_svd(seed, k):
+    # m = 24: the 2k x 2k operand while 0 < 2k < m, the spectrum of I at
+    # k = 0 and B's own SVD from 2k = m on
+    eps_prime = 1e-4
+    inst = random_lp(24, 72, seed=seed)
+    basis = _mixed_basis(inst, k, np.random.default_rng(seed))
+    state = normalize(inst, basis, eps_prime)
+    B = basis_matrix(inst, basis)
+    svals = np.linalg.svd(B, compute_uv=False)
+    scale = (1.0 - eps_prime) / float(svals[0])
+    kappa = 1.0 / (scale * float(svals[-1]))
+    assert state.row_nnz_max == np.count_nonzero(B, axis=1).max()
+    if 0 < 2 * k < inst.m:
+        assert state.matrix_scale == pytest.approx(scale, rel=1e-12, abs=0)
+        assert state.kappa == pytest.approx(kappa, rel=1e-12, abs=0)
+    else:
+        assert (state.matrix_scale, state.kappa) == (scale, kappa)
+
+
+def test_normalize_svd_operand_size(monkeypatch):
+    # m = 128: no SVD at the slack basis, a 10 x 10 one with 5 structural
+    # columns, and an m x m one once 2k >= m
+    m = 128
+    inst = random_lp(m, 3 * m, seed=0)
+    rng = np.random.default_rng(0)
+    shapes, svd = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    cases = [(_mixed_basis(inst, k, rng), expected)
+             for k, expected in [(0, []), (5, [(10, 10)]), (m // 2, [(m, m)]),
+                                 (m, [(m, m)])]]
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    for basis, expected in cases:
+        shapes.clear()
+        normalize(inst, basis)
+        assert shapes == expected
+
+
+def test_normalize_rank_deficient_block_is_singular():
+    # 2k = 4 < m = 6: the unit columns cover rows 0-3, and the two other
+    # columns agree up to a factor 2 on rows 4 and 5, so Y = A[U, T] has rank 1
+    T = np.array([[0.5, -0.3], [0.0, 0.7], [0.2, 0.0], [-0.4, 0.1],
+                  [1.0, 2.0], [1.0, 2.0]])
+    inst = LpInstance.from_dense(np.hstack([T, np.eye(6)]), np.ones(6), np.ones(8))
+    with pytest.raises(BasisSingular, match="is singular"):
+        normalize(inst, (3, 0, 5, 2, 1, 4))
 
 
 def test_dense_column_count():

@@ -6,6 +6,7 @@ here is checked against a full statevector circuit simulation
 the statistical behavior is exercised.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -440,3 +441,15 @@ def test_query_stats_monotone_add():
     assert a.u_calls == 3
     assert a.grover_iterations == 3
     assert a.scaled(2.0).u_calls == 6
+
+
+def test_query_stats_arithmetic_is_per_field():
+    # add and scaled work field by field, in field order, as plain float ops
+    names = [f.name for f in dataclasses.fields(QueryStats)]
+    x, y = np.random.default_rng(0).uniform(0.0, 1e6, (2, len(names))).tolist()
+    a, b = QueryStats(*x), QueryStats(*y)
+    a.add(b)
+    assert list(a.as_dict()) == names
+    assert [v.hex() for v in a.as_dict().values()] == [(p + q).hex() for p, q in zip(x, y)]
+    assert [v.hex() for v in b.scaled(0.3).as_dict().values()] == [(q * 0.3).hex() for q in y]
+    assert b.as_dict() == dict(zip(names, y))
