@@ -2,8 +2,9 @@
 """Measure query-count scaling of the estimation and search primitives.
 
 Produces the two scaling fits the acceptance battery checks (amplitude-
-estimation repetitions vs 1/eps, Grover iterations vs domain size) plus a
-sweep of sign-estimation acceptance curves, as JSON for plotting.
+estimation repetitions vs 1/eps, Grover iterations vs domain size), both
+from ``qsimplex.verify.scaling_suite``, plus a sweep of sign-estimation
+acceptance curves, as JSON for plotting.
 
     python scripts/scaling_study.py --out scaling.json
 """
@@ -13,35 +14,25 @@ import json
 
 import numpy as np
 
-from qsimplex.primitives import QueryStats, _charge_pe, qsearch
-from qsimplex.subroutines import sign_est_prob_one, sign_est_spec
+from qsimplex.subroutines import sign_est_prob_one
+from qsimplex.verify import scaling_suite
 
 
-def ae_repetitions_vs_eps(eps_values):
-    rows = []
-    for eps in eps_values:
-        stats = QueryStats()
-        _charge_pe(stats, sign_est_spec(float(eps), "nfn").bits)
-        rows.append({"eps": float(eps), "ae_repetitions": stats.ae_repetitions})
-    slope = np.polyfit(np.log([r["eps"] for r in rows]),
-                       np.log([r["ae_repetitions"] for r in rows]), 1)[0]
-    return {"rows": rows, "loglog_slope": float(slope)}
-
-
-def grover_iterations_vs_n(sizes, runs, seed):
-    rng = np.random.default_rng(seed)
-    rows = []
-    for n in sizes:
-        totals = []
-        for _ in range(runs):
-            stats = QueryStats()
-            qsearch(range(n), {0}, rng, stats)
-            totals.append(stats.grover_iterations)
-        rows.append({"n": int(n), "mean_iterations": float(np.mean(totals)),
-                     "std": float(np.std(totals))})
-    expo = np.polyfit(np.log([r["n"] for r in rows]),
-                      np.log([r["mean_iterations"] for r in rows]), 1)[0]
-    return {"rows": rows, "fitted_exponent": float(expo)}
+def scaling_fits(runs, seed):
+    """The suite's two fits, with the per-size mean and spread of the
+    Grover iteration counts."""
+    d = scaling_suite(seed=seed, grover_runs=runs).details
+    return {
+        "ae_vs_eps": {
+            "rows": [{"eps": eps, "ae_repetitions": count}
+                     for eps, count in zip(d["eps_values"], d["ae_counts"])],
+            "loglog_slope": d["slope"]},
+        "grover_vs_n": {
+            "rows": [{"n": n, "mean_iterations": float(np.mean(counts)),
+                      "std": float(np.std(counts))}
+                     for n, counts in zip(d["sizes"], d["grover_iterations"])],
+            "fitted_exponent": d["exponent"]},
+    }
 
 
 def acceptance_curves(eps_values, grid_points):
@@ -61,12 +52,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    doc = {
-        "ae_vs_eps": ae_repetitions_vs_eps([0.2, 0.1, 0.05, 0.025]),
-        "grover_vs_n": grover_iterations_vs_n([8, 16, 32, 64],
-                                              args.runs, args.seed),
-        "sign_est_curves": acceptance_curves([0.05, 0.1, 0.2], 81),
-    }
+    doc = {**scaling_fits(args.runs, args.seed),
+           "sign_est_curves": acceptance_curves([0.05, 0.1, 0.2], 81)}
     print(f"AE repetitions log-log slope vs eps: "
           f"{doc['ae_vs_eps']['loglog_slope']:.3f} (target -1)")
     print(f"Grover iterations exponent vs n:     "

@@ -20,7 +20,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -51,33 +51,6 @@ CLASSICAL_TRACE_COLUMNS = [
 SUMMARY_SCHEMA_VERSION = 1
 
 
-@dataclass
-class RunConfig:
-    """Everything one run depends on; the seed fully determines
-    sampling-mode outputs."""
-
-    instance: str = ""
-    eps: float = 0.1
-    delta: float = 0.1
-    t: float = 100.0
-    eps_prime: float = 1e-4
-    reps: int = 15
-    mode: str = "analytic"
-    qlsa_error: str = "zero"
-    seed: int = 0
-    max_iters: int | None = None
-    out_trace: str | None = None
-    out_summary: str | None = None
-    start_basis: tuple[int, ...] | None = None
-    timings: bool = False
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def params(self) -> PrecisionParams:
-        return PrecisionParams(eps=self.eps, delta=self.delta, t=self.t,
-                               reps=self.reps)
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -86,14 +59,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _env_seed() -> int:
-    return int(os.environ.get("QSIMPLEX_SEED", "0"))
+def _write_json(path, doc) -> None:
+    if path:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
 
 
-def _load(config: RunConfig) -> tuple[LpInstance, list[int]]:
-    instance = read_instance(config.instance)
-    if config.start_basis is not None:
-        basis = list(config.start_basis)
+def _write_csv(path, columns, rows) -> None:
+    if path:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([_fmt(row.get(col)) for col in columns])
+
+
+def _params(args) -> PrecisionParams:
+    """The run parameters a subcommand reads, validated; the rest keep
+    their defaults."""
+    names = {f.name for f in fields(PrecisionParams)}
+    return PrecisionParams(**{k: v for k, v in vars(args).items() if k in names})
+
+
+def _load(args) -> tuple[LpInstance, list[int]]:
+    instance = read_instance(args.instance)
+    if args.start_basis is not None:
+        basis = list(args.start_basis)
     else:
         found = slack_identity_basis(instance)
         if found is None:
@@ -106,12 +98,12 @@ def _load(config: RunConfig) -> tuple[LpInstance, list[int]]:
     return instance, basis
 
 
-def cmd_solve(config: RunConfig) -> int:
-    instance, basis = _load(config)
-    result = solve_quantum(instance, basis, config.params, mode=config.mode,
-                           error_mode=config.qlsa_error, seed=config.seed,
-                           max_iters=config.max_iters,
-                           eps_prime=config.eps_prime)
+def cmd_solve(args) -> int:
+    params = _params(args)
+    instance, basis = _load(args)
+    result = solve_quantum(instance, basis, params, mode=args.mode,
+                           error_mode=args.qlsa_error, seed=args.seed,
+                           max_iters=args.max_iters)
 
     rows = []
     cur = list(basis)
@@ -132,45 +124,34 @@ def cmd_solve(config: RunConfig) -> int:
         }
         if out.entering is not None:
             (cbar,), (norm,) = pricing_terms(instance, cur, [out.entering])
-            hit = ratio_test(instance, cur, out.entering, config.delta)
+            hit = ratio_test(instance, cur, out.entering, params.delta)
             factor = PRICING_FACTOR[out.diagnostics["entering_variant"]]
             row.update(classical_cbar_entering=cbar,
                        classical_pricing_norm=norm,
-                       pricing_check_ok=int(cbar < factor * config.eps * norm),
+                       pricing_check_ok=int(cbar < factor * params.eps * norm),
                        classical_ratio_row=hit[0] if hit else None)
-        row.update({k: v for k, v in out.stats.as_dict().items()})
-        row["elapsed_ms"] = out.diagnostics.get("elapsed_ms") if config.timings else None
+        row.update(out.stats.as_dict())
+        row["elapsed_ms"] = out.diagnostics.get("elapsed_ms") if args.timings else None
         rows.append(row)
         if out.status == "pivot":
             cur[out.leaving_row] = out.entering
 
-    if config.out_trace:
-        with open(config.out_trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for row in rows:
-                writer.writerow([_fmt(row.get(col)) for col in TRACE_COLUMNS])
-
-    summary = {
+    _write_csv(args.out_trace, TRACE_COLUMNS, rows)
+    _write_json(args.out_summary, {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "command": "solve",
-        "instance": config.instance,
+        "instance": args.instance,
         "m": instance.m, "n": instance.n,
-        "params": {"eps": config.eps, "delta": config.delta, "t": config.t,
-                   "eps_prime": config.eps_prime, "reps": config.reps},
-        "mode": config.mode, "qlsa_error": config.qlsa_error,
-        "seed": config.seed,
+        "params": asdict(params),
+        "mode": args.mode, "qlsa_error": args.qlsa_error,
+        "seed": args.seed,
         "status": result.status,
         "failure": result.failure,
         "iterations": result.iterations,
         "objective": result.objective,
         "basis": list(result.basis),
         "stats": result.stats.as_dict(),
-    }
-    if config.out_summary:
-        with open(config.out_summary, "w") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    })
     print(f"status: {result.status}  iterations: {result.iterations}"
           + (f"  objective: {result.objective:.12g}"
              if result.objective is not None else "")
@@ -178,10 +159,10 @@ def cmd_solve(config: RunConfig) -> int:
     return 0 if result.status in ("optimal", "unbounded") else 1
 
 
-def cmd_classical(config: RunConfig) -> int:
-    instance, basis = _load(config)
-    sol = solve_classical(instance, basis, rule="random", seed=config.seed,
-                          max_iters=config.max_iters, keep_reports=True)
+def cmd_classical(args) -> int:
+    instance, basis = _load(args)
+    sol = solve_classical(instance, basis, rule="random", seed=args.seed,
+                          max_iters=args.max_iters, keep_reports=True)
     rows = []
     cur = list(basis)
     for i, rep in enumerate(sol.reports):
@@ -200,26 +181,17 @@ def cmd_classical(config: RunConfig) -> int:
         })
         if rep.entering is not None and rep.leaving_row is not None:
             cur[rep.leaving_row] = rep.entering
-    if config.out_trace:
-        with open(config.out_trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CLASSICAL_TRACE_COLUMNS)
-            for row in rows:
-                writer.writerow([_fmt(row.get(col)) for col in CLASSICAL_TRACE_COLUMNS])
-    summary = {
+    _write_csv(args.out_trace, CLASSICAL_TRACE_COLUMNS, rows)
+    _write_json(args.out_summary, {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "command": "classical",
-        "instance": config.instance,
+        "instance": args.instance,
         "status": sol.status,
         "pivots": sol.pivots,
         "objective": sol.objective,
         "basis": list(sol.basis),
-        "seed": config.seed,
-    }
-    if config.out_summary:
-        with open(config.out_summary, "w") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        "seed": args.seed,
+    })
     if sol.objective is not None:
         print(f"status: {sol.status}  pivots: {sol.pivots}  "
               f"objective: {sol.objective:.12g}")
@@ -228,15 +200,15 @@ def cmd_classical(config: RunConfig) -> int:
     return 0 if sol.status in ("optimal", "unbounded") else 1
 
 
-def cmd_analyze(config: RunConfig) -> int:
+def cmd_analyze(args) -> int:
     import jsonschema
 
-    instance, basis = _load(config)
-    state = normalize(instance, basis, config.eps_prime)
+    params = _params(args)
+    instance, basis = _load(args)
+    state = normalize(instance, basis, params.eps_prime)
     measured = None
-    trace_path = config.extra.get("trace")
-    if trace_path:
-        with open(trace_path) as fh:
+    if args.trace:
+        with open(args.trace) as fh:
             reader = csv.DictReader(fh)
             totals: dict[str, float] = {}
             for row in reader:
@@ -244,15 +216,12 @@ def cmd_analyze(config: RunConfig) -> int:
                     if row.get(key):
                         totals[key] = totals.get(key, 0.0) + float(row[key])
             measured = totals or None
-    report = build_cost_report(instance, state, eps=config.eps,
-                               delta=config.delta, t=config.t,
+    report = build_cost_report(instance, state, eps=params.eps,
+                               delta=params.delta, t=params.t,
                                measured=measured)
     doc = report.as_dict()
     jsonschema.validate(doc, COST_REPORT_SCHEMA)
-    if config.out_summary:
-        with open(config.out_summary, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    _write_json(args.out_summary, doc)
     print(report.render_text())
     if not report.mu_bound_ok:
         print("warning: mu(A_B) exceeded sqrt(m) after scaling", file=sys.stderr)
@@ -260,27 +229,22 @@ def cmd_analyze(config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    suites = run_all(error_mode=config.qlsa_error,
-                     quick=bool(config.extra.get("quick")), seed=config.seed)
+def cmd_verify(args) -> int:
+    suites = run_all(error_mode=args.qlsa_error, quick=args.quick, seed=args.seed)
     all_ok = True
     for suite in suites:
         print(f"== {suite.name}: {'PASS' if suite.passed else 'FAIL'}")
         for line in suite.lines:
             print("  " + line)
         all_ok = all_ok and suite.passed
-    if config.out_summary:
-        doc = {
-            "schema_version": SUMMARY_SCHEMA_VERSION,
-            "command": "verify",
-            "qlsa_error": config.qlsa_error,
-            "seed": config.seed,
-            "suites": [{"name": s.name, "passed": bool(s.passed),
-                        "lines": s.lines} for s in suites],
-        }
-        with open(config.out_summary, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    _write_json(args.out_summary, {
+        "schema_version": SUMMARY_SCHEMA_VERSION,
+        "command": "verify",
+        "qlsa_error": args.qlsa_error,
+        "seed": args.seed,
+        "suites": [{"name": s.name, "passed": bool(s.passed),
+                    "lines": s.lines} for s in suites],
+    })
     return 0 if all_ok else 1
 
 
@@ -288,23 +252,24 @@ def _basis(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
-# every option, under the RunConfig field it sets (``extra`` for the rest);
-# a help that differs per subcommand is a dict keyed by the subcommand
+# every option, under the namespace attribute it sets (a PrecisionParams
+# field for the run parameters); a help that differs per subcommand is a
+# dict keyed by the subcommand
 OPTIONS = {
     "--instance": dict(required=True, help="LP JSON (or .mps) instance path"),
     "--start-basis": dict(type=_basis,
                           help="comma-separated column indices of a feasible basis"),
-    "--epsilon": dict(dest="eps", type=float, default=0.1,
-                      help="pricing tolerance (default 0.1)"),
-    "--delta": dict(type=float, default=0.1,
-                    help="ratio-test feasibility tolerance (default 0.1)"),
-    "--t": dict(type=float, default=100.0,
-                help="ratio-test precision multiplier (default 100)"),
-    "--eps-prime": dict(type=float, default=1e-4,
+    "--epsilon": dict(dest="eps", type=float, default=PrecisionParams.eps,
+                      help="pricing tolerance (default %(default)g)"),
+    "--delta": dict(type=float, default=PrecisionParams.delta,
+                    help="ratio-test feasibility tolerance (default %(default)g)"),
+    "--t": dict(type=float, default=PrecisionParams.t,
+                help="ratio-test precision multiplier (default %(default)g)"),
+    "--eps-prime": dict(type=float, default=PrecisionParams.eps_prime,
                         help="spectral-norm margin: bases are scaled to "
-                             "|A_B| = 1 - eps' (default 1e-4)"),
-    "--reps": dict(type=int, default=15,
-                   help="majority-vote repetitions (odd, default 15)"),
+                             "|A_B| = 1 - eps' (default %(default)g)"),
+    "--reps": dict(type=int, default=PrecisionParams.reps,
+                   help="majority-vote repetitions (odd, default %(default)g)"),
     "--seed": dict(type=int, help="RNG seed (default: QSIMPLEX_SEED or 0)"),
     "--mode": dict(choices=("analytic", "sampling"), default="analytic"),
     "--qlsa-error": dict(choices=("zero", "worst", "random"), default="zero"),
@@ -357,15 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    given = {k: v for k, v in vars(args).items() if k != "command"}
-    if "seed" in given and given["seed"] is None:
-        given["seed"] = _env_seed()
-    names = {f.name for f in fields(RunConfig)}
-    return RunConfig(**{k: v for k, v in given.items() if k in names},
-                     extra={k: v for k, v in given.items() if k not in names})
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -373,11 +329,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = _config_from_args(args)
-        config.params  # validate tolerance ranges up front
+        if "seed" in args and args.seed is None:
+            args.seed = int(os.environ.get("QSIMPLEX_SEED", "0"))
         handler = {"solve": cmd_solve, "classical": cmd_classical,
                    "analyze": cmd_analyze, "verify": cmd_verify}[args.command]
-        return handler(config)
+        return handler(args)
     except (InstanceFormatError, FileNotFoundError, BasisSingular,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

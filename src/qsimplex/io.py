@@ -12,7 +12,9 @@ JSON layout::
 with an integral row in ``[0, m)``; anything else raises
 ``InstanceFormatError`` naming the field or the column.  The MPS reader
 accepts the NAME/ROWS/COLUMNS/RHS/ENDATA sections with equality rows and
-one objective row only (whitespace-delimited fields).
+one objective row only (whitespace-delimited fields); a line it cannot
+read -- a ROWS entry without a name, a repeated row name, a value that is
+not a finite number -- raises ``InstanceFormatError`` naming the line.
 """
 
 from __future__ import annotations
@@ -149,7 +151,12 @@ def read_mps(path) -> LpInstance:
                                       "(reader handles NAME/ROWS/COLUMNS/RHS/ENDATA)")
         fields = line.split()
         if section == "ROWS":
+            if len(fields) != 2:
+                raise InstanceFormatError(f"line {lineno}: a ROWS entry is a row type "
+                                          "and a row name")
             kind, name = fields[0].upper(), fields[1]
+            if name in row_index or name == objective_row:
+                raise InstanceFormatError(f"line {lineno}: duplicate row {name!r}")
             if kind == "N":
                 if objective_row is not None:
                     raise InstanceFormatError(f"line {lineno}: multiple objective rows")
@@ -168,7 +175,7 @@ def read_mps(path) -> LpInstance:
                 col_entries[col] = []
                 col_order.append(col)
             for row_name, value in zip(pairs[::2], pairs[1::2]):
-                v = float(value)
+                v = _number(value, lineno)
                 if row_name == objective_row:
                     obj_coeffs[col] = obj_coeffs.get(col, 0.0) + v
                 elif row_name in row_index:
@@ -182,7 +189,7 @@ def read_mps(path) -> LpInstance:
             for row_name, value in zip(pairs[::2], pairs[1::2]):
                 if row_name not in row_index:
                     raise InstanceFormatError(f"line {lineno}: unknown RHS row {row_name!r}")
-                rhs[row_name] = float(value)
+                rhs[row_name] = _number(value, lineno)
         elif section in ("NAME", None):
             continue
 
@@ -201,6 +208,16 @@ def read_mps(path) -> LpInstance:
     b = np.array([rhs.get(name, 0.0) for name in row_order])
     c = np.array([obj_coeffs.get(col, 0.0) for col in col_order])
     return LpInstance(A, b, c)
+
+
+def _number(text: str, lineno: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise InstanceFormatError(f"line {lineno}: value {text!r} is not a finite number")
+    return value
 
 
 def read_instance(path) -> LpInstance:

@@ -73,14 +73,17 @@ SQRT3PI = math.sqrt(3.0) * math.pi
 
 @dataclass(frozen=True)
 class PrecisionParams:
-    """Run tolerances: eps (pricing, relative to the extended column norm),
+    """Run parameters: eps (pricing, relative to the extended column norm),
     delta (feasibility), t (ratio-test precision multiplier), reps (odd
-    majority-vote count boosting each bounded-error subroutine)."""
+    majority-vote count boosting each bounded-error subroutine), eps_prime
+    (spectral-norm margin: each basis is scaled to ``|A_B| = 1 -
+    eps_prime`` for the QLSA)."""
 
     eps: float = 0.1
     delta: float = 0.1
     t: float = 100.0
     reps: int = 15
+    eps_prime: float = 1e-4
 
     def __post_init__(self):
         if not 0 < self.eps <= 0.5:
@@ -91,6 +94,8 @@ class PrecisionParams:
             raise ValueError("t must be >= 1")
         if self.reps < 1 or self.reps % 2 == 0:
             raise ValueError("reps must be odd and >= 1")
+        if not 0 < self.eps_prime < 0.5:
+            raise ValueError("eps_prime must lie in (0, 1/2)")
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +216,8 @@ class ScaledBasis:
     qlsa_ext: IdealQlsa
 
     @classmethod
-    def build(cls, instance: LpInstance, basis, eps_prime: float = 1e-4,
+    def build(cls, instance: LpInstance, basis,
+              eps_prime: float = PrecisionParams.eps_prime,
               error_mode: str = "zero",
               rng: np.random.Generator | None = None) -> "ScaledBasis":
         state = basis if isinstance(basis, BasisState) else \
@@ -473,7 +479,7 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
         def confirm(idx: int) -> bool:
             nonlocal confirm_ok, confirms
             confirms += 1
-            if votes.theta.ndim == 1:  # one state per column, which reads alike again
+            if scaled.error_mode != "random":  # zero/worst error read a state alike again
                 values, oks = votes(rng, reps, [domain.index(idx)])
                 confirm_ok = bool(oks[0])
                 return bool(values[0] == 0)
@@ -736,8 +742,7 @@ class IterationOutcome:
 
 def simplex_iter(instance: LpInstance, basis, params: PrecisionParams,
                  mode: str = "analytic", error_mode: str = "zero",
-                 rng: np.random.Generator | None = None,
-                 eps_prime: float = 1e-4) -> IterationOutcome:
+                 rng: np.random.Generator | None = None) -> IterationOutcome:
     """One full iteration: normalize, IsOptimal, FindColumn, IsUnbounded,
     FindRow.  An IsOptimal = 1 verdict is only trusted after the
     "nfp"-variant FindColumn re-check comes back empty (the recovery
@@ -745,7 +750,7 @@ def simplex_iter(instance: LpInstance, basis, params: PrecisionParams,
     FindColumn miss under "nfn" retries with "nfp" before declaring the
     basis numerically optimal.
     """
-    scaled = ScaledBasis.build(instance, basis, eps_prime=eps_prime,
+    scaled = ScaledBasis.build(instance, basis, eps_prime=params.eps_prime,
                                error_mode=error_mode, rng=rng)
     stats = QueryStats()
     diag: dict = {"kappa": scaled.state.kappa}
@@ -808,8 +813,7 @@ NUMERICAL_DEAD_ENDS = (BasisSingular, ZeroColumn, AllInfinite, np.linalg.LinAlgE
 
 def solve_quantum(instance: LpInstance, start_basis, params: PrecisionParams,
                   mode: str = "analytic", error_mode: str = "zero",
-                  seed: int = 0, max_iters: int | None = None,
-                  eps_prime: float = 1e-4) -> QuantumSolveResult:
+                  seed: int = 0, max_iters: int | None = None) -> QuantumSolveResult:
     """Drive simplex_iter to termination from a feasible start basis."""
     basis = list(start_basis)
     rng = np.random.default_rng(seed)
@@ -821,8 +825,7 @@ def solve_quantum(instance: LpInstance, start_basis, params: PrecisionParams,
     for _ in range(cap):
         tick = time.perf_counter()
         try:
-            out = simplex_iter(instance, basis, params, mode, error_mode, rng,
-                               eps_prime)
+            out = simplex_iter(instance, basis, params, mode, error_mode, rng)
         except NUMERICAL_DEAD_ENDS as exc:
             out = IterationOutcome("failure", ok=False,
                                    diagnostics={"failure": repr(exc)})

@@ -27,3 +27,35 @@ def test_bench_run_is_correct(workload):
     assert result["attempted"] > 0
     failed, per = ALLOWED_FAILED[workload]
     assert result["failed"] * per <= failed * result["attempted"], proc.stdout
+
+
+IDENTITY = ROOT / "tests" / "data" / "bench_identity.json"
+
+
+def check_identity(path):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_identity.py"),
+                           "--check", str(path)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+
+
+def test_bench_ops_match_recorded_identity():
+    # every op's verdict, ok flag, counters and finding, as recorded; a
+    # change that moves them re-records the file and says why
+    proc = check_identity(IDENTITY)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_bench_identity_check_applies_counter_policy(tmp_path):
+    # float counters may move by 1e-12 relative, integer counters not at all
+    doc = json.loads(IDENTITY.read_text())
+    counters = doc["iter-sampling"][0]["counters"]
+    moved = float.fromhex(counters["p_ab_queries"]) * (1 + 1e-13)
+    counters["p_ab_queries"] = moved.hex()
+    counters["u_calls"] = (float.fromhex(counters["u_calls"]) + 1).hex()
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(doc))
+    proc = check_identity(path)
+    assert proc.returncode == 1
+    problems = proc.stdout.splitlines()[:-1]
+    assert len(problems) == 1 and "iter-sampling op 0" in problems[0], proc.stdout
+    assert "u_calls" in problems[0]

@@ -75,6 +75,20 @@ def test_solve_trace_byte_identical(demo, tmp_path, qlsa_error):
     assert t1.read_bytes() == t2.read_bytes()
 
 
+def test_solve_timings_fill_only_elapsed_ms(demo, tmp_path):
+    args = ["solve", "--instance", demo, "--mode", "sampling", "--seed", "5"]
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    assert main(args + ["--out-trace", str(plain)]) == 0
+    assert main(args + ["--timings", "--out-trace", str(timed)]) == 0
+    plain_rows = list(csv.DictReader(plain.open()))
+    timed_rows = list(csv.DictReader(timed.open()))
+    assert len(timed_rows) == len(plain_rows) > 0
+    for untimed, row in zip(plain_rows, timed_rows):
+        assert untimed.pop("elapsed_ms") == ""
+        assert float(row.pop("elapsed_ms")) >= 0
+        assert row == untimed
+
+
 def test_solve_unbounded_exit_zero(unbounded):
     assert main(["solve", "--instance", unbounded]) == 0
 

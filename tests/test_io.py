@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qsimplex.cli import main
 from qsimplex.io import (InstanceFormatError, instance_from_dict,
                          instance_to_dict, read_lp_json, read_mps,
                          write_lp_json)
@@ -152,3 +153,23 @@ def test_dict_builds_the_same_matrix_as_the_entries():
                                          [0.0, 0.0, -1.0],
                                          [1.0, 0.0, 0.0]])
     assert inst.col_nnz_max == 2
+
+
+@pytest.mark.parametrize("text,message", [
+    # a ROWS entry without a row name
+    ("NAME x\nROWS\n N COST\n E\nENDATA\n", r"line 4: a ROWS entry"),
+    # a repeated row would otherwise be left as an empty row of A
+    ("NAME x\nROWS\n N COST\n E R1\n E R1\nCOLUMNS\n X1 R1 1.0\nENDATA\n",
+     r"line 5: duplicate row 'R1'"),
+    ("NAME x\nROWS\n N COST\n E R1\nCOLUMNS\n X1 R1 abc\nENDATA\n",
+     r"line 6: value 'abc' is not a finite number"),
+    ("NAME x\nROWS\n N COST\n E R1\nCOLUMNS\n X1 R1 1.0\nRHS\n RHS R1 nan\nENDATA\n",
+     r"line 8: value 'nan' is not a finite number"),
+], ids=["rows-entry-without-name", "duplicate-row", "non-numeric-value", "non-finite-rhs"])
+def test_mps_malformed_line_names_it(tmp_path, text, message, capsys):
+    path = tmp_path / "bad.mps"
+    path.write_text(text)
+    with pytest.raises(InstanceFormatError, match=message):
+        read_mps(path)
+    assert main(["classical", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line ")

@@ -386,6 +386,22 @@ def test_sampling_random_error_confirms_through_can_enter(monkeypatch):
     assert all(len(columns) == 1 for columns in confirmations)
 
 
+def test_one_rep_random_error_confirms_through_can_enter(monkeypatch):
+    # with one run per decision a sweep reads one state per column, as
+    # zero and worst error do, but a confirmation is a fresh run under
+    # random error, so it still reads fresh states through CanEnter
+    import qsimplex.subroutines as subroutines
+
+    sweeps, confirmations = [], []
+    monkeypatch.setattr(subroutines, "can_enter",
+                        _counting_can_enter(sweeps, confirmations))
+    inst = random_bounded_lp(8, 24, seed=2)
+    simplex_iter(inst, dantzig_basis(inst, 9), PrecisionParams(reps=1),
+                 "sampling", "random", np.random.default_rng(9))
+    assert confirmations
+    assert all(len(columns) == 1 for columns in confirmations)
+
+
 def _counting_can_enter(sweeps, confirmations):
     """``subroutines.can_enter``, recording the columns of each call: a
     sweep's in ``sweeps``, a one-column confirmation's in ``confirmations``."""

@@ -48,6 +48,17 @@ def test_precision_params_validation():
         PrecisionParams(reps=4)
     with pytest.raises(ValueError):
         PrecisionParams(t=0.5)
+    for eps_prime in (0.0, 0.5):
+        with pytest.raises(ValueError, match="eps_prime must lie in"):
+            PrecisionParams(eps_prime=eps_prime)
+
+
+def test_simplex_iter_scales_the_basis_by_params_eps_prime():
+    inst = random_lp(8, 24, seed=3)
+    basis = slack_identity_basis(inst)
+    for eps_prime in (1e-4, 1e-2):
+        out = simplex_iter(inst, basis, PrecisionParams(eps_prime=eps_prime))
+        assert out.kappa == normalize(inst, basis, eps_prime).kappa
 
 
 # ---------------------------------------------------------------------------

@@ -55,3 +55,6 @@ def test_sign_estimation_check_reports_worst_margins():
 def test_scaling_suite_ae_counts_pinned():
     res = scaling_suite(grover_runs=5)
     assert res.details["ae_counts"] == AE_COUNTS
+    assert res.details["eps_values"] == [0.2, 0.1, 0.05, 0.025]
+    # the Grover counts per size, one per run, that the exponent is fitted on
+    assert [len(c) for c in res.details["grover_iterations"]] == [5] * len(res.details["sizes"])
