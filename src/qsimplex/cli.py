@@ -27,7 +27,7 @@ import numpy as np
 from .classical import (PRICING_FACTOR, basic_solution, pricing_terms,
                         ratio_test, solve_classical)
 from .costmodel import COST_REPORT_SCHEMA, build_cost_report
-from .io import InstanceFormatError, read_instance
+from .io import InstanceFormatError, finite_number, read_instance
 from .lp import BasisSingular, LpInstance, normalize, slack_identity_basis
 from .primitives import QueryStats
 from .subroutines import PrecisionParams, solve_quantum
@@ -214,7 +214,8 @@ def cmd_analyze(args) -> int:
             for row in reader:
                 for key in COUNTER_COLUMNS:
                     if row.get(key):
-                        totals[key] = totals.get(key, 0.0) + float(row[key])
+                        where = f"{args.trace}: line {reader.line_num}, column {key}"
+                        totals[key] = totals.get(key, 0.0) + finite_number(row[key], where)
             measured = totals or None
     report = build_cost_report(instance, state, eps=params.eps,
                                delta=params.delta, t=params.t,

@@ -9,12 +9,13 @@ JSON layout::
 
 ``m`` and ``n`` are positive integers and ``A.cols`` a list of n columns;
 ``A.cols[j]`` lists ``[row, value]`` pairs for column j: finite numbers,
-with an integral row in ``[0, m)``; anything else raises
-``InstanceFormatError`` naming the field or the column.  The MPS reader
-accepts the NAME/ROWS/COLUMNS/RHS/ENDATA sections with equality rows and
-one objective row only (whitespace-delimited fields); a line it cannot
-read -- a ROWS entry without a name, a repeated row name, a value that is
-not a finite number -- raises ``InstanceFormatError`` naming the line.
+with an integral row in ``[0, m)``, each row at most once per column;
+anything else raises ``InstanceFormatError`` naming the field or the
+column.  The MPS reader accepts the NAME/ROWS/COLUMNS/RHS/ENDATA sections
+with equality rows and one objective row only (whitespace-delimited
+fields); a line it cannot read -- a ROWS entry without a name, a repeated
+row name, a column naming a row twice, a value that is not a finite number
+-- raises ``InstanceFormatError`` naming the line.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .lp import LpInstance
 
 
 class InstanceFormatError(ValueError):
-    """Malformed instance file; carries a human-readable location."""
+    """Malformed instance file (or solve trace, for ``analyze``); carries a
+    human-readable location."""
 
 
 def instance_to_dict(instance: LpInstance) -> dict:
@@ -85,6 +87,10 @@ def instance_from_dict(doc: dict) -> LpInstance:
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"b and c must be lists of numbers: {exc}") from exc
     A = sp.csc_matrix((vals, (rows.astype(np.int64), cols_idx)), shape=(m, n))
+    if A.nnz < vals.size:  # the conversion summed a repeated entry
+        keys = np.sort(cols_idx * m + rows.astype(np.int64))
+        j, i = divmod(int(keys[1:][keys[1:] == keys[:-1]][0]), m)
+        raise InstanceFormatError(f"row {i} appears twice in column {j}")
     return LpInstance(A, b, c)
 
 
@@ -132,8 +138,7 @@ def read_mps(path) -> LpInstance:
     row_order: list[str] = []
     row_index: dict[str, int] = {}
     col_order: list[str] = []
-    col_entries: dict[str, list[tuple[str, float]]] = {}
-    obj_coeffs: dict[str, float] = {}
+    col_entries: dict[str, dict[str, float]] = {}  # objective row included
     rhs: dict[str, float] = {}
 
     for lineno, raw in enumerate(lines, start=1):
@@ -172,16 +177,16 @@ def read_mps(path) -> LpInstance:
             if len(pairs) % 2:
                 raise InstanceFormatError(f"line {lineno}: odd row/value field count")
             if col not in col_entries:
-                col_entries[col] = []
+                col_entries[col] = {}
                 col_order.append(col)
             for row_name, value in zip(pairs[::2], pairs[1::2]):
-                v = _number(value, lineno)
-                if row_name == objective_row:
-                    obj_coeffs[col] = obj_coeffs.get(col, 0.0) + v
-                elif row_name in row_index:
-                    col_entries[col].append((row_name, v))
-                else:
+                v = finite_number(value, f"line {lineno}")
+                if row_name != objective_row and row_name not in row_index:
                     raise InstanceFormatError(f"line {lineno}: unknown row {row_name!r}")
+                if row_name in col_entries[col]:
+                    raise InstanceFormatError(f"line {lineno}: column {col!r} names "
+                                              f"row {row_name!r} twice")
+                col_entries[col][row_name] = v
         elif section == "RHS":
             pairs = fields[1:]
             if len(pairs) % 2:
@@ -189,7 +194,7 @@ def read_mps(path) -> LpInstance:
             for row_name, value in zip(pairs[::2], pairs[1::2]):
                 if row_name not in row_index:
                     raise InstanceFormatError(f"line {lineno}: unknown RHS row {row_name!r}")
-                rhs[row_name] = _number(value, lineno)
+                rhs[row_name] = finite_number(value, f"line {lineno}")
         elif section in ("NAME", None):
             continue
 
@@ -200,23 +205,26 @@ def read_mps(path) -> LpInstance:
         raise InstanceFormatError("empty ROWS or COLUMNS section")
     rows_idx, cols_idx, vals = [], [], []
     for j, col in enumerate(col_order):
-        for row_name, v in col_entries[col]:
-            rows_idx.append(row_index[row_name])
-            cols_idx.append(j)
-            vals.append(v)
+        for row_name, v in col_entries[col].items():
+            if row_name != objective_row:
+                rows_idx.append(row_index[row_name])
+                cols_idx.append(j)
+                vals.append(v)
     A = sp.csc_matrix((vals, (rows_idx, cols_idx)), shape=(m, n))
     b = np.array([rhs.get(name, 0.0) for name in row_order])
-    c = np.array([obj_coeffs.get(col, 0.0) for col in col_order])
+    c = np.array([col_entries[col].get(objective_row, 0.0) for col in col_order])
     return LpInstance(A, b, c)
 
 
-def _number(text: str, lineno: int) -> float:
+def finite_number(text: str, where: str) -> float:
+    """``text`` as a finite float, else an ``InstanceFormatError`` naming
+    ``where``."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise InstanceFormatError(f"line {lineno}: value {text!r} is not a finite number")
+        raise InstanceFormatError(f"{where}: value {text!r} is not a finite number")
     return value
 
 

@@ -184,8 +184,6 @@ def normalize(instance: LpInstance, basis, eps_prime: float = 1e-4) -> BasisStat
     """
     if not 0 < eps_prime < 0.5:
         raise ValueError("eps_prime must lie in (0, 1/2)")
-    if isinstance(basis, BasisState):
-        basis = basis.basis
     cols = _basis_columns(instance, basis)
     basic, m = np.array(cols), instance.m
     rows = instance.unit_row[basic]

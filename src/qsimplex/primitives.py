@@ -474,6 +474,7 @@ def grover_count_exists(domain, marked, rng: np.random.Generator | None,
 # minimum finding (Durr-Hoyer)
 
 _DH_BUDGET = 22.5
+_DH_REPS = 2  # independent threshold-descent schedules per minimum finding
 
 
 def dh_budget(n: int) -> int:
@@ -482,13 +483,12 @@ def dh_budget(n: int) -> int:
 
 
 def min_finding(values, rng: np.random.Generator | None = None,
-                stats: QueryStats | None = None, reps: int = 2,
-                mode: str = "sampling") -> int:
+                stats: QueryStats | None = None, mode: str = "sampling") -> int:
     """Index minimizing ``values`` (entries may be +inf) via the
     threshold-descent search: repeatedly Grover-search for an index with a
     value below the current pivot inside an ``O(sqrt(N))`` iteration
-    budget.  One schedule succeeds with probability >= 1/2; ``reps``
-    independent schedules keep the best candidate (>= 3/4 for reps = 2).
+    budget.  One schedule succeeds with probability >= 1/2; ``_DH_REPS``
+    = 2 independent schedules keep the best candidate (>= 3/4).
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -496,12 +496,12 @@ def min_finding(values, rng: np.random.Generator | None = None,
         raise AllInfinite("no finite value in the search domain")
     if mode == "analytic":
         if stats is not None:
-            stats.grover_iterations += reps * dh_budget(n)
+            stats.grover_iterations += _DH_REPS * dh_budget(n)
         return int(np.argmin(values))
 
     domain = list(range(n))
     best: int | None = None
-    for _ in range(reps):
+    for _ in range(_DH_REPS):
         pivot = int(rng.integers(n))
         budget = dh_budget(n)
         start = stats.grover_iterations if stats is not None else 0

@@ -54,6 +54,7 @@ so independent runs are safe to parallelize from the caller's side.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import time
@@ -189,20 +190,19 @@ class ScaledBasis:
     with spectrum in [1/kappa, 1 - eps'], ``|c_B| = 1`` (the column scales in
     ``A_B^-1 A_k`` cancel, so directions are scale-free).
 
-    ``solutions`` holds every exact solution the iteration can read: column
-    k is ``A_B^-1 (s A_k)`` and the last column is ``A_B^-1 (s b)``, for
-    the matrix scale s.  A basic column ``B_i`` is the unit vector ``e_i``,
-    set exactly.  The nonbasic columns and b, ``Z = [A_N | b]``, come from
-    the basis split the state carries (``BasisState.split``): its unit
-    columns S, which cover the rows R, and its k other columns T, which
-    cover the k rows U that no unit column covers: one k x k solve
-    ``x_T = (s A[U, T])^-1 (s Z[U])``, then ``x_S = Z[R] - A[R, T] x_T``.
-    A basis without unit columns (k = m) is one dense m x m solve; the
-    slack basis (k = 0) solves nothing.  Every
-    read of a solver state comes from these through ``read``; the oracles
-    charge, and draw random error: ``qlsa`` for the m x m system,
-    ``qlsa_ext`` for the reduced-cost system extended by the cost row.
-    ``domain`` lists the nonbasic columns with a nonzero entry.
+    ``domain`` lists, ascending, the nonbasic columns with a nonzero entry:
+    the columns pricing can pick.  ``solutions`` holds every exact solution
+    the iteration can read, for the matrix scale s: column i is ``A_B^-1 (s
+    A_{domain[i]})`` and the last column is ``A_B^-1 (s b)``.  They solve
+    ``Z = [A_domain | b]`` through the basis split the state carries
+    (``BasisState.split``): its unit columns S, which cover the rows R, and
+    its k other columns T, which cover the k rows U that no unit column
+    covers: one k x k solve ``x_T = (s A[U, T])^-1 (s Z[U])``, then ``x_S =
+    Z[R] - A[R, T] x_T``.  A basis without unit columns (k = m) is one dense
+    m x m solve; the slack basis (k = 0) solves nothing.  Every read of a
+    solver state comes from these through ``read``; the oracles charge, and
+    draw random error: ``qlsa`` for the m x m system, ``qlsa_ext`` for the
+    reduced-cost system extended by the cost row.
     """
 
     instance: LpInstance
@@ -223,27 +223,22 @@ class ScaledBasis:
         state = basis if isinstance(basis, BasisState) else \
             normalize(instance, basis, eps_prime)
         dense = instance.dense()
-        basic, nonbasic = np.array(state.basis), list(state.nonbasic)
-        m, n, s = instance.m, instance.n, state.matrix_scale
-        Z = np.column_stack([dense[:, nonbasic], instance.b])
+        basic, m, s = np.array(state.basis), instance.m, state.matrix_scale
+        in_domain = np.diff(instance.A.indptr) > 0
+        in_domain[basic] = False
+        domain = np.flatnonzero(in_domain)
+        Z = np.column_stack([dense[:, domain], instance.b])
         S, T, R, U = state.split
         # row r_i of a unit column B_i reads x_i + A[r_i, T] x_T = Z[r_i],
         # and a row of U sees no unit column
-        x = np.empty((m, n - m + 1))
+        x = np.empty((m, domain.size + 1))
         x[S] = Z[R]
         if T.size:
             AT = dense[:, basic[T]]
             x[T] = np.linalg.solve(s * AT[U], s * Z[U])
             x[S] -= AT[R] @ x[T]
-        # A_B^-1 A_{B_i} = e_i exactly
-        solutions = np.zeros((m, n + 1))
-        solutions[np.arange(m), basic] = 1.0
-        solutions[:, nonbasic + [n]] = x
-        domain = np.diff(instance.A.indptr) > 0
-        domain[basic] = False
         return cls(instance=instance, state=state, c=state.cost_scale * instance.c,
-                   solutions=solutions,
-                   domain=tuple(np.flatnonzero(domain).tolist()),
+                   solutions=x, domain=tuple(domain.tolist()),
                    error_mode=error_mode, rng=rng,
                    qlsa=IdealQlsa(m, state.kappa, state.sparsity, error_mode, rng),
                    qlsa_ext=IdealQlsa(m + 1, state.kappa, state.sparsity,
@@ -265,12 +260,21 @@ class ScaledBasis:
             alpha0 = np.repeat(np.asarray(alpha0)[..., None], runs, axis=-1)
         return (self.qlsa_ext if extended else self.qlsa).solve(alpha0, eps_ls)
 
+    def position(self, k: int) -> int:
+        """Where column k lies in ``domain`` and ``solutions`` (a sorted
+        lookup); a basic column raises ``ValueError``, a zero one ``ZeroColumn``."""
+        i = bisect.bisect_left(self.domain, k)
+        if i < len(self.domain) and self.domain[i] == k:
+            return i
+        if k in self.state.basis:
+            raise ValueError(f"column {k} is basic, so no subroutine reads its solution")
+        if not 0 <= k < self.instance.n:
+            raise IndexError(f"column {k} is out of range [0, {self.instance.n})")
+        raise ZeroColumn(f"column {k} is zero")
+
     def direction(self, k: int) -> np.ndarray:
-        """Exact ``A_B^-1 (s A_k)``."""
-        u = self.solutions[:, k]
-        if not np.any(u):
-            raise ZeroColumn(f"column {k} is zero")
-        return u
+        """Exact ``A_B^-1 (s A_k)`` of a column k of ``domain``."""
+        return self.solutions[:, self.position(k)]
 
     @property
     def basic_solution(self) -> np.ndarray:
@@ -288,8 +292,7 @@ class ScaledBasis:
         """``<w|(u_k, c_k)> / |(u_k, c_k)|`` for every column k of ``domain``
         in order, with ``w = |(-c_B, 1)>``: the exact amplitudes a pricing
         sweep reads, from one matrix-vector product."""
-        cols = list(self.domain)
-        ext = np.vstack([self.solutions[:, cols], self.c[cols]])
+        ext = np.vstack([self.solutions[:, :-1], self.c[list(self.domain)]])
         return (self.cost_vector_gadget @ ext) / np.linalg.norm(ext, axis=0)
 
     def reduced_cost_scaled(self, k: int) -> float:
@@ -393,9 +396,9 @@ def _pricing_precisions(eps: float) -> tuple[float, float]:
     return eps / (10.0 * math.sqrt(2.0)), 11.0 * eps / (10.0 * math.sqrt(2.0))
 
 
-def can_enter(scaled: ScaledBasis, eps: float, reps: int = 15, variant: str = "nfn",
-              mode: str = "analytic", rng: np.random.Generator | None = None,
-              columns=slice(None)):
+def can_enter(scaled: ScaledBasis, eps: float, reps: int = PrecisionParams.reps,
+              variant: str = "nfn", mode: str = "analytic",
+              rng: np.random.Generator | None = None, columns=slice(None)):
     """CanEnter on the columns ``scaled.domain[columns]`` (a slice or a
     list of positions), in order: the columns it fires on, whether every
     decision's tolerance flags held, and the columns' ``_SampledVotes`` in
@@ -447,7 +450,7 @@ class FindColumnResult:
     reduced_cost_scaled: float | None = None  # c_bar/|(u, c_k)| at the pick
 
 
-def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
+def find_column(scaled: ScaledBasis, eps: float, reps: int = PrecisionParams.reps,
                 mode: str = "analytic", rng: np.random.Generator | None = None,
                 stats: QueryStats | None = None, variant: str = "nfn",
                 recover_with_nfp: bool = True) -> FindColumnResult:
@@ -463,8 +466,6 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
     inside the indecision window.
     """
     stats = stats if stats is not None else QueryStats()
-    domain = list(scaled.domain)
-
     marked, all_ok, votes = can_enter(scaled, eps, reps, variant, mode, rng)
 
     per_call = can_enter_cost(scaled, eps, reps, variant)
@@ -473,21 +474,21 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = 15,
     iters_before = stats.grover_iterations
 
     if mode == "analytic":
-        found = qsearch_analytic(domain, marked, stats)
+        found = qsearch_analytic(scaled.domain, marked, stats)
         confirms = 1 if found is not None else 0
     else:
         def confirm(idx: int) -> bool:
             nonlocal confirm_ok, confirms
             confirms += 1
             if scaled.error_mode != "random":  # zero/worst error read a state alike again
-                values, oks = votes(rng, reps, [domain.index(idx)])
+                values, oks = votes(rng, reps, [scaled.position(idx)])
                 confirm_ok = bool(oks[0])
                 return bool(values[0] == 0)
             fired, confirm_ok, _ = can_enter(scaled, eps, reps, variant, mode, rng,
-                                             columns=[domain.index(idx)])
+                                             columns=[scaled.position(idx)])
             return bool(fired)
 
-        found = qsearch(domain, marked, rng, stats, confirm=confirm)
+        found = qsearch(scaled.domain, marked, rng, stats, confirm=confirm)
     activations = (stats.grover_iterations - iters_before) + confirms
     stats.add(per_call.scaled(activations))
 
@@ -508,7 +509,7 @@ class IsOptimalResult:
     marked: tuple[int, ...]
 
 
-def is_optimal(scaled: ScaledBasis, eps: float, reps: int = 15,
+def is_optimal(scaled: ScaledBasis, eps: float, reps: int = PrecisionParams.reps,
                mode: str = "analytic", rng: np.random.Generator | None = None,
                stats: QueryStats | None = None) -> IsOptimalResult:
     """Counting-Grover existence check over CanEnter with the "nfp"
@@ -519,12 +520,11 @@ def is_optimal(scaled: ScaledBasis, eps: float, reps: int = 15,
     the fixed ``3 ceil(pi/4 sqrt(n))`` schedule.
     """
     stats = stats if stats is not None else QueryStats()
-    domain = list(scaled.domain)
-    if not domain:
+    if not scaled.domain:
         return IsOptimalResult(value=1, ok=True, marked=())
     marked, ok, _ = can_enter(scaled, eps, reps, "nfp", mode, rng)
     iters_before = stats.grover_iterations
-    exists = grover_count_exists(domain, marked, rng, stats, mode)
+    exists = grover_count_exists(scaled.domain, marked, rng, stats, mode)
     activations = stats.grover_iterations - iters_before
     stats.add(can_enter_cost(scaled, eps, reps, "nfp").scaled(activations))
     return IsOptimalResult(value=int(not exists), ok=ok, marked=marked)
@@ -541,7 +541,7 @@ class IsUnboundedResult:
     marked_rows: tuple[int, ...]
 
 
-def is_unbounded(scaled: ScaledBasis, k: int, delta: float, reps: int = 15,
+def is_unbounded(scaled: ScaledBasis, k: int, delta: float, reps: int = PrecisionParams.reps,
                  mode: str = "analytic", rng: np.random.Generator | None = None,
                  stats: QueryStats | None = None) -> IsUnboundedResult:
     """1 when no component of ``A_B^-1 A_k`` rises above the delta
@@ -583,7 +583,7 @@ class FindRowResult:
 
 
 def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
-             reps: int = 15, mode: str = "analytic",
+             reps: int = PrecisionParams.reps, mode: str = "analytic",
              rng: np.random.Generator | None = None,
              stats: QueryStats | None = None) -> FindRowResult:
     """Approximate ratio-test minimizer (the leaving row).
@@ -692,20 +692,19 @@ def norm_estimate(scaled: ScaledBasis, eps: float, mode: str = "analytic",
     """
     stats = stats if stats is not None else QueryStats()
     alpha = scaled.state.kappa
-    cols = list(scaled.domain)
     eps_ls = eps / (2.0 * scaled.instance.n)
-    if not cols:
+    if not scaled.domain:
         raise ZeroColumn("no nonzero column to estimate over")
 
-    col_norms = np.array([np.linalg.norm(scaled.instance.column(j)) for j in cols])
+    col_norms = np.array([np.linalg.norm(scaled.instance.column(j)) for j in scaled.domain])
     # solutions hold A_B^-1 (s A_j); the estimated norm is of A_B^-1 A_j
-    sol_norms = (np.linalg.norm(scaled.solutions[:, cols], axis=0)
+    sol_norms = (np.linalg.norm(scaled.solutions[:, :-1], axis=0)
                  / scaled.state.matrix_scale)
     exact = float((sol_norms ** 2).sum())
     if scaled.error_mode == "worst":
         tilde = sol_norms + eps_ls * col_norms
     elif scaled.error_mode == "random":
-        signs = scaled.rng.choice([-1.0, 1.0], size=len(cols))
+        signs = scaled.rng.choice([-1.0, 1.0], size=len(scaled.domain))
         tilde = sol_norms + signs * eps_ls * col_norms
     else:
         tilde = sol_norms

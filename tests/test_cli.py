@@ -164,6 +164,27 @@ def test_analyze_with_trace_measured(demo, tmp_path):
     assert doc["measured"]["qlsa_invocations"] > 0
 
 
+@pytest.mark.parametrize("cell", ["abc", "nan"])
+def test_analyze_rejects_a_bad_trace_counter(demo, tmp_path, capsys, cell):
+    # a cell that is no finite number names its line and column, and no
+    # report (a NaN would not be valid JSON) is written
+    trace = tmp_path / "t.csv"
+    assert main(["solve", "--instance", demo, "--out-trace", str(trace)]) == 0
+    rows = list(csv.DictReader(trace.open()))
+    rows[0]["u_calls"] = cell
+    with trace.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    summary = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["analyze", "--instance", demo, "--trace", str(trace),
+                 "--out-summary", str(summary)]) == 2
+    err = capsys.readouterr().err
+    assert f"line 2, column u_calls: value '{cell}' is not a finite number" in err
+    assert not summary.exists()
+
+
 def test_start_basis_flag(tmp_path):
     # instance without an identity start: supply the basis explicitly
     A = np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0]])

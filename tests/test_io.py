@@ -143,16 +143,19 @@ def test_dict_rejects_non_numeric_rhs():
 
 
 def test_dict_builds_the_same_matrix_as_the_entries():
-    # integer and float entries, an empty column, unsorted rows, a duplicate
-    # (summed, as COO input is)
+    # integer and float entries, an empty column, unsorted rows; a row
+    # repeated in one column is an error, not a sum
     doc = {"m": 3, "n": 3,
-           "A": {"cols": [[[2, 1], [0, 0.5]], [], [[1, -2.0], [1, 1.0]]]},
+           "A": {"cols": [[[2, 1], [0, 0.5]], [], [[1, -1.0], [0, 2.0]]]},
            "b": [1, 2, 3], "c": [0, 1, 0]}
     inst = instance_from_dict(doc)
-    assert np.array_equal(inst.dense(), [[0.5, 0.0, 0.0],
+    assert np.array_equal(inst.dense(), [[0.5, 0.0, 2.0],
                                          [0.0, 0.0, -1.0],
                                          [1.0, 0.0, 0.0]])
     assert inst.col_nnz_max == 2
+    doc["A"]["cols"][2] = [[1, -2.0], [0, 2.0], [1, 1.0]]
+    with pytest.raises(InstanceFormatError, match="row 1 appears twice in column 2"):
+        instance_from_dict(doc)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -165,7 +168,13 @@ def test_dict_builds_the_same_matrix_as_the_entries():
      r"line 6: value 'abc' is not a finite number"),
     ("NAME x\nROWS\n N COST\n E R1\nCOLUMNS\n X1 R1 1.0\nRHS\n RHS R1 nan\nENDATA\n",
      r"line 8: value 'nan' is not a finite number"),
-], ids=["rows-entry-without-name", "duplicate-row", "non-numeric-value", "non-finite-rhs"])
+    # a repeated entry of A or of the objective would otherwise be summed
+    ("NAME x\nROWS\n N COST\n E R1\nCOLUMNS\n X1 R1 1.0\n X1 COST 1.0 R1 2.0\nENDATA\n",
+     r"line 7: column 'X1' names row 'R1' twice"),
+    ("NAME x\nROWS\n N COST\n E R1\nCOLUMNS\n X1 COST 1.0 R1 1.0\n X1 COST 2.0\nENDATA\n",
+     r"line 7: column 'X1' names row 'COST' twice"),
+], ids=["rows-entry-without-name", "duplicate-row", "non-numeric-value", "non-finite-rhs",
+        "repeated-entry", "repeated-objective-entry"])
 def test_mps_malformed_line_names_it(tmp_path, text, message, capsys):
     path = tmp_path / "bad.mps"
     path.write_text(text)

@@ -95,17 +95,6 @@ def test_normalize_scaled_spectrum_within_bounds(seed):
     assert np.linalg.norm(c_B) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_normalize_idempotent():
-    rng = np.random.default_rng(7)
-    B = rng.standard_normal((4, 4)) + 2 * np.eye(4)
-    inst = LpInstance.from_dense(np.hstack([B, np.eye(4)]), np.ones(4),
-                                 rng.standard_normal(8))
-    first = normalize(inst, tuple(range(4)))
-    again = normalize(inst, first)
-    assert again.matrix_scale == pytest.approx(first.matrix_scale, rel=1e-12)
-    assert again.cost_scale == pytest.approx(first.cost_scale, rel=1e-12)
-
-
 def within_ulps(x: float, y: float, ulps: int) -> bool:
     return abs(x - y) <= ulps * np.spacing(max(abs(x), abs(y)))
 

@@ -12,7 +12,8 @@ from qsimplex.classical import (OPTIMAL_FACTOR, PRICING_FACTOR, basic_solution,
 from qsimplex.instances import (embed_basis_instance, random_bounded_lp,
                                 random_lp, random_unbounded_lp,
                                 ratio_test_triple)
-from qsimplex.lp import BasisSingular, LpInstance, normalize, slack_identity_basis
+from qsimplex.lp import (BasisSingular, LpInstance, ZeroColumn, normalize,
+                         slack_identity_basis)
 from qsimplex.primitives import (ae_distribution, ae_readout,
                                  amplitude_estimation, pe_outcome_distribution,
                                  theta_of_amplitude)
@@ -256,6 +257,12 @@ def _full_solve(scaled, rhs):
     return np.linalg.solve(s * B, s * rhs)
 
 
+def _domain_rhs(scaled):
+    """``[A_domain | b]``: the columns ``solutions`` holds, in its order."""
+    inst = scaled.instance
+    return np.column_stack([inst.dense(), inst.b])[:, list(scaled.domain) + [inst.n]]
+
+
 def _recording_solve(monkeypatch):
     shapes, solve = [], np.linalg.solve
 
@@ -279,10 +286,11 @@ def test_scaled_basis_split_matches_full_solve(monkeypatch, seed):
                                             n - m + rows])).tolist()
     shapes = _recording_solve(monkeypatch)
     scaled = ScaledBasis.build(inst, basis)
+    assert len(scaled.domain) == n - m
     assert shapes == [((k, k), (k, n - m + 1))]
-    full = _full_solve(scaled, np.column_stack([inst.dense(), inst.b]))
-    assert np.allclose(scaled.solutions, full, rtol=0, atol=1e-12)
-    assert np.array_equal(scaled.solutions[:, basis], np.eye(m))
+    assert scaled.solutions.shape == (m, n - m + 1)
+    assert np.allclose(scaled.solutions, _full_solve(scaled, _domain_rhs(scaled)),
+                       rtol=0, atol=1e-12)
 
 
 def test_scaled_basis_without_unit_columns_is_one_dense_solve(monkeypatch):
@@ -295,18 +303,18 @@ def test_scaled_basis_without_unit_columns_is_one_dense_solve(monkeypatch):
     shapes = _recording_solve(monkeypatch)
     scaled = ScaledBasis.build(inst, basis)
     assert shapes == [((6, 6), (6, 10))]
-    cols = list(scaled.state.nonbasic) + [inst.n]
-    expected = _full_solve(scaled, np.column_stack([G[:, scaled.state.nonbasic], inst.b]))
-    assert np.array_equal(scaled.solutions[:, cols], expected)
+    assert np.array_equal(scaled.solutions, _full_solve(scaled, _domain_rhs(scaled)))
 
 
 def test_scaled_basis_of_slacks_solves_nothing(monkeypatch):
-    # k = 0: every solution is a row permutation of [A | b], exactly
+    # k = 0: every solution is a row permutation of [A_domain | b], exactly
     inst = random_lp(12, 36, seed=2)
     slack = slack_identity_basis(inst)
     shapes = _recording_solve(monkeypatch)
-    ab = np.column_stack([inst.dense(), inst.b])
-    assert np.array_equal(ScaledBasis.build(inst, slack).solutions, ab)
+    scaled = ScaledBasis.build(inst, slack)
+    assert scaled.domain == tuple(range(24))
+    ab = _domain_rhs(scaled)
+    assert np.array_equal(scaled.solutions, ab)
     order = np.random.default_rng(0).permutation(12)
     scaled = ScaledBasis.build(inst, [slack[i] for i in order])
     assert np.array_equal(scaled.solutions, ab[order])
@@ -322,8 +330,33 @@ def test_scaled_basis_counts_scaled_singleton_as_structural(monkeypatch):
     shapes = _recording_solve(monkeypatch)
     scaled = ScaledBasis.build(inst, (0, 1))
     assert shapes == [((1, 1), (1, 3))]
-    assert np.allclose(scaled.solutions[:, 2:],
+    assert scaled.domain == (2, 3)
+    assert np.allclose(scaled.solutions,
                        [[0.3, 0.5, 0.5], [0.8, 0.5, 1.0]], rtol=0, atol=1e-15)
+
+
+def test_scaled_basis_leaves_zero_and_basic_columns_out(monkeypatch):
+    # column 2 is zero and nonbasic: neither domain nor the solve's
+    # right-hand side holds it, and no column of solutions is basic
+    A = np.array([[1.0, 0.0, 0.0, 0.6, 1.0],
+                  [0.0, 1.0, 0.0, 0.8, 0.5]])
+    inst = LpInstance.from_dense(A, [1.0, 1.0], [0.0, 0.0, 1.0, -1.0, -0.5])
+    shapes = _recording_solve(monkeypatch)
+    scaled = ScaledBasis.build(inst, (3, 1))
+    assert scaled.domain == (0, 4)
+    assert shapes == [((1, 1), (1, 3))]
+    assert scaled.solutions.shape == (2, 3)
+    assert np.allclose(scaled.solutions, _full_solve(scaled, _domain_rhs(scaled)),
+                       rtol=0, atol=1e-15)
+    assert np.array_equal(scaled.direction(4), scaled.solutions[:, 1])
+    with pytest.raises(ZeroColumn, match="column 2 is zero"):
+        scaled.direction(2)
+    with pytest.raises(IndexError, match="column 5 is out of range"):
+        scaled.direction(5)
+    for basic in (3, 1):
+        with pytest.raises(ValueError, match=f"column {basic} is basic") as raised:
+            scaled.direction(basic)
+        assert not isinstance(raised.value, ZeroColumn)
 
 
 def test_scaled_basis_two_unit_columns_on_one_row_is_singular():
