@@ -7,7 +7,7 @@ accounting against the stated complexity formulas.
 """
 
 from .classical import (ClassicalPivotReport, ClassicalSolution, ratio_test,
-                        reduced_cost, reduced_costs, solve_classical)
+                        reduced_costs, solve_classical)
 from .costmodel import (CostReport, ThresholdViolation, build_cost_report,
                         classical_pricing_cost, column_split, mu, mu_opt,
                         qlsa_query_counts, quantum_pricing_cost,
@@ -34,7 +34,7 @@ __all__ = [
     "find_column", "find_row", "is_optimal", "is_unbounded", "min_finding",
     "mu", "mu_opt", "norm_estimate", "normalize", "qlsa_query_counts",
     "qsearch", "quantum_pricing_cost", "quantum_ratio_test_cost", "ratio_test",
-    "read_instance", "read_lp_json", "read_mps", "reduced_cost",
-    "reduced_costs", "simplex_iter", "slack_identity_basis", "solve_classical",
+    "read_instance", "read_lp_json", "read_mps", "reduced_costs",
+    "simplex_iter", "slack_identity_basis", "solve_classical",
     "solve_quantum", "write_lp_json",
 ]

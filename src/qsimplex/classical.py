@@ -81,10 +81,6 @@ def _reduced_costs(instance: LpInstance, solve, basis, nonbasic) -> np.ndarray:
     return instance.c[cols] - np.asarray((y @ instance.A[:, cols])).reshape(-1)
 
 
-def reduced_cost(instance: LpInstance, basis, k: int) -> float:
-    return float(reduced_costs(instance, basis, nonbasic=(k,))[0])
-
-
 def direction(instance: LpInstance, basis, k: int) -> np.ndarray:
     """u = A_B^{-1} A_k."""
     return _lu(instance, basis)(instance.column(k))
@@ -139,8 +135,8 @@ def _min_ratio(x: np.ndarray, u: np.ndarray, delta: float):
     return int(rows[best]), float(ratios[best])
 
 
-def pivot_report(instance: LpInstance, basis, rng=None, rule: str = "dantzig",
-                 tol: float = FEAS_TOL) -> ClassicalPivotReport:
+def pivot_report(instance: LpInstance, basis, rng=None,
+                 rule: str = "dantzig") -> ClassicalPivotReport:
     """Price all nonbasic columns and run the ratio test for one pivot,
     from one LU of the basis."""
     basis = tuple(basis)
@@ -150,7 +146,7 @@ def pivot_report(instance: LpInstance, basis, rng=None, rule: str = "dantzig",
     cbar = _reduced_costs(instance, solve, basis, nonbasic)
     x = solve(instance.b)
     objective = float(instance.c[list(basis)] @ x)
-    eligible = tuple(nonbasic[i] for i in np.flatnonzero(cbar < -tol))
+    eligible = tuple(nonbasic[i] for i in np.flatnonzero(cbar < -FEAS_TOL))
     if not eligible:
         return ClassicalPivotReport(cbar, nonbasic, (), None, None, None, None, objective)
     if rule == "dantzig":
@@ -171,7 +167,7 @@ def pivot_report(instance: LpInstance, basis, rng=None, rule: str = "dantzig",
 
 def solve_classical(instance: LpInstance, start_basis, rule: str = "random",
                     seed: int = 0, max_iters: int | None = None,
-                    tol: float = FEAS_TOL, keep_reports: bool = False) -> ClassicalSolution:
+                    keep_reports: bool = False) -> ClassicalSolution:
     """Run the simplex loop to optimality/unboundedness from a feasible basis.
 
     ``rule = "random"`` picks uniformly among eligible columns (seeded).
@@ -179,7 +175,7 @@ def solve_classical(instance: LpInstance, start_basis, rule: str = "random",
     switches to Bland's; a second cap then aborts with status "cap".
     """
     basis = list(start_basis)
-    if np.any(basic_solution(instance, basis) < -tol):
+    if np.any(basic_solution(instance, basis) < -FEAS_TOL):
         raise ValueError("start basis is infeasible")
     rng = np.random.default_rng(seed)
     cap = max_iters if max_iters is not None else 50 * (instance.m + instance.n)
@@ -189,7 +185,7 @@ def solve_classical(instance: LpInstance, start_basis, rule: str = "random",
     for it in range(2 * cap + 1):
         if it >= cap:
             active_rule = "bland"
-        rep = pivot_report(instance, basis, rng=rng, rule=active_rule, tol=tol)
+        rep = pivot_report(instance, basis, rng=rng, rule=active_rule)
         if keep_reports:
             reports.append(rep)
         if rep.entering is None:

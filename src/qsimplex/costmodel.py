@@ -116,11 +116,9 @@ def mu(matrix, p: float) -> float:
     return min(fro, cand)
 
 
-def mu_opt(matrix, grid=None) -> float:
+def mu_opt(matrix) -> float:
     """mu minimized over the p-grid {0, 0.1, ..., 1}."""
-    if grid is None:
-        grid = [i / 10 for i in range(11)]
-    return min(mu(matrix, p) for p in grid)
+    return min(mu(matrix, i / 10) for i in range(11))
 
 
 @dataclass

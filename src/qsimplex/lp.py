@@ -147,10 +147,6 @@ class BasisState:
     split: UnitSplit = field(compare=False, repr=False)
     cost_degenerate: bool = False
 
-    @property
-    def size(self) -> int:
-        return len(self.basis)
-
 
 def _basis_columns(instance: LpInstance, basis) -> list[int]:
     cols = [int(j) for j in basis]

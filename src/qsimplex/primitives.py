@@ -24,6 +24,14 @@ execution modes run through everything:
   between them, building tables only for the rows with a uniform too
   close to an interval end to decide.
 
+Amplitude estimation has one readout path.  The phase theta = asin(sqrt
+a)/pi has one formula (``_phases``), which every kernel, readout and
+tolerance test reads.  ``amplitude_estimation`` reads an array of
+probabilities of any shape, and is the one place that picks
+``ae_readout`` or ``AEQuantiles``.  It returns an ``AEOutcome``: the
+readouts folded once to phases in [0, 1/2], and the one phase-tolerance
+test, which the sampled sign votes use too.
+
 Query accounting conventions (one call of phase estimation on ``t`` bits,
 ``M = 2^t``): ``M`` controlled powers of the walk/Grover operator are
 charged as ``M`` controlled-U calls and ``2M`` U-calls (operator and
@@ -35,7 +43,7 @@ the state preparations inside the iterates are charged by the caller
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,21 +129,11 @@ def _charge_pe(stats: QueryStats, t: int) -> None:
 # amplitude estimation
 
 
-def fold_phase(y: int, M: int) -> float:
-    """Map the readout to [0, 1/2]: phases theta and 1 - theta are the two
-    eigenphase branches of the Grover operator and carry the same amplitude."""
-    return min(y, M - y) / M
-
-
-def theta_of_amplitude(a: float) -> float:
-    """Phase theta in [0, 1/2] with ``sin(pi theta) = sqrt(a)``."""
-    a = min(max(a, 0.0), 1.0)
-    return math.asin(math.sqrt(a)) / math.pi
-
-
 def _phases(a) -> np.ndarray:
-    """``theta_of_amplitude`` of each probability of ``a``, shaped like it."""
-    return np.reshape([theta_of_amplitude(x) for x in np.ravel(a).tolist()], np.shape(a))
+    """Phase theta in [0, 1/2] with ``sin(pi theta) = sqrt(a)`` of each
+    probability of ``a`` (clipped to [0, 1]), shaped like it: the one
+    formula every kernel, readout and tolerance test reads theta from."""
+    return np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0))) / math.pi
 
 
 def ae_distribution(a, bits: int) -> np.ndarray:
@@ -293,8 +291,7 @@ class AEQuantiles:
         ends = np.stack([lo0 - 1, lo1 - 1, np.full_like(c, M - 1)], axis=-1)
         full = starts <= ends
         row = np.nonzero(full)[0]
-        s2 = np.array([math.sin(math.pi * (t * M - k)) ** 2
-                       for t, k in zip(theta.tolist(), c.tolist())])
+        s2 = np.sin(math.pi * (theta * M - c)) ** 2
         gaps = np.zeros(starts.shape)
         gaps[full] = 0.5 * _kernel_gap_sums(
             np.stack([theta * M, M - theta * M], axis=-1)[row],
@@ -333,50 +330,54 @@ class AEQuantiles:
         return y
 
 
-@dataclass(frozen=True)
+@dataclass
 class AEOutcome:
+    """Amplitude-estimation readouts ``y`` on ``bits`` bits of probabilities
+    whose phases are ``theta_true`` (arrays that broadcast together).  Each
+    readout is folded once, on construction, to the phase ``theta_est`` in
+    [0, 1/2]: theta and 1 - theta are the two eigenphase branches of the
+    Grover operator and carry the same amplitude.  ``within`` is the one
+    phase-tolerance test of a readout."""
+
     bits: int
-    theta_true: float
-    y: int
+    theta_true: np.ndarray
+    y: np.ndarray
+    theta_est: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        M = 2 ** self.bits
+        self.theta_est = np.minimum(self.y, M - self.y) / M
 
     @property
-    def theta_est(self) -> float:
-        return fold_phase(self.y, 2 ** self.bits)
+    def amp_est(self) -> np.ndarray:
+        return np.sin(math.pi * self.theta_est)
 
-    @property
-    def amp_est(self) -> float:
-        return math.sin(math.pi * self.theta_est)
-
-    @property
-    def phase_error(self) -> float:
-        return abs(self.theta_est - self.theta_true)
-
-    def within(self, tol: float) -> bool:
-        return self.phase_error <= tol + 1e-15
+    def within(self, tol: float) -> np.ndarray:
+        return np.abs(self.theta_est - self.theta_true) <= tol + 1e-15
 
 
-def amplitude_estimation(a: float, bits: int, mode: str = "analytic",
-                         rng: np.random.Generator | None = None) -> AEOutcome:
-    """Estimate the amplitude ``sqrt(a)`` of a target state with probability
-    ``a`` with ``bits`` qubits of phase accuracy.  Uncharged: the caller
-    prices the run with ``estimation_cost``.
+def amplitude_estimation(a, bits: int, mode: str = "analytic", u=None) -> AEOutcome:
+    """Estimate the amplitudes ``sqrt(a)`` of target states with the
+    probabilities ``a`` (any shape) with ``bits`` qubits of phase accuracy:
+    the one place that picks how a readout is made.  Uncharged: the caller
+    prices the runs with ``estimation_cost``.
 
-    Analytic mode reads out the most likely grid point of the exact
-    outcome distribution with ``ae_readout``, so ``y`` is folded to
-    [0, M/2] (the fold, and with it ``theta_est``, is the table's argmax);
-    sampling mode maps one uniform, ``rng.random((1, 1))``, through
-    ``AEQuantiles``: the index, and the generator state after it, that
-    ``rng.choice`` on the table gives, building the table only for the rare
-    undecided draw.
+    Analytic mode reads out the most likely grid point of each exact
+    outcome distribution with ``ae_readout``, folded to [0, M/2] (the fold,
+    and with it ``theta_est``, is the table's argmax); sampling mode maps
+    the uniforms ``u``, one per probability in C order, through one
+    ``AEQuantiles``: the index that ``rng.choice`` on each table gives for
+    the generator that drew them, building tables only for the rare
+    undecided draws.
     """
-    theta = theta_of_amplitude(a)
+    theta = _phases(a)
     if mode == "analytic":
-        y = int(ae_readout(a, bits))
+        y = ae_readout(a, bits)
     elif mode == "sampling":
-        y = int(AEQuantiles([a], bits)(rng.random((1, 1)))[0, 0])
+        y = AEQuantiles(a, bits)(np.reshape(u, (-1, 1)))[:, 0].reshape(np.shape(theta))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return AEOutcome(bits=bits, theta_true=theta, y=y)
+    return AEOutcome(bits, theta, y)
 
 
 # ---------------------------------------------------------------------------

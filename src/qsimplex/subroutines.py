@@ -40,13 +40,15 @@ amplitudes, decided in one array pass: analytic mode from the grid points
 bracketing each phase and one ``ae_distribution`` call for the entries
 straddling the threshold, sampling mode by mapping one ``rng.random`` draw
 through one set of quantile tables (``_SampledVotes``), the same generator
-stream as drawing entry by entry.  ``can_enter`` is the one pricing read
-and vote: a sweep is its call on every column, a FindColumn confirmation
-under random error its call on one column; a confirmation whose state
-reads alike again draws through its sweep's tables instead.  FindRow's
+stream as drawing entry by entry; one ``AEOutcome`` folds those runs and
+tests them against the phase tolerance.  ``can_enter`` is the one pricing
+read and vote: a sweep is its call on every column, a FindColumn
+confirmation under random error its call on one column; a confirmation
+whose state reads alike again draws through its sweep's tables instead.  FindRow's
 gate draws row by row through its ``_SampledVotes``, since whether a row
 draws AE uniforms depends on its gate; its AE values are then read as one
-array (``ae_readout`` or ``AEQuantiles``).
+(gated rows x [numerator, denominator]) array by ``amplitude_estimation``,
+which picks ``ae_readout`` or ``AEQuantiles`` by mode.
 
 Each subroutine run owns its generator and counters; inputs are immutable,
 so independent runs are safe to parallelize from the caller's side.
@@ -64,9 +66,9 @@ import numpy as np
 
 from .lp import BasisSingular, BasisState, LpInstance, ZeroColumn, normalize
 from .primitives import (AEOutcome, AEQuantiles, AllInfinite, QueryStats,
-                         _charge_pe, ae_distribution, ae_readout,
+                         _charge_pe, _phases, ae_distribution,
                          amplitude_estimation, grover_count_exists, min_finding,
-                         qsearch, qsearch_analytic, theta_of_amplitude)
+                         qsearch, qsearch_analytic)
 from .qlsa import IdealQlsa, read_amplitudes
 
 SQRT3PI = math.sqrt(3.0) * math.pi
@@ -158,7 +160,7 @@ def _gadget_phase(alpha: np.ndarray, spec: SignEstSpec) -> tuple[np.ndarray, np.
     amplitude of ``alpha``, and its phase theta in [0, 1/2]."""
     amp = (1.0 - alpha) / 2.0 if spec.flipped else (1.0 + alpha) / 2.0
     a = np.clip(amp, 0.0, 1.0) ** 2
-    return a, np.arcsin(np.sqrt(a)) / math.pi
+    return a, _phases(a)
 
 
 def _prob_one(alpha: np.ndarray, spec: SignEstSpec) -> np.ndarray:
@@ -357,10 +359,10 @@ class _SampledVotes:
             y, theta = self.tables(u, rows), theta[:, None]
         else:
             y = self.tables(u.reshape(-1, 1)).reshape(u.shape)
-        folds = np.minimum(y, 2 ** self.spec.bits - y) / 2 ** self.spec.bits
+        runs = AEOutcome(self.spec.bits, theta, y)
         majority = (reps + 1) // 2
-        return ((self.spec.decide(folds).sum(axis=-1) >= majority).astype(int),
-                (np.abs(folds - theta) <= self.spec.tol + 1e-15).sum(axis=-1) >= majority)
+        return ((self.spec.decide(runs.theta_est).sum(axis=-1) >= majority).astype(int),
+                runs.within(self.spec.tol).sum(axis=-1) >= majority)
 
 
 def _sign_votes(alpha: np.ndarray, eps_se: float, kind: str, reps: int,
@@ -568,7 +570,7 @@ def is_unbounded(scaled: ScaledBasis, k: int, delta: float, reps: int = Precisio
                                  schedules=3)
     activations = stats.grover_iterations - iters_before
     stats.add(estimation_cost(scaled.qlsa, eps_ls, spec.bits)
-              .scaled(reps * max(activations, 1)))
+              .scaled(reps * activations))
     return IsUnboundedResult(value=int(not exists), ok=ok, marked_rows=marked)
 
 
@@ -621,7 +623,7 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
     gate_alpha = scaled.read(u / u_norm, gate_eps, gate_spec.alpha_boundary)
     if mode == "analytic":
         gate_values, _, _ = _sign_votes(gate_alpha, gate_eps, "nfp_plus", reps, mode, rng)
-        all_ok = True
+        ae_draws, all_ok = None, True
     else:
         # each row draws its gate's reps uniforms, then, if gated, one for
         # its numerator and one for its denominator; building a table draws
@@ -634,31 +636,30 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
             gate_values[h] = values[0]
             if values[0] == 1:
                 ae_draws.append(rng.random(2))
-    gated = np.flatnonzero(gate_values == 1).tolist()
-    probs = [float(amps[h]) ** 2 for h in gated for amps in (num_amps, den_amps)]
-    ys = (ae_readout(probs, ae_bits) if mode == "analytic"
-          else AEQuantiles(probs, ae_bits)(np.reshape(ae_draws, (-1, 1)))[:, 0])
-    outcomes = [AEOutcome(bits=ae_bits, theta_true=theta_of_amplitude(p), y=int(y))
-                for p, y in zip(probs, ys.tolist())]
+    rows = np.flatnonzero(gate_values == 1)
+    # a (gated rows x [numerator, denominator]) readout
+    ae = amplitude_estimation(np.stack([num_amps[rows], den_amps[rows]], axis=-1) ** 2,
+                              ae_bits, mode, ae_draws)
     for value in gate_values.tolist():
         stats.add(gate_cost)
         if value == 1:
             stats.add(ae_cost)
+    all_ok = all_ok and bool(ae.within(nu).all())
+    num, den = ae.amp_est.T
     ratios = np.full(m, np.inf)
-    for h, num, den in zip(gated, outcomes[0::2], outcomes[1::2]):
-        all_ok = all_ok and num.within(nu) and den.within(nu)
-        ratios[h] = num.amp_est / den.amp_est if den.amp_est > 0 else np.inf
+    ratios[rows] = np.divide(num, den, out=np.full(rows.size, np.inf), where=den > 0)
 
+    gated = tuple(rows.tolist())
     if not gated or not np.any(np.isfinite(ratios)):
         return FindRowResult(
             row=None, ok=all_ok, failure="no_positive_denominator",
-            gated=tuple(gated), ratio_estimates=ratios)
+            gated=gated, ratio_estimates=ratios)
     row = min_finding(ratios, rng=rng, stats=stats, mode=mode)
     all_ok = all_ok and ratios[row] == ratios[np.argmin(ratios)]
     # the AE quotient estimates the normalized ratio (x_h/|x|)/(u_h/|u|);
     # report the unscaled ratio-test value alongside it
     return FindRowResult(row=int(row), ok=all_ok, failure=None,
-                         gated=tuple(gated), ratio_estimates=ratios,
+                         gated=gated, ratio_estimates=ratios,
                          diagnostics={"ratio_unscaled":
                                       float(ratios[row]) * (x_norm / u_norm)})
 
@@ -714,10 +715,11 @@ def norm_estimate(scaled: ScaledBasis, eps: float, mode: str = "analytic",
 
     nu = eps / (4.0 * math.pi * alpha ** 2)
     bits = math.ceil(math.log2(1.0 / nu)) + 2
-    outcome = amplitude_estimation(p, bits, mode=mode, rng=rng)
+    outcome = amplitude_estimation(p, bits, mode,
+                                   rng.random(1) if mode == "sampling" else None)
     stats.add(estimation_cost(scaled.qlsa, eps_ls, bits))
     rho = outcome.amp_est ** 2 * alpha ** 2 * fro2
-    return NormEstimateResult(rho=float(rho), exact=exact, ok=outcome.within(nu))
+    return NormEstimateResult(rho=float(rho), exact=exact, ok=bool(outcome.within(nu)))
 
 
 # ---------------------------------------------------------------------------
@@ -752,9 +754,8 @@ def simplex_iter(instance: LpInstance, basis, params: PrecisionParams,
     scaled = ScaledBasis.build(instance, basis, eps_prime=params.eps_prime,
                                error_mode=error_mode, rng=rng)
     stats = QueryStats()
-    diag: dict = {"kappa": scaled.state.kappa}
     opt = is_optimal(scaled, params.eps, params.reps, mode, rng, stats)
-    diag["is_optimal"] = opt.value
+    diag: dict = {"is_optimal": opt.value}
     if opt.value == 1:
         recheck = find_column(scaled, params.eps, params.reps, mode, rng, stats,
                               variant="nfp", recover_with_nfp=False)

@@ -147,15 +147,16 @@ def sign_estimation_suite() -> SuiteResult:
 # pricing soundness (CanEnter / FindColumn)
 
 
-def _pricing_instance(m: int, n: int, seed: int, eps: float,
-                      want_strong: float = -0.3) -> tuple[LpInstance, tuple[int, ...]]:
-    """Random LP rejected until some column prices in solidly (a pricing
-    test on an already-optimal instance would be vacuous)."""
+def _pricing_instance(m: int, n: int, seed: int,
+                      eps: float) -> tuple[LpInstance, tuple[int, ...]]:
+    """Random LP rejected until some column prices in solidly, with
+    ``pricing_terms`` ratio below -0.3 (a pricing test on an already-optimal
+    instance would be vacuous)."""
     for attempt in range(100):
         inst = random_lp(m, n, seed=seed * 997 + attempt)
         basis = slack_identity_basis(inst)
         cbar, norm = pricing_terms(inst, basis)
-        if np.min(cbar / norm) < want_strong:
+        if np.min(cbar / norm) < -0.3:
             return inst, basis
     raise RuntimeError("generator failed to produce an eligible column")
 

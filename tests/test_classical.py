@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import exhaustive_ratio_test, tableau_simplex
 from qsimplex.classical import (OPTIMAL_FACTOR, PRICING_FACTOR, basic_solution,
                                 direction, pivot_report, pricing_terms,
-                                ratio_test, reduced_cost, reduced_costs,
+                                ratio_test, reduced_costs,
                                 solve_classical)
 from qsimplex.instances import random_lp
 from qsimplex.lp import LpInstance, slack_identity_basis
@@ -25,7 +25,7 @@ def test_reduced_cost_of_basic_column_is_zero():
     inst = random_lp(3, 6, seed=1)
     basis = slack_identity_basis(inst)
     for k in basis:
-        assert reduced_cost(inst, basis, k) == pytest.approx(0.0, abs=1e-12)
+        assert reduced_costs(inst, basis, nonbasic=(k,))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reduced_cost_direct_arithmetic():
@@ -35,7 +35,7 @@ def test_reduced_cost_direct_arithmetic():
     A = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.8]])
     inst = LpInstance.from_dense(A, [1.0, 1.0], [s, s, 0.1])
     expected = 0.1 - 1.4 / np.sqrt(2)
-    assert reduced_cost(inst, (0, 1), 2) == pytest.approx(expected, rel=1e-12)
+    assert reduced_costs(inst, (0, 1), nonbasic=(2,))[0] == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(-0.8899494936611665, rel=1e-12)
 
 
@@ -250,4 +250,4 @@ def test_pricing_terms_give_scaled_verdict_where_raw_form_disagrees():
     bound = PRICING_FACTOR["nfn"] * 0.1 * norm
     assert cbar < bound
     # the unscaled reduced cost against the same norm misses the certificate
-    assert not reduced_cost(inst, (0, 1), 2) < bound
+    assert not reduced_costs(inst, (0, 1), nonbasic=(2,))[0] < bound

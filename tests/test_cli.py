@@ -231,7 +231,7 @@ def test_solve_summary_matches_classical_within_bound(demo, tmp_path, capsys):
     # analytic-mode summary objective vs the exact classical optimum, within
     # the per-instance duality bound max_k(-c_bar_k)+ * |x*|_1 computed from
     # the classical certificate
-    from qsimplex.classical import reduced_cost, solve_classical
+    from qsimplex.classical import reduced_costs, solve_classical
     from qsimplex.io import read_lp_json
     from qsimplex.lp import slack_identity_basis
 
@@ -242,7 +242,7 @@ def test_solve_summary_matches_classical_within_bound(demo, tmp_path, capsys):
     inst = read_lp_json(demo)
     basis = slack_identity_basis(inst)
     classical = solve_classical(inst, basis, rule="dantzig")
-    worst = max(max(0.0, -reduced_cost(inst, doc["basis"], k))
+    worst = max(max(0.0, -reduced_costs(inst, doc["basis"], nonbasic=(k,))[0])
                 for k in range(inst.n) if k not in doc["basis"])
     bound = worst * float(np.abs(classical.x).sum()) + 1e-9
     assert doc["objective"] - classical.objective <= bound

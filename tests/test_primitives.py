@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 
 from oracles import (empirical_distribution, grover_operator,
                      pe_circuit_distribution, tv_distance)
-from qsimplex.primitives import (_AE_WINDOW, AEQuantiles, AllInfinite,
+from qsimplex.primitives import (_AE_WINDOW, AEOutcome, AEQuantiles, AllInfinite,
                                  QueryStats, _charge_pe, _fejer, _kernel_gap_sums,
-                                 ae_distribution, ae_readout,
+                                 _phases, ae_distribution, ae_readout,
                                  amplitude_estimation, extra_qubits,
-                                 fold_phase, grover_count_exists, min_finding,
+                                 grover_count_exists, min_finding,
                                  pe_outcome_distribution, qsearch,
-                                 qsearch_analytic, theta_of_amplitude)
+                                 qsearch_analytic)
 from qsimplex.verify import pe_success_probability
 
 # frozen from a one-off calibration run (mean iterations 6.2 over 200 seeds
@@ -106,7 +106,7 @@ def test_ae_point_mass_on_grid_theta():
     assert dist[2] == pytest.approx(0.5)
     assert dist[14] == pytest.approx(0.5)
     # both outcomes fold to the same estimate
-    assert fold_phase(2, 16) == fold_phase(14, 16) == theta
+    assert AEOutcome(4, theta, np.array([2, 14])).theta_est.tolist() == [theta, theta]
 
 
 def test_ae_half_amplitude_concentration():
@@ -114,8 +114,8 @@ def test_ae_half_amplitude_concentration():
     # 2^-b of 1/6 with probability >= 8/pi^2
     b = 6
     dist = ae_distribution(0.25, b)
-    mass = sum(p for y, p in enumerate(dist)
-               if abs(fold_phase(y, 2 ** b) - 1 / 6) <= 2.0 ** (-b))
+    folds = AEOutcome(b, 1 / 6, np.arange(2 ** b)).theta_est
+    mass = sum(p for fold, p in zip(folds, dist) if abs(fold - 1 / 6) <= 2.0 ** (-b))
     assert mass >= 8 / math.pi ** 2
 
 
@@ -141,7 +141,7 @@ def test_grover_operator_eigenphases():
     amp = abs(psi[target])
     eig = np.linalg.eigvals(grover_operator(psi, target))
     phases = np.sort(np.angle(eig) / (2 * np.pi) % 1.0)
-    theta = theta_of_amplitude(amp ** 2)
+    theta = float(_phases(amp ** 2))
     assert np.any(np.isclose(phases, theta, atol=1e-9))
     assert np.any(np.isclose(phases, 1 - theta, atol=1e-9))
 
@@ -152,7 +152,7 @@ def test_ae_analytic_vs_sampled_tv():
     a = 0.3
     bits = 5
     dist = ae_distribution(a, bits)
-    draws = [amplitude_estimation(a, bits, mode="sampling", rng=rng).y
+    draws = [int(amplitude_estimation(a, bits, "sampling", rng.random(1)).y)
              for _ in range(10_000)]
     assert tv_distance(dist, empirical_distribution(draws, 2 ** bits)) <= 0.05
 
@@ -210,8 +210,7 @@ def test_ae_sample_matches_choice(bits):
             seed = int(rng.integers(2 ** 32))
             drawn, expected = np.random.default_rng(seed), np.random.default_rng(seed)
             if size is None:
-                got = amplitude_estimation(a, bits, "sampling", drawn).y
-                assert type(got) is int, a
+                got = int(amplitude_estimation(a, bits, "sampling", drawn.random(1)).y)
             else:
                 got = AEQuantiles([a], bits)(drawn.random((1, size)))[0]
             want = expected.choice(2 ** bits, size=size, p=dist)
@@ -224,6 +223,28 @@ def test_ae_sample_matches_choice(bits):
         want = expected.choice(2 ** bits, size=15, p=ae_distribution(a, bits))
         assert np.array_equal(row, want), a
     assert drawn.random() == expected.random()
+
+
+@pytest.mark.parametrize("bits", [9, 18])
+@pytest.mark.parametrize("mode", ["analytic", "sampling"])
+def test_ae_array_matches_elementwise_calls(mode, bits):
+    # a (rows x [numerator, denominator]) readout, as the ratio test makes
+    # it, against one call per probability on the same uniforms: the same
+    # readouts, folded phases, amplitudes and tolerance flags
+    rng = np.random.default_rng(bits)
+    a = np.concatenate([rng.uniform(0.0, 1.0, (12, 2)), [[0.0, 1.0]]])
+    u = rng.random(a.shape) if mode == "sampling" else None
+    tol = 0.25 * 2.0 ** -bits
+    whole = amplitude_estimation(a, bits, mode, u)
+    flags = whole.within(tol)
+    assert whole.y.shape == flags.shape == a.shape
+    assert 0 < flags.sum() < a.size
+    for i, j in np.ndindex(a.shape):
+        one = amplitude_estimation(a[i, j], bits, mode, None if u is None else u[i, j:j + 1])
+        assert whole.y[i, j] == one.y, (i, j)
+        assert whole.theta_est[i, j] == one.theta_est, (i, j)
+        assert whole.amp_est[i, j] == one.amp_est, (i, j)
+        assert flags[i, j] == one.within(tol), (i, j)
 
 
 def assert_quantile_matches(a: float, bits: int, probes) -> None:
@@ -319,8 +340,8 @@ def test_sampled_ae_far_from_boundaries_builds_no_table(monkeypatch):
     assert min(u - cdf[y - 1], cdf[y] - u) > 1e-6
     assert dist[y] > 1e-3  # next to a peak, so inside its window
     monkeypatch.setattr(primitives, "ae_distribution", None)
-    out = amplitude_estimation(0.6 ** 2, 18, mode="sampling",
-                               rng=np.random.default_rng(3))
+    out = amplitude_estimation(0.6 ** 2, 18, "sampling",
+                               np.random.default_rng(3).random(1))
     assert out.y == y
 
 

@@ -14,9 +14,8 @@ from qsimplex.instances import (embed_basis_instance, random_bounded_lp,
                                 ratio_test_triple)
 from qsimplex.lp import (BasisSingular, LpInstance, ZeroColumn, normalize,
                          slack_identity_basis)
-from qsimplex.primitives import (ae_distribution, ae_readout,
-                                 amplitude_estimation, pe_outcome_distribution,
-                                 theta_of_amplitude)
+from qsimplex.primitives import (_phases, ae_distribution, ae_readout,
+                                 amplitude_estimation, pe_outcome_distribution)
 from qsimplex.qlsa import read_amplitudes
 from qsimplex.subroutines import (SIGN_EST_KINDS, PrecisionParams, ScaledBasis,
                                   _analytic_sign_values, _gadget_phase, _sign_votes,
@@ -176,8 +175,9 @@ def test_boosted_sign_est_majority():
 @pytest.mark.parametrize("kind", SIGN_EST_KINDS)
 def test_gadget_phase_matches_per_entry_formula(kind):
     # the array expression against the per-entry formula: Python's x ** 2
-    # (libm pow) and NumPy's square, and math.asin and np.arcsin, may round
-    # differently in the last bit
+    # (libm pow) and NumPy's square may round differently in the last bit;
+    # each phase is, bit for bit, the one the kernels read for its
+    # probability alone
     spec = sign_est_spec(0.1, kind)
     rng = np.random.default_rng(5)
     alpha = np.concatenate([rng.uniform(-1.0, 1.0, 2000), [-1.0, 0.0, 1.0],
@@ -186,7 +186,7 @@ def test_gadget_phase_matches_per_entry_formula(kind):
     for x, p, t in zip(alpha.tolist(), a.tolist(), theta.tolist()):
         amp = (1.0 - x) / 2.0 if spec.flipped else (1.0 + x) / 2.0
         assert p == pytest.approx(min(max(amp, 0.0), 1.0) ** 2, rel=2.0 ** -52, abs=0), x
-        assert t == pytest.approx(theta_of_amplitude(p), rel=2.0 ** -51, abs=0), x
+        assert t == _phases(p), x
 
 
 @pytest.mark.parametrize("kind", ["nfn", "nfp"])  # 9 and 12 bits
@@ -780,7 +780,7 @@ def test_vector_tables_match_one_row_tables(kind, bits):
     readouts = ae_readout(a, bits)
     ties = 0
     for i, (x, p) in enumerate(zip(alpha.tolist(), a.tolist())):
-        theta = theta_of_amplitude(p)
+        theta = float(_phases(p))
         table = 0.5 * (pe_outcome_distribution(theta, bits)
                        + pe_outcome_distribution(-theta, bits))
         assert np.array_equal(ae_distribution(p, bits), table), i
