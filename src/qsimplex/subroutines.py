@@ -44,11 +44,11 @@ stream as drawing entry by entry; one ``AEOutcome`` folds those runs and
 tests them against the phase tolerance.  ``can_enter`` is the one pricing
 read and vote: a sweep is its call on every column, a FindColumn
 confirmation under random error its call on one column; a confirmation
-whose state reads alike again draws through its sweep's tables instead.  FindRow's
-gate draws row by row through its ``_SampledVotes``, since whether a row
-draws AE uniforms depends on its gate; its AE values are then read as one
-(gated rows x [numerator, denominator]) array by ``amplitude_estimation``,
-which picks ``ae_readout`` or ``AEQuantiles`` by mode.
+whose state reads alike again draws through its sweep's tables instead.
+FindRow's gate is a sweep too: sampling mode draws its m x reps block
+first, then one (gated rows x [numerator, denominator]) block of AE
+uniforms, which ``amplitude_estimation`` reads as one array, picking
+``ae_readout`` or ``AEQuantiles`` by mode.
 
 Each subroutine run owns its generator and counters; inputs are immutable,
 so independent runs are safe to parallelize from the caller's side.
@@ -317,6 +317,12 @@ def estimation_cost(qlsa: IdealQlsa, eps_ls: float, bits: int) -> QueryStats:
     return per
 
 
+def _ae_uniforms(rng: np.random.Generator | None, mode: str, shape):
+    """The uniforms a sampled ``amplitude_estimation`` of ``shape``
+    probabilities reads, one block from ``rng``; analytic mode draws none."""
+    return rng.random(shape) if mode == "sampling" else None
+
+
 # ---------------------------------------------------------------------------
 # sweeps: one sign estimation per column or row
 
@@ -373,7 +379,8 @@ def _sign_votes(alpha: np.ndarray, eps_se: float, kind: str, reps: int,
     runs that each prepare their own state.  Analytic mode decides them in
     one array pass (``_analytic_sign_values``; ``votes`` is None).
     Sampling mode draws them through ``votes``, the entries'
-    ``_SampledVotes``, which later runs on the same states reuse.
+    ``_SampledVotes``, which later runs on the same states reuse.  Any
+    other mode, or sampling without a generator, is a ValueError.
 
     When at least ``(reps + 1)/2`` runs landed within the phase tolerance
     (``oks``) and the majority decision is v, some in-tolerance run also
@@ -384,6 +391,10 @@ def _sign_votes(alpha: np.ndarray, eps_se: float, kind: str, reps: int,
     if mode == "analytic":
         values = _analytic_sign_values(alpha, spec)
         return values, np.ones(values.shape, dtype=bool), None
+    if mode != "sampling":
+        raise ValueError(f"unknown mode {mode!r}")
+    if rng is None:
+        raise ValueError("sampling mode needs a generator")
     votes = _SampledVotes(alpha, spec)
     return (*votes(rng, reps), votes)
 
@@ -621,30 +632,16 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
     num_amps = scaled.read(x / x_norm, eps_ls)
     den_amps = scaled.read(u / u_norm, eps_ls)
     gate_alpha = scaled.read(u / u_norm, gate_eps, gate_spec.alpha_boundary)
-    if mode == "analytic":
-        gate_values, _, _ = _sign_votes(gate_alpha, gate_eps, "nfp_plus", reps, mode, rng)
-        ae_draws, all_ok = None, True
-    else:
-        # each row draws its gate's reps uniforms, then, if gated, one for
-        # its numerator and one for its denominator; building a table draws
-        # nothing, so the AE tables wait for the gated rows
-        gate = _SampledVotes(gate_alpha, gate_spec)
-        gate_values, ae_draws, all_ok = np.zeros(m, dtype=int), [], True
-        for h in range(m):
-            values, oks = gate(rng, reps, [h])
-            all_ok = all_ok and bool(oks[0])
-            gate_values[h] = values[0]
-            if values[0] == 1:
-                ae_draws.append(rng.random(2))
+    gate_values, gate_oks, _ = _sign_votes(gate_alpha, gate_eps, "nfp_plus", reps, mode, rng)
     rows = np.flatnonzero(gate_values == 1)
-    # a (gated rows x [numerator, denominator]) readout
+    # a (gated rows x [numerator, denominator]) readout, drawn after the gate
     ae = amplitude_estimation(np.stack([num_amps[rows], den_amps[rows]], axis=-1) ** 2,
-                              ae_bits, mode, ae_draws)
+                              ae_bits, mode, _ae_uniforms(rng, mode, (rows.size, 2)))
     for value in gate_values.tolist():
         stats.add(gate_cost)
         if value == 1:
             stats.add(ae_cost)
-    all_ok = all_ok and bool(ae.within(nu).all())
+    all_ok = bool(gate_oks.all() and ae.within(nu).all())
     num, den = ae.amp_est.T
     ratios = np.full(m, np.inf)
     ratios[rows] = np.divide(num, den, out=np.full(rows.size, np.inf), where=den > 0)
@@ -715,8 +712,7 @@ def norm_estimate(scaled: ScaledBasis, eps: float, mode: str = "analytic",
 
     nu = eps / (4.0 * math.pi * alpha ** 2)
     bits = math.ceil(math.log2(1.0 / nu)) + 2
-    outcome = amplitude_estimation(p, bits, mode,
-                                   rng.random(1) if mode == "sampling" else None)
+    outcome = amplitude_estimation(p, bits, mode, _ae_uniforms(rng, mode, 1))
     stats.add(estimation_cost(scaled.qlsa, eps_ls, bits))
     rho = outcome.amp_est ** 2 * alpha ** 2 * fro2
     return NormEstimateResult(rho=float(rho), exact=exact, ok=bool(outcome.within(nu)))

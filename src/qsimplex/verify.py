@@ -147,8 +147,7 @@ def sign_estimation_suite() -> SuiteResult:
 # pricing soundness (CanEnter / FindColumn)
 
 
-def _pricing_instance(m: int, n: int, seed: int,
-                      eps: float) -> tuple[LpInstance, tuple[int, ...]]:
+def _pricing_instance(m: int, n: int, seed: int) -> tuple[LpInstance, tuple[int, ...]]:
     """Random LP rejected until some column prices in solidly, with
     ``pricing_terms`` ratio below -0.3 (a pricing test on an already-optimal
     instance would be vacuous)."""
@@ -176,7 +175,7 @@ def pricing_suite(runs: int = 200, m: int = 4, n: int = 12, eps: float = 0.05,
     strong_hits = 0
     strong_total = 0
     for i in range(runs):
-        inst, basis = _pricing_instance(m, n, seed + i, eps)
+        inst, basis = _pricing_instance(m, n, seed + i)
         rng = np.random.default_rng(seed + 10_000 + i)
         scaled = ScaledBasis.build(inst, basis, error_mode=error_mode, rng=rng)
         fc = find_column(scaled, eps, mode="sampling", rng=rng)

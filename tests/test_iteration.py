@@ -46,7 +46,7 @@ CASES = [
      (9217024.0, 4608512.0, 9217842.0, 5390925645568.586,
       285403462.43283594, 233.0, 4608512.0, 5398374000724735.0)),
     ("random_lp", 16, 7, 0, "sampling", "worst",
-     ("pivot", 2, 12, False),
+     ("pivot", 2, 12, True),
      (7954432.0, 3977216.0, 7954836.0, 86534436387.1052,
       28918822.014506873, 235.0, 3977216.0, 62947419813030.85)),
     ("random_lp", 16, 7, 6, "sampling", "worst",
@@ -58,9 +58,9 @@ CASES = [
      (5560320.0, 2780160.0, 5561130.0, 1720038824204074.5,
       3376186986.0219216, 49.0, 2780160.0, 1.272995037346191e+18)),
     ("random_lp", 10, 11, 0, "sampling", "random",
-     ("pivot", 2, 4, True),
-     (4624384.0, 2312192.0, 4624602.0, 27889321035.94723,
-      16723322.5833495, 180.0, 2312192.0, 20223089545015.76)),
+     ("pivot", 2, 4, False),
+     (3575808.0, 1787904.0, 3576024.0, 21009064131.50376,
+      12804288.131351002, 181.0, 1787904.0, 15178258209184.262)),
     ("random_lp", 10, 11, 1, "sampling", "random",
      ("pivot", 13, 5, True),
      (3325952.0, 1662976.0, 3326316.0, 192746545906.80057,

@@ -20,7 +20,8 @@ def test_import_loads_no_heavy_module():
     # the benchmark's setup_s times a fresh `import qsimplex`; these modules
     # load only when a command, suite or classical solve needs them
     lazy = ("qsimplex.verify", "qsimplex.cli", "qsimplex.instances",
-            "scipy.linalg", "scipy.optimize", "jsonschema")
+            "scipy.linalg", "scipy.optimize", "scipy.special", "scipy.stats",
+            "scipy.integrate", "jsonschema")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = f"import sys, qsimplex; print([m for m in {lazy!r} if m in sys.modules])"

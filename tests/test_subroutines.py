@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from qsimplex.classical import (OPTIMAL_FACTOR, PRICING_FACTOR, basic_solution,
-                                direction, pricing_terms, ratio_test,
-                                solve_classical)
+                                direction, pivot_report, pricing_terms,
+                                ratio_test, solve_classical)
 from qsimplex.instances import (embed_basis_instance, random_bounded_lp,
                                 random_lp, random_unbounded_lp,
                                 ratio_test_triple)
@@ -170,6 +170,22 @@ def test_boosted_sign_est_majority():
     values, oks, _ = _sign_votes(np.array([0.5, -0.9]), 0.1, "nfn", 15, "sampling", rng)
     assert values.tolist() == [1, 0]
     assert oks[0]
+
+
+@pytest.mark.parametrize("mode,seed,message", [
+    ("Analytic", 0, "unknown mode 'Analytic'"),
+    ("sampling", None, "sampling mode needs a generator")])
+def test_sign_votes_rejects_unknown_mode_and_missing_generator(mode, seed, message):
+    # every subroutine reaches _sign_votes first: a misspelt mode may not
+    # run the sampled path, and sampling without a generator fails by name
+    rng = None if seed is None else np.random.default_rng(seed)
+    inst = random_bounded_lp(8, 20, seed=3)
+    basis = dantzig_basis(inst, 6)  # the terminal basis of its Dantzig path
+    assert pivot_report(inst, basis).entering is None
+    with pytest.raises(ValueError, match=message):
+        simplex_iter(inst, basis, PrecisionParams(), mode=mode, rng=rng)
+    with pytest.raises(ValueError, match=message):
+        _sign_votes(np.array([0.5]), 0.1, "nfn", 15, mode, rng)
 
 
 @pytest.mark.parametrize("kind", SIGN_EST_KINDS)
@@ -591,6 +607,68 @@ def test_find_row_t100_close_to_classical():
         if fr.row is not None and fr.ok and u[fr.row] > 0:
             good += x[fr.row] / u[fr.row] <= bound + 1e-9
     assert good >= 22
+
+
+def _gate_window_basis():
+    """An identity basis whose entering direction u puts five rows inside
+    the FindRow gate's window at delta = 0.1, where a 15-run majority fires
+    with probability from about 0.12 to 0.90, one row far above it and one
+    negative row: (scaled basis, entering column)."""
+    u = np.array([0.1053, 0.1058, 0.10625, 0.1067, 0.1073, 0.0, -0.3])
+    u[5] = math.sqrt(1.0 - u @ u)
+    m = u.size
+    inst = LpInstance.from_dense(np.hstack([np.eye(m), u[:, None]]), np.ones(m),
+                                 np.append(np.zeros(m), -1.0))
+    return ScaledBasis.build(inst, tuple(range(m)), error_mode="zero"), m
+
+
+def _gate_alpha(scaled, k, delta):
+    """The amplitudes FindRow's gate reads: u_h/|u| at precision delta/2."""
+    u = scaled.direction(k)
+    return scaled.read(u / np.linalg.norm(u), delta / 2,
+                       sign_est_spec(delta / 2, "nfp_plus").alpha_boundary)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sampled_find_row_draws_gate_block_then_ae_block(seed):
+    # the sampled stream of one FindRow call: the gate's m x reps block is
+    # one _sign_votes sweep, and the gated rows' (numerator, denominator)
+    # readouts map the next 2 x len(gated) uniforms, row by row
+    scaled, k = _gate_window_basis()
+    delta, t, reps = 0.1, 100.0, 15
+    fr = find_row(scaled, k, delta, t, reps, "sampling", np.random.default_rng(seed))
+    twin = np.random.default_rng(seed)
+    values, _, _ = _sign_votes(_gate_alpha(scaled, k, delta), delta / 2, "nfp_plus",
+                               reps, "sampling", twin)
+    assert fr.gated == tuple(np.flatnonzero(values == 1).tolist())
+    draws = twin.random((len(fr.gated), 2))
+    eps_ls = delta / (16 * t)
+    bits = math.ceil(math.log2(16 * math.pi * t / delta)) + 2
+    x, u = scaled.basic_solution, scaled.direction(k)
+    amps = [scaled.read(v / np.linalg.norm(v), eps_ls) for v in (x, u)]
+    for i, h in enumerate(fr.gated):
+        num, den = (amplitude_estimation(amp[h] ** 2, bits, "sampling",
+                                         draws[i, j:j + 1]).amp_est
+                    for j, amp in enumerate(amps))
+        assert fr.ratio_estimates[h] == (num / den if den > 0 else np.inf), h
+
+
+def test_sampled_find_row_gate_frequencies_match_majority_probability():
+    # over 400 seeds each row's sampled gate frequency matches the exact
+    # probability that a majority of its 15 runs fires, the binomial tail
+    # over one run's Pr[1], within four binomial standard deviations
+    scaled, k = _gate_window_basis()
+    delta, reps, runs = 0.1, 15, 400
+    p = sign_est_prob_one(_gate_alpha(scaled, k, delta), delta / 2, "nfp_plus")
+    want = sum(math.comb(reps, j) * p ** j * (1 - p) ** (reps - j)
+               for j in range((reps + 1) // 2, reps + 1))
+    assert np.sum((want > 0.1) & (want < 0.9)) == 5
+    hits = np.zeros(want.size)
+    for seed in range(runs):
+        fr = find_row(scaled, k, delta, 100.0, reps, "sampling", np.random.default_rng(seed))
+        hits[list(fr.gated)] += 1
+    spread = np.sqrt(want * (1 - want) / runs)
+    assert np.all(np.abs(hits / runs - want) <= 4 * spread), (hits / runs, want)
 
 
 # ---------------------------------------------------------------------------
