@@ -12,8 +12,10 @@ eight ``QueryStats`` counters as float hex and the checker's finding.
 ``--check`` applies the pinning policy of ``tests/test_iteration.py``:
 verdict, ``ok``, finding and the integer-valued counters must match
 exactly; ``p_ab_queries``, ``p_b_queries`` and ``basic_gates`` may move
-by at most 1e-12 relative.  It exits 1 and names each op that differs.
-To compare two dumps exactly, write both with ``--out`` and diff them.
+by at most 1e-12 relative.  It exits 1 and names each op that differs;
+its last line also counts the float counters that moved within that
+tolerance, so a regrouped float sum shows.  To compare two dumps exactly,
+write both with ``--out`` and diff them.
 """
 
 import argparse
@@ -53,8 +55,10 @@ def dump() -> dict:
     return doc
 
 
-def differences(expected: dict, actual: dict) -> list[str]:
-    problems = []
+def differences(expected: dict, actual: dict) -> tuple[list[str], int]:
+    """A line per difference the policy forbids, and the number of float
+    counters that differ within the tolerance."""
+    problems, moved = [], 0
     for name in expected.keys() | actual.keys():
         want, got = expected.get(name, []), actual.get(name, [])
         if len(want) != len(got):
@@ -71,10 +75,14 @@ def differences(expected: dict, actual: dict) -> list[str]:
                 continue
             for key, text in a["counters"].items():
                 x, y = float.fromhex(text), float.fromhex(b["counters"][key])
-                tol = REL_TOL * abs(x) if key in FLOAT_COUNTERS else 0.0
-                if not math.isclose(x, y, rel_tol=0, abs_tol=tol):
+                if x == y:
+                    continue
+                if key in FLOAT_COUNTERS and math.isclose(x, y, rel_tol=0,
+                                                          abs_tol=REL_TOL * abs(x)):
+                    moved += 1
+                else:
                     problems.append(f"{where}: {key} {y!r}, expected {x!r}")
-    return problems
+    return problems, moved
 
 
 def main() -> int:
@@ -91,10 +99,11 @@ def main() -> int:
         print(f"wrote {sum(map(len, doc.values()))} ops to {args.out}")
         return 0
     with open(args.check) as fh:
-        problems = differences(json.load(fh), doc)
+        problems, moved = differences(json.load(fh), doc)
     for line in problems:
         print(line)
-    print(f"{sum(map(len, doc.values()))} ops, {len(problems)} differences")
+    print(f"{sum(map(len, doc.values()))} ops, {len(problems)} differences, "
+          f"{moved} float counters moved within {REL_TOL:g}")
     return 1 if problems else 0
 
 

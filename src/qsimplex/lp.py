@@ -152,6 +152,9 @@ def _basis_columns(instance: LpInstance, basis) -> list[int]:
     cols = [int(j) for j in basis]
     if len(cols) != instance.m or len(set(cols)) != instance.m:
         raise ValueError("basis must list m distinct column indices")
+    outside = [j for j in cols if not 0 <= j < instance.n]
+    if outside:
+        raise ValueError(f"basis column {outside[0]} is out of range [0, {instance.n})")
     return cols
 
 

@@ -18,14 +18,15 @@ fine (1/9-scaled) estimation window, while the ratio-test gate needs its
 1-return to certify "denominator above delta/2", which the coarse window
 delivers.
 
-Cost accounting: oracle evaluations inside Grover/minimum-finding loops
-are charged per activation (iterations plus confirmation checks) using
-the deterministic per-call cost; the simulation-side draws that realize
-bounded-error oracle decisions are bookkeeping, not algorithm cost.  One
-estimation run over a solver-prepared state (phase estimation plus
-``2 * 2^bits + 1`` solver invocations) is priced by ``estimation_cost``
-alone; the exact solutions behind those invocations are computed once per
-basis by ``ScaledBasis.build`` and cost nothing.
+Cost accounting: a subroutine pays the price of one oracle application
+per activation.  ``estimation_cost`` prices one estimation run over a
+solver-prepared state (phase estimation plus ``2 * 2^bits + 1`` solver
+invocations); the exact solutions behind them come once per basis from
+``ScaledBasis.build`` and cost nothing.  ``_sweep`` returns the price of a
+sweep's boosted application, and ``_charge`` adds it per Grover iteration
+and confirmation; FindRow pays its gate on every row and an AE pair per
+gated row, and its minimum finding's iterations carry no oracle charge.
+Simulation-side draws that realize oracle decisions are bookkeeping.
 
 Sweeps: IsOptimal and FindColumn apply CanEnter to every nonbasic column,
 IsUnbounded and the FindRow gate a sign estimation to every row.  Every
@@ -399,14 +400,34 @@ def _sign_votes(alpha: np.ndarray, eps_se: float, kind: str, reps: int,
     return (*votes(rng, reps), votes)
 
 
+def _sweep(scaled: ScaledBasis, alpha0, eps_ls: float, eps_se: float, kind: str,
+           reps: int, mode: str, rng: np.random.Generator | None,
+           extended: bool = False, runs: int = 1):
+    """(values, oks, votes, price): one boosted ``kind`` sign estimation at
+    precision ``eps_se`` on each exact amplitude of ``alpha0``, read from
+    ``runs`` solver states per entry at precision ``eps_ls`` (of the
+    extended system if ``extended``; ``ScaledBasis.read``) and decided by
+    ``_sign_votes``, and ``price``, the cost of one boosted application of
+    this oracle: ``reps`` estimation runs (``estimation_cost``)."""
+    spec = sign_est_spec(eps_se, kind)
+    alpha = scaled.read(alpha0, eps_ls, spec.alpha_boundary, extended, runs)
+    price = estimation_cost(scaled.qlsa_ext if extended else scaled.qlsa, eps_ls,
+                            spec.bits).scaled(reps)
+    return (*_sign_votes(alpha, eps_se, kind, reps, mode, rng), price)
+
+
+def _charge(stats: QueryStats, price: QueryStats, search: QueryStats,
+            confirmations: int = 0) -> None:
+    """Add ``search``, the counters of one Grover search, to ``stats``, and
+    charge ``price`` -- one boosted oracle application (``_sweep``) --
+    once per activation: each Grover iteration the search ran, plus each
+    confirmation of a candidate."""
+    stats.add(search)
+    stats.add(price.scaled(search.grover_iterations + confirmations))
+
+
 # ---------------------------------------------------------------------------
 # pricing (CanEnter / FindColumn / IsOptimal)
-
-
-def _pricing_precisions(eps: float) -> tuple[float, float]:
-    """CanEnter's solver precision ``eps/(10 sqrt(2))`` and sign-estimation
-    precision ``11 eps/(10 sqrt(2))``."""
-    return eps / (10.0 * math.sqrt(2.0)), 11.0 * eps / (10.0 * math.sqrt(2.0))
 
 
 def can_enter(scaled: ScaledBasis, eps: float, reps: int = PrecisionParams.reps,
@@ -414,12 +435,12 @@ def can_enter(scaled: ScaledBasis, eps: float, reps: int = PrecisionParams.reps,
               rng: np.random.Generator | None = None, columns=slice(None)):
     """CanEnter on the columns ``scaled.domain[columns]`` (a slice or a
     list of positions), in order: the columns it fires on, whether every
-    decision's tolerance flags held, and the columns' ``_SampledVotes`` in
-    sampling mode (see ``_sign_votes``).  A column fires when its
-    (rescaled) reduced cost is certified ``< -eps |(A_B^-1 A_k, c_k)|``
-    (``classical.pricing_terms``): the sign estimation at precision ``11
-    eps / (10 sqrt(2))`` returns 0.  Uncharged: the caller prices each
-    application with ``can_enter_cost``.
+    decision's tolerance flags held, the columns' ``_SampledVotes`` in
+    sampling mode, and the price of one boosted application (``_sweep``).
+    A column fires when its (rescaled) reduced cost is certified ``< -eps
+    |(A_B^-1 A_k, c_k)|`` (``classical.pricing_terms``): the sign
+    estimation at precision ``11 eps / (10 sqrt(2))`` returns 0.
+    Uncharged: the caller charges the price per activation (``_charge``).
 
     The oracle solves the extended system ``diag(A_B, 1)(x, y) = (A_k,
     c_k)`` at precision ``eps/(10 sqrt(2))`` and reads off the all-zeros
@@ -434,22 +455,12 @@ def can_enter(scaled: ScaledBasis, eps: float, reps: int = PrecisionParams.reps,
     variant (fires on everything at most ``-eps``, may fire inside the
     indecision window, which is exactly what IsOptimal needs).
     """
-    eps_ls, eps_se = _pricing_precisions(eps)
-    variant = {"nfn": "nfn", "nfp": "nfp"}[variant]
-    alpha = scaled.read(scaled.reduced_cost_amplitudes[columns], eps_ls,
-                        sign_est_spec(eps_se, variant).alpha_boundary, extended=True,
-                        runs=reps if mode == "sampling" else 1)
-    values, oks, votes = _sign_votes(alpha, eps_se, variant, reps, mode, rng)
+    values, oks, votes, price = _sweep(
+        scaled, scaled.reduced_cost_amplitudes[columns], eps / (10.0 * math.sqrt(2.0)),
+        11.0 * eps / (10.0 * math.sqrt(2.0)), {"nfn": "nfn", "nfp": "nfp"}[variant],
+        reps, mode, rng, extended=True, runs=reps if mode == "sampling" else 1)
     domain = np.array(scaled.domain, dtype=int)[columns]
-    return tuple(domain[values == 0].tolist()), bool(oks.all()), votes
-
-
-def can_enter_cost(scaled: ScaledBasis, eps: float, reps: int,
-                   variant: str = "nfn") -> QueryStats:
-    """Deterministic cost of one boosted CanEnter oracle application."""
-    eps_ls, eps_se = _pricing_precisions(eps)
-    spec = sign_est_spec(eps_se, {"nfn": "nfn", "nfp": "nfp"}[variant])
-    return estimation_cost(scaled.qlsa_ext, eps_ls, spec.bits).scaled(reps)
+    return tuple(domain[values == 0].tolist()), bool(oks.all()), votes, price
 
 
 @dataclass
@@ -479,15 +490,12 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = PrecisionParams.rep
     inside the indecision window.
     """
     stats = stats if stats is not None else QueryStats()
-    marked, all_ok, votes = can_enter(scaled, eps, reps, variant, mode, rng)
-
-    per_call = can_enter_cost(scaled, eps, reps, variant)
+    marked, all_ok, votes, price = can_enter(scaled, eps, reps, variant, mode, rng)
     confirm_ok = True
     confirms = 0
-    iters_before = stats.grover_iterations
-
+    search = QueryStats()
     if mode == "analytic":
-        found = qsearch_analytic(scaled.domain, marked, stats)
+        found = qsearch_analytic(scaled.domain, marked, search)
         confirms = 1 if found is not None else 0
     else:
         def confirm(idx: int) -> bool:
@@ -497,13 +505,12 @@ def find_column(scaled: ScaledBasis, eps: float, reps: int = PrecisionParams.rep
                 values, oks = votes(rng, reps, [scaled.position(idx)])
                 confirm_ok = bool(oks[0])
                 return bool(values[0] == 0)
-            fired, confirm_ok, _ = can_enter(scaled, eps, reps, variant, mode, rng,
-                                             columns=[scaled.position(idx)])
+            fired, confirm_ok, _, _ = can_enter(scaled, eps, reps, variant, mode, rng,
+                                                columns=[scaled.position(idx)])
             return bool(fired)
 
-        found = qsearch(scaled.domain, marked, rng, stats, confirm=confirm)
-    activations = (stats.grover_iterations - iters_before) + confirms
-    stats.add(per_call.scaled(activations))
+        found = qsearch(scaled.domain, marked, rng, search, confirm=confirm)
+    _charge(stats, price, search, confirms)
 
     if found is None and variant == "nfn" and recover_with_nfp:
         return find_column(scaled, eps, reps, mode, rng, stats, variant="nfp",
@@ -535,11 +542,10 @@ def is_optimal(scaled: ScaledBasis, eps: float, reps: int = PrecisionParams.reps
     stats = stats if stats is not None else QueryStats()
     if not scaled.domain:
         return IsOptimalResult(value=1, ok=True, marked=())
-    marked, ok, _ = can_enter(scaled, eps, reps, "nfp", mode, rng)
-    iters_before = stats.grover_iterations
-    exists = grover_count_exists(scaled.domain, marked, rng, stats, mode)
-    activations = stats.grover_iterations - iters_before
-    stats.add(can_enter_cost(scaled, eps, reps, "nfp").scaled(activations))
+    marked, ok, _, price = can_enter(scaled, eps, reps, "nfp", mode, rng)
+    search = QueryStats()
+    exists = grover_count_exists(scaled.domain, marked, rng, search, mode)
+    _charge(stats, price, search)
     return IsOptimalResult(value=int(not exists), ok=ok, marked=marked)
 
 
@@ -564,25 +570,18 @@ def is_unbounded(scaled: ScaledBasis, k: int, delta: float, reps: int = Precisio
     """
     stats = stats if stats is not None else QueryStats()
     u = scaled.direction(k)
-    eps_ls = delta / 10.0
-    eps_se = 9.0 * delta / 10.0
-    spec = sign_est_spec(eps_se, "nfn_plus")
-    m = scaled.instance.m
     # each component u_h/|u| is read from a state prepared for its row
-    alpha = scaled.read(u / np.linalg.norm(u), eps_ls, spec.alpha_boundary)
-    values, oks, _ = _sign_votes(alpha, eps_se, "nfn_plus", reps, mode, rng)
+    values, oks, _, price = _sweep(scaled, u / np.linalg.norm(u), delta / 10.0,
+                                   9.0 * delta / 10.0, "nfn_plus", reps, mode, rng)
     marked = tuple(np.flatnonzero(values == 1).tolist())
-    ok = bool(oks.all())
-    iters_before = stats.grover_iterations
+    search = QueryStats()
     # a missed marked row turns into a terminal (false) unbounded verdict,
     # so the counting schedule is repeated; each repetition keeps the fixed
     # 3 ceil(pi/4 sqrt(m)) budget
-    exists = grover_count_exists(list(range(m)), marked, rng, stats, mode,
-                                 schedules=3)
-    activations = stats.grover_iterations - iters_before
-    stats.add(estimation_cost(scaled.qlsa, eps_ls, spec.bits)
-              .scaled(reps * activations))
-    return IsUnboundedResult(value=int(not exists), ok=ok, marked_rows=marked)
+    exists = grover_count_exists(list(range(scaled.instance.m)), marked, rng, search,
+                                 mode, schedules=3)
+    _charge(stats, price, search)
+    return IsUnboundedResult(value=int(not exists), ok=bool(oks.all()), marked_rows=marked)
 
 
 @dataclass
@@ -625,22 +624,17 @@ def find_row(scaled: ScaledBasis, k: int, delta: float, t: float,
     eps_ls = delta / (16.0 * t)
     nu = delta / (16.0 * math.pi * t)
     ae_bits = math.ceil(math.log2(1.0 / nu)) + 2
-    gate_eps = delta / 2.0
-    gate_spec = sign_est_spec(gate_eps, "nfp_plus")
-    gate_cost = estimation_cost(scaled.qlsa, gate_eps, gate_spec.bits).scaled(reps)
-    ae_cost = estimation_cost(scaled.qlsa, eps_ls, ae_bits).scaled(2)
     num_amps = scaled.read(x / x_norm, eps_ls)
     den_amps = scaled.read(u / u_norm, eps_ls)
-    gate_alpha = scaled.read(u / u_norm, gate_eps, gate_spec.alpha_boundary)
-    gate_values, gate_oks, _ = _sign_votes(gate_alpha, gate_eps, "nfp_plus", reps, mode, rng)
+    gate_values, gate_oks, _, gate_cost = _sweep(scaled, u / u_norm, delta / 2.0,
+                                                 delta / 2.0, "nfp_plus", reps, mode, rng)
     rows = np.flatnonzero(gate_values == 1)
     # a (gated rows x [numerator, denominator]) readout, drawn after the gate
     ae = amplitude_estimation(np.stack([num_amps[rows], den_amps[rows]], axis=-1) ** 2,
                               ae_bits, mode, _ae_uniforms(rng, mode, (rows.size, 2)))
-    for value in gate_values.tolist():
-        stats.add(gate_cost)
-        if value == 1:
-            stats.add(ae_cost)
+    # every row's gate is estimated; each gated row's two components too
+    stats.add(gate_cost.scaled(m))
+    stats.add(estimation_cost(scaled.qlsa, eps_ls, ae_bits).scaled(2 * rows.size))
     all_ok = bool(gate_oks.all() and ae.within(nu).all())
     num, den = ae.amp_est.T
     ratios = np.full(m, np.inf)

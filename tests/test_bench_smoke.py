@@ -56,6 +56,8 @@ def test_bench_identity_check_applies_counter_policy(tmp_path):
     path.write_text(json.dumps(doc))
     proc = check_identity(path)
     assert proc.returncode == 1
-    problems = proc.stdout.splitlines()[:-1]
+    *problems, last = proc.stdout.splitlines()
     assert len(problems) == 1 and "iter-sampling op 0" in problems[0], proc.stdout
     assert "u_calls" in problems[0]
+    # the planted 1e-13 move passes, and is counted
+    assert ", 1 differences, 1 float counters moved within 1e-12" in last, proc.stdout

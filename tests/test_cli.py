@@ -195,6 +195,21 @@ def test_start_basis_flag(tmp_path):
     assert main(["solve", "--instance", str(path), "--start-basis", "0,1"]) == 0
 
 
+@pytest.mark.parametrize("basis,column", [("99,0,1,2,3,4", 99),
+                                          ("-1,-2,-3,-4,-5,-6", -1)])
+def test_start_basis_out_of_range_is_a_usage_error(tmp_path, capsys, basis, column):
+    # a 6 x 18 instance: the first index outside [0, 18) is named, and the
+    # run exits with the usage-error code instead of a traceback (99) or a
+    # solve on wrapped columns (negative indices)
+    path = tmp_path / "lp.json"
+    write_lp_json(random_lp(6, 18, seed=1), path)
+    summary = tmp_path / "s.json"
+    assert main(["solve", "--instance", str(path), f"--start-basis={basis}",
+                 "--out-summary", str(summary)]) == 2
+    assert f"basis column {column} is out of range [0, 18)" in capsys.readouterr().err
+    assert not summary.exists()
+
+
 def test_verify_quick_passes(capsys):
     code = main(["verify", "--quick", "--seed", "1"])
     out = capsys.readouterr().out

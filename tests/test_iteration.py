@@ -9,15 +9,18 @@ remaining tests check that an iteration makes one SVD and one solve and that
 failures carry a named reason.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from qsimplex.classical import pivot_report
 from qsimplex.instances import random_bounded_lp, random_lp
 from qsimplex.lp import LpInstance, slack_identity_basis
-from qsimplex.primitives import QueryStats
-from qsimplex.subroutines import (PrecisionParams, ScaledBasis, find_column,
-                                  is_optimal, simplex_iter, solve_quantum)
+from qsimplex.primitives import QueryStats, qsearch
+from qsimplex.subroutines import (PrecisionParams, ScaledBasis, find_column, find_row,
+                                  is_optimal, is_unbounded, sign_est_spec,
+                                  simplex_iter, solve_quantum)
 
 GENERATORS = {"random_lp": random_lp, "random_bounded_lp": random_bounded_lp}
 FLOAT_COUNTERS = ("p_ab_queries", "p_b_queries", "basic_gates")
@@ -124,15 +127,113 @@ def test_simplex_iter_pinned(gen, m, seed, step, mode, error_mode, verdict, coun
     rng = np.random.default_rng(step)
     out = simplex_iter(inst, dantzig_basis(inst, step), PrecisionParams(), mode,
                        error_mode, rng)
-    assert (out.status, out.entering, out.leaving_row, bool(out.ok)) == verdict
-    expected = QueryStats(*counters).as_dict()
-    for name, value in out.stats.as_dict().items():
-        if name in FLOAT_COUNTERS:
-            assert value == pytest.approx(expected[name], rel=1e-12, abs=0), name
-        else:
-            assert value == expected[name], name
+    # one record, so a failure lists every field that moved
+    got = {"status": out.status, "entering": out.entering,
+           "leaving_row": out.leaving_row, "ok": bool(out.ok), **out.stats.as_dict()}
+    want = dict(zip(("status", "entering", "leaving_row", "ok"), verdict))
+    for name, value in QueryStats(*counters).as_dict().items():
+        want[name] = (pytest.approx(value, rel=1e-12, abs=0) if name in FLOAT_COUNTERS
+                      else value)
     if mode == "sampling":
-        assert float(rng.random()).hex() == NEXT_DRAWS[gen, seed, step, error_mode]
+        got["next_draw"] = float(rng.random()).hex()
+        want["next_draw"] = NEXT_DRAWS[gen, seed, step, error_mode]
+    assert got == want
+
+
+INTEGER_COUNTERS = ("u_calls", "controlled_u_calls", "qlsa_invocations",
+                    "ae_repetitions")
+
+
+def _applications(bits: int, runs: int, count: int) -> dict:
+    """Integer counters of ``count`` oracle applications, each ``runs``
+    estimation runs on ``bits`` bits: phase estimation (``2^bits``
+    controlled and ``2 * 2^bits`` plain iterates) over ``2 * 2^bits + 1``
+    solver invocations."""
+    size = 2 ** bits
+    per = {"u_calls": 2 * size, "controlled_u_calls": size,
+           "qlsa_invocations": 2 * size + 1, "ae_repetitions": size}
+    return {name: value * runs * count for name, value in per.items()}
+
+
+def _integers(stats: QueryStats) -> dict:
+    return {name: getattr(stats, name) for name in INTEGER_COUNTERS}
+
+
+@pytest.mark.parametrize("gen,m,seed,step,mode,error_mode",
+                         [("random_lp", 64, 0, 24, "analytic", "zero"),
+                          ("random_lp", 16, 7, 6, "sampling", "worst")])
+def test_each_subroutine_charges_per_activation(monkeypatch, gen, m, seed, step,
+                                                mode, error_mode):
+    # two pinned pivots, each subroutine on counters of its own, in the
+    # order simplex_iter calls them: IsOptimal, FindColumn and IsUnbounded
+    # pay one boosted application per activation (each Grover iteration,
+    # plus each confirmation of a candidate), FindRow one gate per row and
+    # one AE pair per gated row
+    import qsimplex.subroutines as subroutines
+
+    confirmations = []
+
+    def counting_qsearch(*args, confirm, **kwargs):
+        def counted(idx):
+            confirmations.append(idx)
+            return confirm(idx)
+        return qsearch(*args, confirm=counted, **kwargs)
+
+    monkeypatch.setattr(subroutines, "qsearch", counting_qsearch)
+    params = PrecisionParams()
+    eps, delta, t, reps = params.eps, params.delta, params.t, params.reps
+    inst = GENERATORS[gen](m, 3 * m, seed=seed)
+    rng = np.random.default_rng(step)
+    scaled = ScaledBasis.build(inst, dantzig_basis(inst, step), params.eps_prime,
+                               error_mode, rng)
+    pricing_bits = {variant: sign_est_spec(11.0 * eps / (10.0 * math.sqrt(2.0)),
+                                           variant).bits for variant in ("nfn", "nfp")}
+    parts = []
+
+    stats = QueryStats()
+    assert is_optimal(scaled, eps, reps, mode, rng, stats).value == 0
+    assert _integers(stats) == _applications(pricing_bits["nfp"], reps,
+                                             stats.grover_iterations)
+    parts.append(stats)
+
+    # an "nfn" miss retries with "nfp"; each search pays for itself
+    for variant in ("nfn", "nfp"):
+        stats = QueryStats()
+        confirmations.clear()
+        fc = find_column(scaled, eps, reps, mode, rng, stats, variant=variant,
+                         recover_with_nfp=False)
+        # analytic mode confirms the one candidate it finds
+        confirmed = len(confirmations) if mode == "sampling" else int(fc.column is not None)
+        assert _integers(stats) == _applications(
+            pricing_bits[variant], reps, stats.grover_iterations + confirmed), variant
+        parts.append(stats)
+        if fc.column is not None:
+            break
+    k = fc.column
+
+    stats = QueryStats()
+    assert is_unbounded(scaled, k, delta, reps, mode, rng, stats).value == 0
+    assert _integers(stats) == _applications(
+        sign_est_spec(9.0 * delta / 10.0, "nfn_plus").bits, reps, stats.grover_iterations)
+    parts.append(stats)
+
+    stats = QueryStats()
+    fr = find_row(scaled, k, delta, t, reps, mode, rng, stats)
+    gate = _applications(sign_est_spec(delta / 2.0, "nfp_plus").bits, reps, m)
+    ae_bits = math.ceil(math.log2(16.0 * math.pi * t / delta)) + 2
+    readouts = _applications(ae_bits, 2, len(fr.gated))
+    assert _integers(stats) == {name: gate[name] + readouts[name] for name in gate}
+    parts.append(stats)
+
+    # the parts add up to the pinned iteration
+    case = next(case for case in CASES if case[:6] == (gen, m, seed, step, mode, error_mode))
+    assert (k, fr.row) == case[6][1:3]
+    total = QueryStats()
+    for part in parts:
+        total.add(part)
+    pinned = QueryStats(*case[7])
+    assert _integers(total) == _integers(pinned)
+    assert total.grover_iterations == pinned.grover_iterations
 
 
 @pytest.mark.parametrize("error_mode", sorted(PRICING_CASES))

@@ -69,6 +69,14 @@ def test_normalize_rejects_eps_prime_out_of_range(eps_prime):
         normalize(small_instance(), (0, 1), eps_prime=eps_prime)
 
 
+@pytest.mark.parametrize("basis,column", [((0, 4), 4), ((-1, 1), -1), ((-2, -1), -2)])
+def test_normalize_rejects_basis_column_out_of_range(basis, column):
+    # numpy would wrap a negative index onto a real column, and a large one
+    # would escape as an IndexError
+    with pytest.raises(ValueError, match=rf"basis column {column} is out of range \[0, 4\)"):
+        normalize(small_instance(), basis)
+
+
 def test_normalize_singular_basis_raises():
     A = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]])
     inst = LpInstance.from_dense(A, [1.0, 1.0], [1.0, 1.0, 1.0])

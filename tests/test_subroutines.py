@@ -428,7 +428,7 @@ def test_can_enter_module2_example():
     # ratio -0.8855 < -2.2 * 0.1: CanEnter fires
     inst = _module2_instance()
     scaled = ScaledBasis.build(inst, (0, 1), error_mode="zero")
-    marked, ok, _ = can_enter(scaled, 0.1, mode="analytic", columns=[scaled.domain.index(2)])
+    marked, ok, _, _ = can_enter(scaled, 0.1, mode="analytic", columns=[scaled.domain.index(2)])
     assert (marked, ok) == ((2,), True)
     assert scaled.reduced_cost_scaled(2) == pytest.approx(-0.885533, abs=1e-5)
 
@@ -732,7 +732,7 @@ def test_batched_sweeps_match_per_entry_path(gen, m, seed, step, error_mode):
     inst = ITERATION_GENERATORS[gen](m, 3 * m, seed=seed)
     scaled = ScaledBasis.build(inst, dantzig_basis(inst, step), error_mode=error_mode)
     for variant in ("nfp", "nfn"):
-        marked, ok, _ = can_enter(scaled, 0.1, 15, variant)
+        marked, ok, _, _ = can_enter(scaled, 0.1, 15, variant)
         assert (marked, ok) == (_pricing_reference(scaled, variant), True), variant
         alone = [can_enter(scaled, 0.1, 15, variant, columns=[i])[0]
                  for i in range(len(scaled.domain))]
